@@ -92,54 +92,54 @@ def _sorted_paths(paths: list) -> list:
     return paths
 
 
-def _strict_paths(graph: InstanceGraph, source: str, sink: str, max_len: int) -> list:
+def _strict_search(
+    graph: InstanceGraph, source: str, max_len: int, sink: str | None = None
+) -> dict:
+    """Every simple path of 1..max_len flows from source, unsorted, filed
+    under its endpoint. Given a sink, only the paths ending there; none is
+    extended past it. Iterative, so no recursion limit caps max_len."""
     adjacency: dict[str, list] = {}
     for flow in graph.flows.values():
-        adjacency.setdefault(flow.source, []).append(flow)
-    results: list[Path] = []
-    flow_ids: list[str] = []
-    visited = {source}
-
-    def extend(node: str) -> None:
-        if len(flow_ids) == max_len:
-            return
-        for flow in adjacency.get(node, ()):
-            if flow.target in visited:
+        adjacency.setdefault(flow.source, []).append((flow.id, flow.target))
+    found: dict[str, list] = {}
+    stack = [(iter(adjacency.get(source, ())), (), (source,))]
+    while stack:
+        successors, flow_ids, nodes = stack[-1]
+        # len(nodes) is the flow count of the paths this frame's steps make.
+        room = len(nodes) < max_len
+        for flow_id, target in successors:
+            if target in nodes:
                 continue
-            flow_ids.append(flow.id)
-            if flow.target == sink:
-                nodes = (source,) + tuple(
-                    graph.flows[fid].target for fid in flow_ids
-                )
-                results.append(Path(tuple(flow_ids), nodes))
-            else:
-                visited.add(flow.target)
-                extend(flow.target)
-                visited.discard(flow.target)
-            flow_ids.pop()
-
-    extend(source)
-    return _sorted_paths(results)
+            ends = sink is None or target == sink
+            deeper = room and target != sink and target in adjacency
+            if ends or deeper:
+                path_flows, path_nodes = flow_ids + (flow_id,), nodes + (target,)
+                if ends:
+                    found.setdefault(target, []).append(Path(path_flows, path_nodes))
+                if deeper:
+                    stack.append((iter(adjacency[target]), path_flows, path_nodes))
+                    break
+        else:
+            stack.pop()
+    return found
 
 
 def _derivation_ancestors(graph: InstanceGraph) -> dict:
-    """Transitive derives-from closure for each package."""
+    """Transitive derives-from closure for each package; a package on a
+    derivation cycle is its own ancestor. Each closure is walked afresh, so
+    the result does not depend on the order of graph.packages."""
     closure: dict[str, frozenset] = {}
-
-    def ancestors(package_id: str, trail: tuple) -> frozenset:
-        if package_id in closure:
-            return closure[package_id]
-        if package_id in trail or package_id not in graph.packages:
-            return frozenset()
-        direct = graph.packages[package_id].derives_from
-        found = set(direct)
-        for ancestor in direct:
-            found |= ancestors(ancestor, trail + (package_id,))
+    for package_id, package in graph.packages.items():
+        found: set[str] = set()
+        frontier = list(package.derives_from)
+        while frontier:
+            ancestor = frontier.pop()
+            if ancestor in found:
+                continue
+            found.add(ancestor)
+            if ancestor in graph.packages:
+                frontier.extend(graph.packages[ancestor].derives_from)
         closure[package_id] = frozenset(found)
-        return closure[package_id]
-
-    for package_id in graph.packages:
-        ancestors(package_id, ())
     return closure
 
 
@@ -196,7 +196,7 @@ def enumerate_paths(
     source to sink with at most max_len flows."""
     _check_query(graph, source, sink, max_len)
     if mode == "strict":
-        return _strict_paths(graph, source, sink, max_len)
+        return _sorted_paths(_strict_search(graph, source, max_len, sink).get(sink, []))
     if mode == "lineage":
         return _lineage_traces(graph, source, sink, max_len)
     raise AnalysisError(f"unknown mode {mode!r}")
@@ -259,12 +259,13 @@ def exposure_report(
     entity = graph.entities[person]
     if entity.entity_type is not EntityType.PERSON:
         raise AnalysisError(f"{person!r} is not a Person entity")
+    if max_len < 1:
+        raise AnalysisError("max_len must be at least 1")
+    found = _strict_search(graph, person, max_len)
     sinks: list[SinkExposure] = []
     aggregation: list[AggregationPoint] = []
-    for sink_id in sorted(reachable_from(graph, person)):
-        paths = _strict_paths(graph, person, sink_id, max_len)
-        if not paths:
-            continue
+    for sink_id in sorted(found):
+        paths = _sorted_paths(found[sink_id])
         packages = sorted(
             {graph.flows[fid].package for path in paths for fid in path.flow_ids}
         )

@@ -54,6 +54,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("exposure", help="report where a person's data can end up")
     p.add_argument("file")
     p.add_argument("--person", required=True, metavar="ID")
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("export", help="render a scenario as DOT or JSON")
@@ -124,7 +125,7 @@ def _cmd_paths(args, stdout, stderr) -> int:
 
 def _cmd_exposure(args, stdout, stderr) -> int:
     graph = _load(args.file)
-    report = exposure_report(graph, args.person)
+    report = exposure_report(graph, args.person, max_len=args.max_len)
     if args.json:
         print(report_to_json(report), file=stdout)
         return EXIT_OK
@@ -239,6 +240,9 @@ def run(argv, stdout=None, stderr=None) -> int:
         return EXIT_PARSE
     except (AnalysisError, GraphError, MalformedGraphError, ValueError) as exc:
         print(f"usage error: {exc}", file=stderr)
+        return EXIT_USAGE
+    except RecursionError:  # only lineage search recurses, once per flow of a trace
+        print(f"usage error: search too deep for --max-len {args.max_len}", file=stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=stderr)

@@ -6,8 +6,12 @@ import pytest
 from conftest import build_random_graph, sample_pairs
 from vdse.analysis import (
     DEFAULT_MAX_PATH_LEN,
+    AggregationPoint,
+    ExposureReport,
     LineageTrace,
     Path,
+    SinkExposure,
+    _derivation_ancestors,
     brute_force_paths,
     enumerate_paths,
     exposure_report,
@@ -16,6 +20,8 @@ from vdse.analysis import (
 from vdse.dsl import parse, serialize
 from vdse.errors import AnalysisError
 from vdse.graph import DataPackage, new_scenario
+from vdse.scenarios import load_scenario
+from vdse.schema import EntityType
 
 
 def flow_sets(paths):
@@ -185,6 +191,31 @@ def test_lineage_requires_the_derivation():
     assert ("f2", "f3") in traces  # plain chaining still applies
 
 
+def test_lineage_ignores_package_order_on_a_derivation_cycle():
+    # A derives from B, B from C, C from A: each package's closure is all
+    # three, whichever order the packages were inserted in.
+    derives = {"A": ("B",), "B": ("C",), "C": ("A",)}
+    results = []
+    for rotation in (("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B")):
+        graph = (
+            new_scenario("t")
+            .add_entity("p", "P")
+            .add_entity("a", "DA")
+            .add_entity("b", "DA")
+            .add_entity("o", "O")
+        )
+        for package_id in rotation:
+            graph.packages[package_id] = DataPackage(package_id, derives_from=derives[package_id])
+        graph.add_flow("f1", "E2", "p", "a", "A")
+        graph.add_flow("f2", "E4", "b", "o", "B")
+        graph.add_flow("f3", "E5", "a", "b", "C")
+        closure = _derivation_ancestors(graph)
+        assert closure == {package_id: {"A", "B", "C"} for package_id in derives}
+        results.append(flow_sets(enumerate_paths(graph, "p", "o", mode="lineage")))
+    assert results[0] == results[1] == results[2]
+    assert ("f1", "f2") in results[0]  # f1, f2 do not chain; B derives from A
+
+
 def test_lineage_traces_align_flows_and_packages(uber_graph):
     for trace in enumerate_paths(uber_graph, "driver", "uber", mode="lineage"):
         assert len(trace.package_ids) == len(trace.flow_ids)
@@ -194,6 +225,8 @@ def test_lineage_traces_align_flows_and_packages(uber_graph):
 
 
 # -- the independent oracle ---------------------------------------------------
+
+ORACLE_MAX_LENS = (1, 2, 3, DEFAULT_MAX_PATH_LEN)
 
 
 def test_oracle_matches_on_bundled(uber_graph, speeding_graph):
@@ -214,6 +247,31 @@ def test_oracle_matches_on_seeded_graphs(seed):
         fast = enumerate_paths(graph, source, sink)
         slow = brute_force_paths(graph, source, sink)
         assert fast == slow
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_strict_paths_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    graph = build_random_graph(seed)
+    multigraph = nx.MultiDiGraph()
+    multigraph.add_nodes_from(graph.entities)
+    for flow in graph.flows.values():
+        multigraph.add_edge(flow.source, flow.target, key=flow.id)
+    for source, sink in sample_pairs(graph, seed):
+        for max_len in ORACLE_MAX_LENS:
+            want = sorted(
+                (
+                    Path(
+                        tuple(key for _, _, key in edges),
+                        (source,) + tuple(target for _, target, _ in edges),
+                    )
+                    for edges in nx.all_simple_edge_paths(
+                        multigraph, source, sink, cutoff=max_len
+                    )
+                ),
+                key=lambda p: (len(p.flow_ids), p.flow_ids),
+            )
+            assert enumerate_paths(graph, source, sink, max_len) == want
 
 
 def test_oracle_respects_max_len(speeding_graph):
@@ -295,6 +353,44 @@ def test_exposure_report_uber(uber_graph):
     by_sink = {s.sink: len(s.paths) for s in report.sinks}
     for point in report.aggregation_points:
         assert by_sink[point.entity] == point.path_count >= 2
+
+
+def oracle_exposure(graph, person, max_len):
+    """An exposure report assembled from brute-force paths to every entity
+    reachable from the person."""
+    sinks, aggregation = [], []
+    for sink in sorted(reachable_from(graph, person)):
+        paths = brute_force_paths(graph, person, sink, max_len)
+        if not paths:
+            continue
+        packages = sorted({graph.flows[f].package for p in paths for f in p.flow_ids})
+        sinks.append(
+            SinkExposure(
+                sink, graph.entities[sink].entity_type.code, tuple(paths), tuple(packages)
+            )
+        )
+        if len(paths) >= 2:
+            aggregation.append(AggregationPoint(sink, len(paths)))
+    return ExposureReport(person, tuple(sinks), tuple(aggregation))
+
+
+def persons(graph):
+    return [e for e in sorted(graph.entities) if graph.entities[e].entity_type is EntityType.PERSON]
+
+
+@pytest.mark.parametrize("key", ("uber", "speeding", *range(200)))
+def test_exposure_matches_oracle(key):
+    graph = load_scenario(key) if isinstance(key, str) else build_random_graph(key)
+    for person in persons(graph):
+        for max_len in ORACLE_MAX_LENS:
+            assert exposure_report(graph, person, max_len) == oracle_exposure(
+                graph, person, max_len
+            )
+
+
+def test_exposure_rejects_a_max_len_below_one(uber_graph):
+    with pytest.raises(AnalysisError):
+        exposure_report(uber_graph, "passenger1", max_len=0)
 
 
 def test_exposure_requires_person(uber_graph):

@@ -6,8 +6,12 @@ import json
 
 import pytest
 
+from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
 from vdse.cli import run
-from vdse.scenarios import scenario_text
+from vdse.dsl import serialize
+from vdse.export import report_to_json
+from vdse.graph import DataPackage, new_scenario
+from vdse.scenarios import load_scenario, scenario_text
 
 BROKEN = (
     'scenario "broken"\n'
@@ -181,6 +185,58 @@ def test_exposure_marks_privacy_preserving_sinks(tmp_path):
     code, out, err = invoke(["exposure", str(path), "--person", "p"])
     assert code == 0
     assert "sink cam (AVS): 1 path [privacy-preserving]" in out
+
+
+def test_exposure_max_len_flag(speeding_file):
+    graph = load_scenario("speeding")
+    for limit in (1, 2, 3, DEFAULT_MAX_PATH_LEN):
+        code, out, err = invoke(
+            ["exposure", speeding_file, "--person", "driver", "--max-len", str(limit), "--json"]
+        )
+        assert code == 0
+        assert out == report_to_json(exposure_report(graph, "driver", max_len=limit)) + "\n"
+    default = invoke(["exposure", speeding_file, "--person", "driver"])
+    explicit = ["exposure", speeding_file, "--person", "driver", "--max-len"]
+    assert invoke(explicit + [str(DEFAULT_MAX_PATH_LEN)]) == default
+    assert invoke(explicit + ["1"]) != default
+    code, out, err = invoke(explicit + ["0"])
+    assert code == 3
+    assert out == ""
+
+
+# -- deep searches --------------------------------------------------------------
+
+CHAIN = 1500
+
+
+@pytest.fixture(scope="module")
+def chain_file(tmp_path_factory):
+    """A serialized chain d0 -> d1 -> ... of CHAIN data aggregators."""
+    graph = new_scenario("chain").add_package(DataPackage("DP"))
+    for i in range(CHAIN):
+        graph.add_entity(f"d{i}", "DA")
+    for i in range(CHAIN - 1):
+        graph.add_flow(f"f{i}", "E5", f"d{i}", f"d{i + 1}", "DP")
+    path = tmp_path_factory.mktemp("chain") / "chain.vdse"
+    path.write_text(serialize(graph), encoding="utf-8")
+    return str(path)
+
+
+def test_strict_paths_on_a_long_chain(chain_file):
+    code, out, err = invoke(
+        ["paths", chain_file, "--from", "d0", "--to", f"d{CHAIN - 1}", "--max-len", "5000"]
+    )
+    assert (code, err) == (0, "")
+    assert out == " -> ".join(f"f{i}" for i in range(CHAIN - 1)) + "\n"
+
+
+def test_too_deep_lineage_search_is_a_usage_error(chain_file):
+    code, out, err = invoke(
+        ["paths", chain_file, "--from", "d0", "--to", f"d{CHAIN - 1}",
+         "--max-len", "5000", "--mode", "lineage"]
+    )
+    assert (code, out) == (3, "")
+    assert err == "usage error: search too deep for --max-len 5000\n"
 
 
 # -- export ---------------------------------------------------------------------
