@@ -10,10 +10,17 @@ Both modes bound the number of flows per result by max_len and order
 results by (length, lexicographic flow-id sequence). Semantic relations
 are never traversed. Results only depend on graph content, not on
 insertion order.
+
+A query to a sink first runs one reverse breadth-first search from the
+sink, and the walk never takes a step after which the sink cannot be
+reached within max_len flows. Strict search is one iterative walk over an index of
+flows by source. Lineage search walks an index of admissible successors
+built once per query; it recurses once per flow of a trace.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from vdse.errors import AnalysisError
 from vdse.graph import InstanceGraph
@@ -92,26 +99,47 @@ def _sorted_paths(paths: list) -> list:
     return paths
 
 
+def _hops_to(graph: InstanceGraph, sink: str, limit: int) -> dict:
+    """The fewest flows from each entity to sink, for the entities that
+    reach it within limit flows: one reverse breadth-first search."""
+    sources_into: dict[str, list] = {}
+    for flow in graph.flows.values():
+        sources_into.setdefault(flow.target, []).append(flow.source)
+    hops = {sink: 0}
+    frontier = [sink]
+    for distance in range(1, limit + 1):
+        reached = []
+        for node in frontier:
+            for source in sources_into.get(node, ()):
+                if source not in hops:
+                    hops[source] = distance
+                    reached.append(source)
+        frontier = reached
+    return hops
+
+
 def _strict_search(
     graph: InstanceGraph, source: str, max_len: int, sink: str | None = None
 ) -> dict:
     """Every simple path of 1..max_len flows from source, unsorted, filed
     under its endpoint. Given a sink, only the paths ending there; none is
-    extended past it. Iterative, so no recursion limit caps max_len."""
+    extended past it, and no step goes to an entity that cannot reach the
+    sink within max_len flows. Iterative, so no recursion limit caps max_len."""
     adjacency: dict[str, list] = {}
     for flow in graph.flows.values():
         adjacency.setdefault(flow.source, []).append((flow.id, flow.target))
+    hops = None if sink is None else _hops_to(graph, sink, max_len - 1)
     found: dict[str, list] = {}
     stack = [(iter(adjacency.get(source, ())), (), (source,))]
     while stack:
         successors, flow_ids, nodes = stack[-1]
-        # len(nodes) is the flow count of the paths this frame's steps make.
-        room = len(nodes) < max_len
+        # A step makes a path of len(nodes) flows; spare more may follow it.
+        spare = max_len - len(nodes)
         for flow_id, target in successors:
-            if target in nodes:
+            if target in nodes or hops is not None and hops.get(target, max_len) > spare:
                 continue
             ends = sink is None or target == sink
-            deeper = room and target != sink and target in adjacency
+            deeper = spare > 0 and target != sink and target in adjacency
             if ends or deeper:
                 path_flows, path_nodes = flow_ids + (flow_id,), nodes + (target,)
                 if ends:
@@ -143,46 +171,110 @@ def _derivation_ancestors(graph: InstanceGraph) -> dict:
     return closure
 
 
+def _lineage_distances(flows: list, ancestors: dict, sink: str, max_len: int) -> dict:
+    """For each flow that can end a lineage trace at sink within max_len
+    flows, the fewest flows a trace needs after it to get there: one reverse
+    breadth-first search from the flows into the sink. Flow f precedes g when
+    f.target is g.source, or f.package is g.package or one of its ancestors.
+    Each entity and each package is expanded once. The count ignores that a
+    trace uses a flow only once, so it is a lower bound."""
+    into: dict[str, list] = {}
+    carrying: dict[str, list] = {}
+    for flow in flows:
+        into.setdefault(flow.target, []).append(flow)
+        carrying.setdefault(flow.package, []).append(flow)
+    frontier = into.get(sink, [])
+    distances = {flow.id: 0 for flow in frontier}
+    entities: set[str] = set()
+    derived: set[str] = set()
+    packages: set[str] = set()
+    for distance in range(1, max_len):
+        reached = []
+        for flow in frontier:
+            groups = []
+            if flow.source not in entities:
+                entities.add(flow.source)
+                groups.append(into.get(flow.source, ()))
+            if flow.package not in derived:
+                derived.add(flow.package)
+                for package in (flow.package, *ancestors.get(flow.package, ())):
+                    if package not in packages:
+                        packages.add(package)
+                        groups.append(carrying.get(package, ()))
+            for group in groups:
+                for predecessor in group:
+                    if predecessor.id not in distances:
+                        distances[predecessor.id] = distance
+                        reached.append(predecessor)
+        frontier = reached
+    return distances
+
+
 def _lineage_traces(graph: InstanceGraph, source: str, sink: str, max_len: int) -> list:
+    """Every lineage trace from source to sink, sorted.
+
+    Successors are indexed once per query, over the flows that can still
+    reach the sink. Per package p, one list holds the flows whose package is
+    p or derives from p; every flow carrying p shares it. A flow is followed
+    by its target's flows that are not in its package's list, then by that
+    list. An entry is (distance to sink, flow id, package, target, the
+    entry's two successor lists), and each list is sorted by distance, so a
+    step stops at the first entry that cannot reach the sink within max_len."""
     ancestors = _derivation_ancestors(graph)
     flows = list(graph.flows.values())
-    results: list[LineageTrace] = []
-    trace: list = []
+    distances = _lineage_distances(flows, ancestors, sink, max_len)
+    leaving: dict[str, list] = {}
+    derived_from: dict[str, list] = {}
+    hops_only: dict[tuple, list] = {}
+    for flow in flows:
+        if flow.id not in distances:
+            continue
+        following = (
+            hops_only.setdefault((flow.target, flow.package), []),
+            derived_from.setdefault(flow.package, []),
+        )
+        entry = (distances[flow.id], flow.id, flow.package, flow.target, following)
+        leaving.setdefault(flow.source, []).append(entry)
+        following[1].append(entry)
+        for ancestor in ancestors.get(flow.package, ()):
+            if ancestor != flow.package:
+                derived_from.setdefault(ancestor, []).append(entry)
+    for (target, package), entries in hops_only.items():
+        entries.extend(
+            entry
+            for entry in leaving.get(target, ())
+            if entry[2] != package and package not in ancestors.get(entry[2], ())
+        )
+    for entries in (*leaving.values(), *derived_from.values(), *hops_only.values()):
+        entries.sort(key=itemgetter(0))
+    found: list[LineageTrace] = []
     used: set[str] = set()
 
-    def admissible(previous, candidate) -> bool:
-        if previous.target == candidate.source:
-            return True
-        if candidate.package == previous.package:
-            return True
-        return previous.package in ancestors.get(candidate.package, frozenset())
-
-    def extend() -> None:
-        if trace and trace[-1].target == sink:
-            results.append(
-                LineageTrace(
-                    tuple(f.id for f in trace), tuple(f.package for f in trace)
-                )
-            )
-        if len(trace) == max_len:
-            return
-        for flow in flows:
-            if flow.id in used:
-                continue
-            if trace:
-                if not admissible(trace[-1], flow):
+    def walk(flow_ids: tuple, package_ids: tuple, following: tuple) -> None:
+        # Each step files the trace it makes if that ends at the sink, and
+        # recurses only when a further flow fits: a chain deeper than the
+        # recursion limit raises RecursionError, which the CLI reports.
+        spare = max_len - len(flow_ids)
+        for successors in following:
+            for distance, flow_id, package, target, next_following in successors:
+                if distance >= spare:
+                    break
+                if flow_id in used:
                     continue
-            elif flow.source != source:
-                continue
-            trace.append(flow)
-            used.add(flow.id)
-            extend()
-            used.discard(flow.id)
-            trace.pop()
+                trace_flows, trace_packages = flow_ids + (flow_id,), package_ids + (package,)
+                if target == sink:
+                    found.append(LineageTrace(trace_flows, trace_packages))
+                if spare > 1:
+                    used.add(flow_id)
+                    walk(trace_flows, trace_packages, next_following)
+                    used.discard(flow_id)
 
-    extend()
-    results.sort(key=lambda t: (len(t.flow_ids), t.flow_ids))
-    return results
+    walk((), (), (leaving.get(source, ()),))
+    # walk refers to itself through its closure, and so to found; clearing
+    # the name lets the traces go with the caller's list, not wait for the
+    # cycle collector.
+    del walk
+    return _sorted_paths(found)
 
 
 def enumerate_paths(
@@ -266,9 +358,8 @@ def exposure_report(
     aggregation: list[AggregationPoint] = []
     for sink_id in sorted(found):
         paths = _sorted_paths(found[sink_id])
-        packages = sorted(
-            {graph.flows[fid].package for path in paths for fid in path.flow_ids}
-        )
+        flow_ids = set().union(*(path.flow_ids for path in paths))
+        packages = sorted({graph.flows[fid].package for fid in flow_ids})
         sinks.append(
             SinkExposure(
                 sink=sink_id,

@@ -190,8 +190,8 @@ def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = F
                 {
                     "id": s.sink,
                     "type": s.sink_type,
-                    "paths": [list(p.flow_ids) for p in s.paths],
-                    "packages": list(s.packages),
+                    "paths": [p.flow_ids for p in s.paths],
+                    "packages": s.packages,
                 }
                 for s in report.sinks
             ],
@@ -211,11 +211,9 @@ def paths_to_json(results: list, pretty: bool = False) -> str:
     document = []
     for result in results:
         if isinstance(result, Path):
-            document.append(list(result.flow_ids))
+            document.append(result.flow_ids)
         elif isinstance(result, LineageTrace):
-            document.append(
-                {"flows": list(result.flow_ids), "packages": list(result.package_ids)}
-            )
+            document.append({"flows": result.flow_ids, "packages": result.package_ids})
         else:
             raise TypeError(f"unsupported result type {type(result).__name__}")
     return _dump(document, pretty)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from vdse import builtin_schema, new_scenario
+from vdse.analysis import LineageTrace
 from vdse.graph import DataPackage
 from vdse.schema import INSTANTIABLE_TYPE_CODES
 from vdse.scenarios import load_scenario
@@ -82,6 +83,56 @@ def sample_pairs(graph, seed: int, limit: int = 8):
     if len(pairs) <= limit:
         return pairs
     return random.Random(seed ^ 0x5EED).sample(pairs, limit)
+
+
+def brute_force_lineage(graph, source: str, sink: str, max_len: int) -> list:
+    """Lineage-mode oracle: every step rescans the raw flow list, with no
+    index and no pruning. A flow may follow another when they chain head to
+    tail, or when its package is the other's or derives from it."""
+    ancestors = {}
+    for package_id, package in graph.packages.items():
+        seen, stack = set(), list(package.derives_from)
+        while stack:
+            ancestor = stack.pop()
+            if ancestor not in seen:
+                seen.add(ancestor)
+                if ancestor in graph.packages:
+                    stack.extend(graph.packages[ancestor].derives_from)
+        ancestors[package_id] = seen
+    flows = list(graph.flows.values())
+    results, trace, used = [], [], set()
+
+    def admissible(previous, candidate) -> bool:
+        return (
+            previous.target == candidate.source
+            or candidate.package == previous.package
+            or previous.package in ancestors.get(candidate.package, ())
+        )
+
+    def extend() -> None:
+        if trace and trace[-1].target == sink:
+            results.append(
+                LineageTrace(tuple(f.id for f in trace), tuple(f.package for f in trace))
+            )
+        if len(trace) == max_len:
+            return
+        for flow in flows:
+            if flow.id in used:
+                continue
+            if trace:
+                if not admissible(trace[-1], flow):
+                    continue
+            elif flow.source != source:
+                continue
+            trace.append(flow)
+            used.add(flow.id)
+            extend()
+            used.discard(flow.id)
+            trace.pop()
+
+    extend()
+    results.sort(key=lambda t: (len(t.flow_ids), t.flow_ids))
+    return results
 
 
 # Text that exercises quoting and escapes in the scenario format.

@@ -1,9 +1,11 @@
 """Path enumeration, lineage traces, reachability, exposure reports."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from conftest import build_random_graph, sample_pairs
+from conftest import brute_force_lineage, build_random_graph, sample_pairs
 from vdse.analysis import (
     DEFAULT_MAX_PATH_LEN,
     AggregationPoint,
@@ -279,6 +281,77 @@ def test_oracle_respects_max_len(speeding_graph):
         assert enumerate_paths(
             speeding_graph, "driver", "insurer", max_len=limit
         ) == brute_force_paths(speeding_graph, "driver", "insurer", max_len=limit)
+
+
+LINEAGE_MAX_LENS = (1, 2, 3, 4)
+
+
+def assert_lineage_matches_oracle(graph, pairs):
+    for source, sink in pairs:
+        for max_len in LINEAGE_MAX_LENS:
+            assert enumerate_paths(
+                graph, source, sink, max_len, mode="lineage"
+            ) == brute_force_lineage(graph, source, sink, max_len)
+
+
+def all_pairs(graph):
+    return [(a, b) for a in sorted(graph.entities) for b in sorted(graph.entities) if a != b]
+
+
+def test_lineage_matches_oracle_on_bundled(uber_graph, speeding_graph):
+    for graph in (uber_graph, speeding_graph):
+        assert_lineage_matches_oracle(graph, all_pairs(graph))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_lineage_matches_oracle_on_seeded_graphs(seed):
+    graph = build_random_graph(seed)
+    assert_lineage_matches_oracle(graph, sample_pairs(graph, seed))
+
+
+def with_undeclared_packages(graph):
+    """Every third flow carries a package no declaration names."""
+    for flow_id in sorted(graph.flows)[::3]:
+        graph.flows[flow_id] = replace(graph.flows[flow_id], package="ghost")
+    return graph
+
+
+def with_dangling_derivation(graph):
+    """The undeclared package above, and a declared one deriving from it."""
+    graph = with_undeclared_packages(graph)
+    last = max(graph.packages)
+    graph.packages[last] = replace(graph.packages[last], derives_from=("ghost",))
+    return graph
+
+
+def with_derivation_cycle(graph):
+    """Each package derives from the next, the last from the first."""
+    ids = sorted(graph.packages)
+    for i, package_id in enumerate(ids):
+        graph.packages[package_id] = DataPackage(
+            package_id, derives_from=(ids[(i + 1) % len(ids)],)
+        )
+    return graph
+
+
+@pytest.mark.parametrize(
+    "mutate", (with_undeclared_packages, with_dangling_derivation, with_derivation_cycle)
+)
+@pytest.mark.parametrize("seed", range(0, 200, 4))
+def test_lineage_matches_oracle_on_invalid_graphs(mutate, seed):
+    graph = mutate(build_random_graph(seed))
+    assert_lineage_matches_oracle(graph, sample_pairs(graph, seed))
+
+
+@pytest.mark.parametrize("key", ("uber", "speeding", *range(20)))
+def test_lineage_ignores_flow_insertion_order(key):
+    graph = load_scenario(key) if isinstance(key, str) else build_random_graph(key)
+    pairs = all_pairs(graph) if isinstance(key, str) else sample_pairs(graph, key)
+    want = [enumerate_paths(graph, a, b, 4, mode="lineage") for a, b in pairs]
+    flows = list(graph.flows.items())
+    graph.flows.clear()
+    graph.flows.update(reversed(flows))
+    assert [enumerate_paths(graph, a, b, 4, mode="lineage") for a, b in pairs] == want
 
 
 # -- reachability and exposure -------------------------------------------------
