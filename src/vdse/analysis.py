@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from vdse.errors import AnalysisError
-from vdse.graph import InstanceGraph
+from vdse.graph import InstanceGraph, strongly_connected_components
 from vdse.schema import EntityType
 
 __all__ = [
@@ -154,21 +154,20 @@ def _strict_search(
 
 def _derivation_ancestors(graph: InstanceGraph) -> dict:
     """Transitive derives-from closure for each package; a package on a
-    derivation cycle is its own ancestor. Each closure is walked afresh, so
-    the result does not depend on the order of graph.packages."""
+    derivation cycle is its own ancestor, and the members of one cycle share
+    one closure. Closures are folded over the strongly connected components,
+    each of which comes after every component it derives from."""
+    edges = {package_id: package.derives_from for package_id, package in graph.packages.items()}
     closure: dict[str, frozenset] = {}
-    for package_id, package in graph.packages.items():
+    for component in strongly_connected_components(edges):
         found: set[str] = set()
-        frontier = list(package.derives_from)
-        while frontier:
-            ancestor = frontier.pop()
-            if ancestor in found:
-                continue
-            found.add(ancestor)
-            if ancestor in graph.packages:
-                frontier.extend(graph.packages[ancestor].derives_from)
-        closure[package_id] = frozenset(found)
-    return closure
+        for member in component:
+            for ancestor in edges.get(member, ()):
+                found.add(ancestor)
+                found.update(closure.get(ancestor, ()))
+        shared = frozenset(found)
+        closure.update(dict.fromkeys(component, shared))
+    return {package_id: closure[package_id] for package_id in graph.packages}
 
 
 def _lineage_distances(flows: list, ancestors: dict, sink: str, max_len: int) -> dict:

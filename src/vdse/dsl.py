@@ -14,7 +14,8 @@ back a structurally equal graph.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from vdse.errors import GraphError, MalformedGraphError, ParseError
 from vdse.graph import (
@@ -25,73 +26,55 @@ from vdse.graph import (
     new_scenario,
 )
 from vdse.schema import EntityType, INSTANTIABLE_TYPE_CODES, builtin_schema
+from vdse.validate import check_references
 
 __all__ = ["parse", "serialize"]
 
-_PUNCT_STARTS = ":,={}[]"
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_ESCAPE_RE = re.compile(r"\\(.)")
+# One alternative per token kind, tried in order. A quote that does not
+# make a whole string matches "open", which stops at the first backslash
+# without a valid escape, or at the end of the line. A word must start with
+# a letter, which the tokenizer checks: \w also matches digits, "_" and
+# other numeric characters such as "²".
+_TOKEN_RE = re.compile(
+    r"""(?P<space>[ \t]+)
+    |(?P<comment>\#)
+    |(?P<string>"[^"\\]*(?:\\[\\"ntr][^"\\]*)*")
+    |(?P<open>"[^"\\]*(?:\\[\\"ntr][^"\\]*)*)
+    |(?P<word>\w+)
+    |(?P<punct><->|->|[:,={}\[\]])
+    |(?P<other>.)""",
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # word | string | punct
     value: str
-    line: int
     column: int
 
 
 def _tokenize(text: str, lineno: int) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
+    for match in _TOKEN_RE.finditer(text):
+        kind, value, column = match.lastgroup, match[0], match.start() + 1
+        if kind == "space":
             continue
-        if ch == "#":
+        if kind == "comment":
             break
-        column = i + 1
-        if ch == '"':
-            value = []
-            i += 1
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string", lineno, column, text)
-                ch = text[i]
-                if ch == '"':
-                    i += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
-                        raise ParseError("invalid escape sequence", lineno, i + 1, text)
-                    value.append(_ESCAPES[text[i + 1]])
-                    i += 2
-                    continue
-                value.append(ch)
-                i += 1
-            tokens.append(_Token("string", "".join(value), lineno, column))
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("word", text[i:j], lineno, column))
-            i = j
-            continue
-        if ch in _PUNCT_STARTS:
-            tokens.append(_Token("punct", ch, lineno, column))
-            i += 1
-            continue
-        if ch == "-" and text[i : i + 2] == "->":
-            tokens.append(_Token("punct", "->", lineno, column))
-            i += 2
-            continue
-        if ch == "<" and text[i : i + 3] == "<->":
-            tokens.append(_Token("punct", "<->", lineno, column))
-            i += 3
-            continue
-        raise ParseError(f"unexpected character {ch!r}", lineno, column, text)
+        if kind == "string":
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], value)
+        elif kind == "open":
+            if match.end() < len(text):
+                raise ParseError("invalid escape sequence", lineno, match.end() + 1, text)
+            raise ParseError("unterminated string", lineno, column, text)
+        elif kind == "other" or kind == "word" and not value[0].isalpha():
+            raise ParseError(f"unexpected character {value[0]!r}", lineno, column, text)
+        tokens.append(_Token(kind, value, column))
     return tokens
 
 
@@ -156,6 +139,18 @@ class _Statement:
         return token is not None and token.kind == "punct" and token.value == value
 
 
+def _parse_strings(stmt: _Statement) -> list:
+    """The strings of a list whose '[' has been taken, up to its ']'."""
+    values = []
+    while True:
+        values.append(stmt.string().value)
+        token = stmt.take("',' or ']'")
+        if token.kind == "punct" and token.value == "]":
+            return values
+        if not (token.kind == "punct" and token.value == ","):
+            raise stmt.error(f"expected ',' or ']', got {token.value!r}", token)
+
+
 def _parse_attrs(stmt: _Statement) -> dict:
     attrs: dict = {}
     stmt.punct("{")
@@ -174,16 +169,7 @@ def _parse_attrs(stmt: _Statement) -> dict:
         elif token.kind == "word" and token.value in ("true", "false"):
             attrs[key.value] = token.value == "true"
         elif token.kind == "punct" and token.value == "[":
-            values = [stmt.string("string").value]
-            while True:
-                token = stmt.take("',' or ']'")
-                if token.kind == "punct" and token.value == "]":
-                    break
-                if token.kind == "punct" and token.value == ",":
-                    values.append(stmt.string("string").value)
-                    continue
-                raise stmt.error(f"expected ',' or ']', got {token.value!r}", token)
-            attrs[key.value] = values
+            attrs[key.value] = _parse_strings(stmt)
         else:
             raise stmt.error(f"expected attribute value, got {token.value!r}", token)
         token = stmt.take("',' or '}'")
@@ -223,15 +209,7 @@ def _parse_package(stmt: _Statement, graph: InstanceGraph) -> None:
     if stmt.at_word("items"):
         stmt.word()
         stmt.punct("[")
-        items.append(stmt.string("string").value)
-        while True:
-            token = stmt.take("',' or ']'")
-            if token.kind == "punct" and token.value == "]":
-                break
-            if token.kind == "punct" and token.value == ",":
-                items.append(stmt.string("string").value)
-                continue
-            raise stmt.error(f"expected ',' or ']', got {token.value!r}", token)
+        items = _parse_strings(stmt)
     derives: list[str] = []
     if stmt.at_word("derives"):
         stmt.word()
@@ -298,22 +276,12 @@ def _parse_flow(stmt: _Statement, graph: InstanceGraph) -> None:
     if package.value not in graph.packages:
         raise stmt.error(f"undeclared package {package.value!r}", package)
     stmt.done()
-    if arrow.value == "->":
-        _wrap_build(
-            stmt,
-            id_token,
-            lambda: graph.add_flow(
-                id_token.value, edge_token.value, source.value, target.value, package.value
-            ),
-        )
-    else:
-        _wrap_build(
-            stmt,
-            id_token,
-            lambda: graph.add_bidirectional_flow(
-                id_token.value, edge_token.value, source.value, target.value, package.value
-            ),
-        )
+    add = graph.add_flow if arrow.value == "->" else graph.add_bidirectional_flow
+    _wrap_build(
+        stmt,
+        id_token,
+        lambda: add(id_token.value, edge_token.value, source.value, target.value, package.value),
+    )
 
 
 _STATEMENT_PARSERS = {
@@ -399,10 +367,6 @@ def _package_order(graph: InstanceGraph) -> list[str]:
     indegree = {pid: 0 for pid in graph.packages}
     for package in graph.packages.values():
         for ancestor in package.derives_from:
-            if ancestor not in graph.packages:
-                raise MalformedGraphError(
-                    f"package {package.id!r} derives from unknown package {ancestor!r}"
-                )
             dependants[ancestor].append(package.id)
             indegree[package.id] += 1
     heap = [pid for pid, degree in indegree.items() if degree == 0]
@@ -438,15 +402,6 @@ def _flow_statements(graph: InstanceGraph) -> list[tuple[str, int, str]]:
     statements: list[tuple[str, int, str]] = []
     for flow in plain:
         _check_lexicon(flow.id, "flow")
-        for endpoint in (flow.source, flow.target):
-            if endpoint not in graph.entities:
-                raise MalformedGraphError(
-                    f"flow {flow.id!r} references unknown entity {endpoint!r}"
-                )
-        if flow.package not in graph.packages:
-            raise MalformedGraphError(
-                f"flow {flow.id!r} references unknown package {flow.package!r}"
-            )
         statements.append(
             (
                 flow.id,
@@ -470,15 +425,6 @@ def _flow_statements(graph: InstanceGraph) -> list[tuple[str, int, str]]:
             raise MalformedGraphError(
                 f"flows {base!r}.fwd/.rev do not form a bidirectional pair"
             )
-        for endpoint in (fwd.source, fwd.target):
-            if endpoint not in graph.entities:
-                raise MalformedGraphError(
-                    f"flow {base!r} references unknown entity {endpoint!r}"
-                )
-        if fwd.package not in graph.packages:
-            raise MalformedGraphError(
-                f"flow {base!r} references unknown package {fwd.package!r}"
-            )
         statements.append(
             (
                 base,
@@ -492,9 +438,12 @@ def _flow_statements(graph: InstanceGraph) -> list[tuple[str, int, str]]:
 
 
 def serialize(graph: InstanceGraph) -> str:
-    """Emit canonical scenario text for a well-formed graph."""
+    """Emit canonical scenario text for a well-formed graph. Raises
+    MalformedGraphError on what parse could not read back, including every
+    reference problem validate reports."""
     if not graph.name:
         raise MalformedGraphError("scenario name must be non-empty")
+    check_references(graph)
     sections: list[list[str]] = [[f"scenario {_quote(graph.name)}"]]
 
     entities = []
@@ -532,15 +481,6 @@ def serialize(graph: InstanceGraph) -> str:
     for relation_id in sorted(graph.relations):
         relation = graph.relations[relation_id]
         _check_lexicon(relation_id, "relation")
-        if relation.relation not in builtin_schema().semantic_relations:
-            raise MalformedGraphError(
-                f"relation {relation_id!r} uses unknown relation {relation.relation!r}"
-            )
-        for endpoint in (relation.source, relation.target):
-            if endpoint not in graph.entities:
-                raise MalformedGraphError(
-                    f"relation {relation_id!r} references unknown entity {endpoint!r}"
-                )
         relations.append(
             f"relation {relation_id}: {relation.relation} {relation.source} -> "
             f"{relation.target}{_format_attrs(relation.attributes)}"

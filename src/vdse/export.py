@@ -21,10 +21,9 @@ import json
 from dataclasses import dataclass
 
 from vdse.analysis import ExposureReport, LineageTrace, Path
-from vdse.errors import MalformedGraphError
 from vdse.graph import InstanceGraph
 from vdse.schema import EntityType
-from vdse.validate import ValidationReport
+from vdse.validate import ValidationReport, check_references
 
 __all__ = [
     "ExportOptions",
@@ -56,26 +55,11 @@ def _gvquote(text: str) -> str:
     return '"' + quoted.replace("\r", "").replace("\n", "\\n") + '"'
 
 
-def _check_well_formed(graph: InstanceGraph) -> None:
-    for relation in graph.relations.values():
-        for endpoint in (relation.source, relation.target):
-            if endpoint not in graph.entities:
-                raise MalformedGraphError(
-                    f"relation {relation.id!r} references unknown entity {endpoint!r}"
-                )
-    for flow in graph.flows.values():
-        for endpoint in (flow.source, flow.target):
-            if endpoint not in graph.entities:
-                raise MalformedGraphError(
-                    f"flow {flow.id!r} references unknown entity {endpoint!r}"
-                )
-
-
 def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> str:
     """Render a scenario as Graphviz source: nodes labelled `id : code`,
     semantic relations solid, flows dashed (highlighted ones red)."""
     options = options or ExportOptions()
-    _check_well_formed(graph)
+    check_references(graph)
     highlighted: set[str] = {
         flow_id for path in options.highlight_paths for flow_id in path.flow_ids
     }
@@ -122,7 +106,7 @@ def _dump(document, pretty: bool) -> str:
 
 def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
     """Render a scenario as a stable JSON document, all sections sorted by id."""
-    _check_well_formed(graph)
+    check_references(graph)
     document = {
         "scenario": graph.name,
         "entities": [

@@ -32,6 +32,7 @@ __all__ = [
     "InstanceGraph",
     "new_scenario",
     "check_entity_attributes",
+    "strongly_connected_components",
     "IDENT_RE",
     "FLOW_ID_RE",
 ]
@@ -316,3 +317,42 @@ def new_scenario(name: str) -> InstanceGraph:
     if not isinstance(name, str) or not name:
         raise IdentifierError("scenario name must be non-empty text")
     return InstanceGraph(name=name)
+
+
+def strongly_connected_components(edges: dict) -> list[list]:
+    """The strongly connected components of the digraph that maps each node
+    to its successors; a node named only as a successor counts too. Tarjan's
+    algorithm, iterative and linear. Each component is sorted and comes after
+    every component it reaches."""
+    index: dict = {}
+    low: dict = {}  # exactly the nodes on the stack
+    stack: list = []
+    components: list = []
+    for root in edges:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(edges[root]))]
+        while work:
+            node, successors = work[-1]
+            for successor in successors:
+                if successor not in index:
+                    index[successor] = low[successor] = len(index)
+                    stack.append(successor)
+                    work.append((successor, iter(edges.get(successor, ()))))
+                    break
+                if successor in low:
+                    low[node] = min(low[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        component.append(stack.pop())
+                        del low[component[-1]]
+                    components.append(sorted(component))
+    return components

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from vdse.graph import InstanceGraph, check_entity_attributes
-from vdse.schema import EntityType, TypeGraph
+from vdse.errors import MalformedGraphError
+from vdse.graph import InstanceGraph, check_entity_attributes, strongly_connected_components
+from vdse.schema import EntityType, TypeGraph, builtin_schema
 
 __all__ = ["ViolationCode", "Violation", "ValidationReport", "validate"]
 
@@ -70,31 +71,95 @@ class ValidationReport:
         return not self.errors
 
 
-def _cycle_groups(nodes: list[str], edges: dict[str, set[str]]) -> list[list[str]]:
-    """Groups of nodes that lie on a directed cycle, deterministically ordered."""
-    reach: dict[str, set[str]] = {}
-    for node in nodes:
-        seen: set[str] = set()
-        stack = list(edges.get(node, ()))
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(edges.get(current, ()))
-        reach[node] = seen
-    cyclic = [n for n in nodes if n in reach[n]]
-    groups: list[list[str]] = []
-    assigned: set[str] = set()
-    for node in sorted(cyclic):
-        if node in assigned:
+def _cycles(edges: dict) -> list[list[str]]:
+    """The components of a digraph that lie on a directed cycle: two or
+    more members, or one with an edge to itself."""
+    return [
+        component
+        for component in strongly_connected_components(edges)
+        if len(component) > 1 or component[0] in edges.get(component[0], ())
+    ]
+
+
+def _order(violation: Violation) -> tuple:
+    return (violation.severity, violation.subject, violation.code.value, violation.message)
+
+
+def _resolves(graph: InstanceGraph, kind: str, item, out: list) -> bool:
+    """Report each endpoint of a relation or flow that names no entity;
+    true when both resolve."""
+    if item.source in graph.entities and item.target in graph.entities:
+        return True
+    for endpoint in (item.source, item.target):
+        if endpoint not in graph.entities:
+            out.append(
+                Violation(
+                    ViolationCode.DANGLING_REF,
+                    item.id,
+                    f"{kind} {item.id!r} references unknown entity {endpoint!r}",
+                )
+            )
+    return False
+
+
+def _check_references(schema: TypeGraph, graph: InstanceGraph, out: list) -> tuple[list, list]:
+    """Report every reference that names nothing: a derivation, a relation
+    name or endpoint, a flow edge type, endpoint or package. Returns the
+    relations and the flows whose name or type and endpoints resolve; the
+    other checks inspect only those."""
+    for package in graph.packages.values():
+        for ancestor in package.derives_from:
+            if ancestor not in graph.packages:
+                out.append(
+                    Violation(
+                        ViolationCode.DANGLING_REF,
+                        package.id,
+                        f"package {package.id!r} derives from unknown package {ancestor!r}",
+                    )
+                )
+    relations = []
+    for relation in graph.relations.values():
+        if relation.relation not in schema.semantic_relations:
+            out.append(
+                Violation(
+                    ViolationCode.UNKNOWN_TYPE,
+                    relation.id,
+                    f"relation {relation.id!r} uses unknown relation {relation.relation!r}",
+                )
+            )
+        elif _resolves(graph, "relation", relation, out):
+            relations.append(relation)
+    flows = []
+    for flow in graph.flows.values():
+        if flow.edge_type not in schema.flow_edge_types:
+            out.append(
+                Violation(
+                    ViolationCode.UNKNOWN_TYPE,
+                    flow.id,
+                    f"flow {flow.id!r} uses unknown edge type {flow.edge_type!r}",
+                )
+            )
             continue
-        group = sorted(
-            m for m in cyclic if m == node or (m in reach[node] and node in reach[m])
-        )
-        assigned.update(group)
-        groups.append(group)
-    return groups
+        if _resolves(graph, "flow", flow, out):
+            flows.append(flow)
+        if flow.package not in graph.packages:
+            out.append(
+                Violation(
+                    ViolationCode.MISSING_PACKAGE,
+                    flow.id,
+                    f"flow {flow.id!r} references unknown package {flow.package!r}",
+                )
+            )
+    return relations, flows
+
+
+def check_references(graph: InstanceGraph) -> None:
+    """Raise MalformedGraphError with the first reference problem that
+    validate reports for graph, if there is one."""
+    problems: list[Violation] = []
+    _check_references(builtin_schema(), graph, problems)
+    if problems:
+        raise MalformedGraphError(min(problems, key=_order).message)
 
 
 def _check_entities(schema: TypeGraph, graph: InstanceGraph, out: list) -> None:
@@ -122,22 +187,9 @@ def _check_entities(schema: TypeGraph, graph: InstanceGraph, out: list) -> None:
 
 
 def _check_packages(graph: InstanceGraph, out: list) -> None:
-    derive_edges: dict[str, set[str]] = {}
-    for package in graph.packages.values():
-        ancestors = set()
-        for ancestor in package.derives_from:
-            if ancestor not in graph.packages:
-                out.append(
-                    Violation(
-                        ViolationCode.DANGLING_REF,
-                        package.id,
-                        f"package {package.id!r} derives from unknown package {ancestor!r}",
-                    )
-                )
-            else:
-                ancestors.add(ancestor)
-        derive_edges[package.id] = ancestors
-    for group in _cycle_groups(sorted(graph.packages), derive_edges):
+    # A package that derives from nothing lies on no cycle.
+    derive_edges = {p.id: p.derives_from for p in graph.packages.values() if p.derives_from}
+    for group in _cycles(derive_edges):
         out.append(
             Violation(
                 ViolationCode.DERIVES_CYCLE,
@@ -147,31 +199,9 @@ def _check_packages(graph: InstanceGraph, out: list) -> None:
         )
 
 
-def _check_relations(schema: TypeGraph, graph: InstanceGraph, out: list) -> None:
+def _check_relations(relations: list, out: list) -> None:
     part_of_edges: dict[str, set[str]] = {}
-    for relation in graph.relations.values():
-        if relation.relation not in schema.semantic_relations:
-            out.append(
-                Violation(
-                    ViolationCode.UNKNOWN_TYPE,
-                    relation.id,
-                    f"relation {relation.id!r} uses unknown relation {relation.relation!r}",
-                )
-            )
-            continue
-        dangling = False
-        for endpoint in (relation.source, relation.target):
-            if endpoint not in graph.entities:
-                dangling = True
-                out.append(
-                    Violation(
-                        ViolationCode.DANGLING_REF,
-                        relation.id,
-                        f"relation {relation.id!r} references unknown entity {endpoint!r}",
-                    )
-                )
-        if dangling:
-            continue
+    for relation in relations:
         if relation.relation == "occupy":
             role = relation.attributes.get("role")
             if role not in _OCCUPY_ROLES:
@@ -186,7 +216,7 @@ def _check_relations(schema: TypeGraph, graph: InstanceGraph, out: list) -> None
                 )
         if relation.relation == "isPartOf":
             part_of_edges.setdefault(relation.source, set()).add(relation.target)
-    for group in _cycle_groups(sorted(graph.entities), part_of_edges):
+    for group in _cycles(part_of_edges):
         out.append(
             Violation(
                 ViolationCode.PART_OF_CYCLE,
@@ -204,39 +234,9 @@ def _owner_pairs(graph: InstanceGraph) -> set[tuple[str, str]]:
     }
 
 
-def _check_flows(schema: TypeGraph, graph: InstanceGraph, out: list) -> None:
+def _check_flows(schema: TypeGraph, graph: InstanceGraph, flows: list, out: list) -> None:
     owned_by = _owner_pairs(graph)
-    for flow in graph.flows.values():
-        if flow.edge_type not in schema.flow_edge_types:
-            out.append(
-                Violation(
-                    ViolationCode.UNKNOWN_TYPE,
-                    flow.id,
-                    f"flow {flow.id!r} uses unknown edge type {flow.edge_type!r}",
-                )
-            )
-            continue
-        dangling = False
-        for endpoint in (flow.source, flow.target):
-            if endpoint not in graph.entities:
-                dangling = True
-                out.append(
-                    Violation(
-                        ViolationCode.DANGLING_REF,
-                        flow.id,
-                        f"flow {flow.id!r} references unknown entity {endpoint!r}",
-                    )
-                )
-        if flow.package not in graph.packages:
-            out.append(
-                Violation(
-                    ViolationCode.MISSING_PACKAGE,
-                    flow.id,
-                    f"flow {flow.id!r} references unknown package {flow.package!r}",
-                )
-            )
-        if dangling:
-            continue
+    for flow in flows:
         if flow.source == flow.target:
             out.append(
                 Violation(
@@ -293,8 +293,9 @@ def validate(schema: TypeGraph, graph: InstanceGraph) -> ValidationReport:
     """
     violations: list[Violation] = []
     _check_entities(schema, graph, violations)
+    relations, flows = _check_references(schema, graph, violations)
     _check_packages(graph, violations)
-    _check_relations(schema, graph, violations)
-    _check_flows(schema, graph, violations)
-    violations.sort(key=lambda v: (v.severity, v.subject, v.code.value, v.message))
+    _check_relations(relations, violations)
+    _check_flows(schema, graph, flows, violations)
+    violations.sort(key=_order)
     return ValidationReport(scenario=graph.name, violations=violations)

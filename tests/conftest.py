@@ -85,10 +85,9 @@ def sample_pairs(graph, seed: int, limit: int = 8):
     return random.Random(seed ^ 0x5EED).sample(pairs, limit)
 
 
-def brute_force_lineage(graph, source: str, sink: str, max_len: int) -> list:
-    """Lineage-mode oracle: every step rescans the raw flow list, with no
-    index and no pruning. A flow may follow another when they chain head to
-    tail, or when its package is the other's or derives from it."""
+def derivation_closure(graph) -> dict:
+    """Derivation-closure oracle: a fresh walk from every declared package.
+    Undeclared ancestors are kept; a package on a cycle is its own ancestor."""
     ancestors = {}
     for package_id, package in graph.packages.items():
         seen, stack = set(), list(package.derives_from)
@@ -99,6 +98,14 @@ def brute_force_lineage(graph, source: str, sink: str, max_len: int) -> list:
                 if ancestor in graph.packages:
                     stack.extend(graph.packages[ancestor].derives_from)
         ancestors[package_id] = seen
+    return ancestors
+
+
+def brute_force_lineage(graph, source: str, sink: str, max_len: int) -> list:
+    """Lineage-mode oracle: every step rescans the raw flow list, with no
+    index and no pruning. A flow may follow another when they chain head to
+    tail, or when its package is the other's or derives from it."""
+    ancestors = derivation_closure(graph)
     flows = list(graph.flows.values())
     results, trace, used = [], [], set()
 

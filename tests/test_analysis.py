@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import brute_force_lineage, build_random_graph, sample_pairs
+from conftest import brute_force_lineage, build_random_graph, derivation_closure, sample_pairs
 from vdse.analysis import (
     DEFAULT_MAX_PATH_LEN,
     AggregationPoint,
@@ -341,6 +341,16 @@ def with_derivation_cycle(graph):
 def test_lineage_matches_oracle_on_invalid_graphs(mutate, seed):
     graph = mutate(build_random_graph(seed))
     assert_lineage_matches_oracle(graph, sample_pairs(graph, seed))
+
+
+@pytest.mark.parametrize(
+    "mutate", (None, with_undeclared_packages, with_dangling_derivation, with_derivation_cycle)
+)
+def test_derivation_closure_matches_oracle(mutate):
+    graphs = [load_scenario("uber"), load_scenario("speeding")]
+    graphs += [build_random_graph(seed) for seed in range(200)]
+    for graph in graphs if mutate is None else map(mutate, graphs):
+        assert _derivation_ancestors(graph) == derivation_closure(graph)
 
 
 @pytest.mark.parametrize("key", ("uber", "speeding", *range(20)))

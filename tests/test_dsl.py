@@ -1,11 +1,15 @@
 """Scenario text format: parsing, diagnostics, canonical serialization."""
 from __future__ import annotations
 
+import random
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import build_random_graph, wellformed_graphs
-from vdse.dsl import parse, serialize
+from vdse.dsl import _tokenize, parse, serialize
 from vdse.errors import MalformedGraphError, ParseError
 from vdse.graph import DataPackage, FlowInstance, new_scenario
 from vdse.scenarios import scenario_text
@@ -255,3 +259,89 @@ def test_round_trip_property(graph):
     canonical = serialize(graph)
     assert parse(canonical) == graph
     assert serialize(parse(canonical)) == canonical
+
+
+def reference_tokenize(text: str, lineno: int) -> list:
+    """Tokenizer oracle: the character-by-character scanner, giving
+    (kind, value, column) triples or raising ParseError."""
+    escapes = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t":
+            i += 1
+            continue
+        if ch == "#":
+            break
+        column = i + 1
+        if ch == '"':
+            value = []
+            i += 1
+            while True:
+                if i >= n:
+                    raise ParseError("unterminated string", lineno, column, text)
+                ch = text[i]
+                if ch == '"':
+                    i += 1
+                    break
+                if ch == "\\":
+                    if i + 1 >= n or text[i + 1] not in escapes:
+                        raise ParseError("invalid escape sequence", lineno, i + 1, text)
+                    value.append(escapes[text[i + 1]])
+                    i += 2
+                    continue
+                value.append(ch)
+                i += 1
+            tokens.append(("string", "".join(value), column))
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("word", text[i:j], column))
+            i = j
+            continue
+        if ch in ":,={}[]":
+            tokens.append(("punct", ch, column))
+            i += 1
+            continue
+        if ch == "-" and text[i : i + 2] == "->":
+            tokens.append(("punct", "->", column))
+            i += 2
+            continue
+        if ch == "<" and text[i : i + 3] == "<->":
+            tokens.append(("punct", "<->", column))
+            i += 3
+            continue
+        raise ParseError(f"unexpected character {ch!r}", lineno, column, text)
+    return tokens
+
+
+def tokenized(tokenize, text: str, lineno: int):
+    try:
+        return [tuple(token) for token in tokenize(text, lineno)]
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.column, exc.snippet)
+
+
+# Quotes, escapes, comment and arrow starts, whitespace the format rejects,
+# and characters that are alphanumeric without being letters.
+_LINE_CHARS = '""\\\\##--<<>>\r\v__09é²½٣ \t:,={}[]antrZ'
+
+
+def test_tokenizer_matches_oracle():
+    lines = [line for name in ("uber", "speeding") for line in scenario_text(name).split("\n")]
+    rng = random.Random(4)
+    lines += ["".join(rng.choices(_LINE_CHARS, k=rng.randint(0, 16))) for _ in range(20000)]
+    for lineno, line in enumerate(lines, start=1):
+        assert tokenized(_tokenize, line, lineno) == tokenized(reference_tokenize, line, lineno)
+
+
+def test_word_class_is_alphanumeric_or_underscore():
+    # The tokenizer's words are \w runs; the format defines them by
+    # str.isalnum() and "_".
+    word = re.compile(r"\w")
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        assert bool(word.match(ch)) == (ch.isalnum() or ch == "_"), hex(code)

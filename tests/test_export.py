@@ -14,7 +14,8 @@ from vdse.export import (
     paths_to_json,
     report_to_json,
 )
-from vdse.graph import DataPackage, FlowInstance, new_scenario
+from vdse.dsl import serialize
+from vdse.graph import DataPackage, FlowInstance, SemanticRelationInstance, new_scenario
 from vdse.validate import validate
 
 
@@ -162,3 +163,26 @@ def test_exports_are_deterministic(uber_graph, speeding_graph):
     for graph in (uber_graph, speeding_graph):
         assert graph_to_dot(graph) == graph_to_dot(graph)
         assert graph_to_json(graph) == graph_to_json(graph)
+
+
+REFERENCE_DEFECTS = {
+    "dangling_derivation": ("packages", DataPackage("q", derives_from=("phantom",))),
+    "unknown_relation": ("relations", SemanticRelationInstance("r", "nope", "a", "b")),
+    "dangling_relation": ("relations", SemanticRelationInstance("r", "ownedBy", "a", "ghost")),
+    "unknown_flow_edge_type": ("flows", FlowInstance("g", "E99", "a", "b", "d")),
+    "dangling_flow": ("flows", FlowInstance("g", "E1", "a", "ghost", "d")),
+    "undeclared_package": ("flows", FlowInstance("g", "E1", "a", "b", "ghost")),
+}
+
+
+@pytest.mark.parametrize("writer", (serialize, graph_to_dot, graph_to_json))
+@pytest.mark.parametrize("defect", sorted(REFERENCE_DEFECTS))
+def test_writers_reject_what_validate_reports(schema, writer, defect):
+    # serialize once wrote flows of unknown edge type, which parse rejects.
+    graph = tiny_graph()
+    section, item = REFERENCE_DEFECTS[defect]
+    getattr(graph, section)[item.id] = item
+    (error,) = validate(schema, graph).errors
+    with pytest.raises(MalformedGraphError) as exc:
+        writer(graph)
+    assert str(exc.value) == error.message

@@ -1,6 +1,11 @@
 """Conformance checking: every violation code, severity, and ordering."""
 from __future__ import annotations
 
+import random
+import time
+
+import pytest
+
 from vdse.graph import (
     DataPackage,
     EntityInstance,
@@ -270,3 +275,77 @@ def test_every_code_is_reachable_or_reserved():
     # the parser fails fast on duplicate declarations.
     assert ViolationCode.DUPLICATE_ID.value == "DUPLICATE_ID"
     assert len(ViolationCode) == 12
+
+
+def reachability_cycle_groups(nodes, edges):
+    """Cycle-group oracle: a full reachability set per node, O(N * (N + E))."""
+    reach = {}
+    for node in nodes:
+        seen, stack = set(), list(edges.get(node, ()))
+        while stack:
+            current = stack.pop()
+            if current not in seen:
+                seen.add(current)
+                stack.extend(edges.get(current, ()))
+        reach[node] = seen
+    cyclic = [n for n in nodes if n in reach[n]]
+    groups, assigned = [], set()
+    for node in sorted(cyclic):
+        if node not in assigned:
+            group = sorted(m for m in cyclic if m == node or (m in reach[node] and node in reach[m]))
+            assigned.update(group)
+            groups.append(group)
+    return groups
+
+
+@pytest.mark.parametrize("seed", range(500))
+def test_derives_cycles_match_reachability_oracle(schema, seed):
+    # Packages may derive from themselves, or from a package never declared.
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(rng.randint(1, 12))]
+    targets = nodes + ["ghost"]
+    density = rng.random() * 0.3
+    edges = {node: sorted(t for t in targets if rng.random() < density) for node in nodes}
+    graph = new_scenario("t")
+    for node in nodes:
+        graph.packages[node] = DataPackage(node, derives_from=tuple(edges[node]))
+    groups = [
+        v.message.removeprefix("package derivation cycle: ").split(" -> ")
+        for v in validate(schema, graph).violations
+        if v.code is ViolationCode.DERIVES_CYCLE
+    ]
+    assert groups == reachability_cycle_groups(nodes, edges)
+
+
+def timed_validate(schema, graph):
+    start = time.perf_counter()
+    report = validate(schema, graph)
+    assert time.perf_counter() - start < 1.0
+    return report
+
+
+def test_long_chains_validate_in_linear_time(schema):
+    # A full reachability set per node made a 4,000-package chain take
+    # seconds and hundreds of MB.
+    size = 5000
+    ids = [f"p{i:04}" for i in range(size)]
+    packages = new_scenario("packages")
+    for i, package_id in enumerate(ids):
+        packages.add_package(DataPackage(package_id, derives_from=(ids[i - 1],) if i else ()))
+    entities = new_scenario("entities")
+    for i, entity_id in enumerate(ids):
+        entities.add_entity(entity_id, "VC")
+        if i:
+            entities.add_semantic_relation(f"r{i}", "isPartOf", ids[i - 1], entity_id)
+    assert timed_validate(schema, packages).violations == []
+    assert timed_validate(schema, entities).violations == []
+
+    packages.packages[ids[0]] = DataPackage(ids[0], derives_from=(ids[-1],))
+    entities.add_semantic_relation("r0", "isPartOf", ids[-1], ids[0])
+    for graph, code, label in (
+        (packages, ViolationCode.DERIVES_CYCLE, "package derivation cycle: "),
+        (entities, ViolationCode.PART_OF_CYCLE, "isPartOf cycle: "),
+    ):
+        (violation,) = timed_validate(schema, graph).violations
+        assert violation.code is code and violation.subject == ids[0]
+        assert violation.message == label + " -> ".join(ids)
