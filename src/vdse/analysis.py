@@ -61,6 +61,9 @@ class LineageTrace:
 
 @dataclass(frozen=True)
 class SinkExposure:
+    """A sink a person's data reaches: its type code, the strict paths that
+    reach it and the sorted packages those paths carry."""
+
     sink: str
     sink_type: str
     paths: tuple
@@ -69,12 +72,17 @@ class SinkExposure:
 
 @dataclass(frozen=True)
 class AggregationPoint:
+    """An entity that two or more distinct paths from the person reach."""
+
     entity: str
     path_count: int
 
 
 @dataclass(frozen=True)
 class ExposureReport:
+    """Where a person's data can end up: sinks and aggregation points, each
+    sorted by entity id."""
+
     person: str
     sinks: tuple
     aggregation_points: tuple

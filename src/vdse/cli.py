@@ -208,9 +208,9 @@ def _cmd_schema(args, stdout, stderr) -> int:
 
 
 def _cmd_fmt(args, stdout, stderr) -> int:
-    graph = _load(args.file)
+    text = serialize(_load(args.file))  # before opening, which truncates the file
     with open(args.file, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(serialize(graph))
+        handle.write(text)
     return EXIT_OK
 
 

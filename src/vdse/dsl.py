@@ -6,6 +6,12 @@ entity, package, relation, and flow statements. Parsing executes the
 corresponding graph mutations in file order, so references must be
 declared before use; the first error aborts with its position.
 
+A statement line in the single-space form that `serialize` emits is
+executed from one whole-line regex match. Every other line, and any line
+the fast path declines, goes through the tokenizer and a token cursor,
+which is the only code that reports a ParseError. Both paths build the
+same graph from any line the fast path accepts.
+
 `serialize` emits the canonical form: sections in a fixed order, each
 sorted by id, attribute keys sorted, and paired `.fwd`/`.rev` flows
 re-sugared to a single `<->` statement. Parsing the canonical form gives
@@ -19,9 +25,10 @@ from typing import NamedTuple
 
 from vdse.errors import GraphError, MalformedGraphError, ParseError
 from vdse.graph import (
+    IDENT,
+    IDENT_RE,
     DataPackage,
     FlowInstance,
-    IDENT_RE,
     InstanceGraph,
     new_scenario,
 )
@@ -32,7 +39,13 @@ __all__ = ["parse", "serialize"]
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_QUOTE_TABLE = str.maketrans(_UNESCAPES)
 _ESCAPE_RE = re.compile(r"\\(.)")
+# A string without, and with, its closing quote; the tokenizer and the
+# statement patterns share them.
+_OPEN_STRING = r'"[^"\\]*(?:\\[\\"ntr][^"\\]*)*'
+_STRING = _OPEN_STRING + '"'
+_STRING_RE = re.compile(_STRING)
 # One alternative per token kind, tried in order. A quote that does not
 # make a whole string matches "open", which stops at the first backslash
 # without a valid escape, or at the end of the line. A word must start with
@@ -41,13 +54,21 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 _TOKEN_RE = re.compile(
     r"""(?P<space>[ \t]+)
     |(?P<comment>\#)
-    |(?P<string>"[^"\\]*(?:\\[\\"ntr][^"\\]*)*")
-    |(?P<open>"[^"\\]*(?:\\[\\"ntr][^"\\]*)*)
+    |(?P<string>""" + _STRING + r""")
+    |(?P<open>""" + _OPEN_STRING + r""")
     |(?P<word>\w+)
     |(?P<punct><->|->|[:,={}\[\]])
     |(?P<other>.)""",
     re.VERBOSE,
 )
+
+
+def _unquote(string: str) -> str:
+    """The value of a string matched by _STRING, quotes included."""
+    value = string[1:-1]
+    if "\\" in value:
+        value = _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], value)
+    return value
 
 
 class _Token(NamedTuple):
@@ -65,9 +86,7 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
         if kind == "comment":
             break
         if kind == "string":
-            value = value[1:-1]
-            if "\\" in value:
-                value = _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], value)
+            value = _unquote(value)
         elif kind == "open":
             if match.end() < len(text):
                 raise ParseError("invalid escape sequence", lineno, match.end() + 1, text)
@@ -292,6 +311,140 @@ _STATEMENT_PARSERS = {
 }
 
 
+def _parse_line(text: str, lineno: int, graph: InstanceGraph | None) -> InstanceGraph | None:
+    """Execute one line through the token cursor, which diagnoses every
+    error; return the graph, which the header line creates."""
+    tokens = _tokenize(text, lineno)
+    if not tokens:
+        return graph
+    stmt = _Statement(tokens, text, lineno)
+    head = stmt.word("statement keyword")
+    if graph is None:
+        if head.value != "scenario":
+            raise stmt.error("expected 'scenario' header", head)
+        name = stmt.string("scenario name")
+        stmt.done()
+        if not name.value:
+            raise stmt.error("scenario name must be non-empty", name)
+        return new_scenario(name.value)
+    if head.value == "scenario":
+        raise stmt.error("duplicate 'scenario' header", head)
+    parser = _STATEMENT_PARSERS.get(head.value)
+    if parser is None:
+        raise stmt.error(f"unknown statement {head.value!r}", head)
+    parser(stmt, graph)
+    return graph
+
+
+# -- fast path ---------------------------------------------------------------
+#
+# One whole-line pattern per statement keyword, for the single-space form
+# that serialize emits. A matched line is executed straight from its groups
+# by the graph method the cursor calls. That method checks ids, references,
+# relation names, edge types and self-loops, and a GraphError leaves the
+# graph as it was; the fast path itself checks only what the method would
+# let through: the type code (the method also takes display names) and
+# repeated attribute keys. A line that does not match, fails a check or is
+# rejected goes to _parse_line, which executes it or diagnoses it.
+
+_STRINGS = rf"{_STRING}(?:, {_STRING})*"
+# One item of an attribute map and the ", " before the next.
+_ATTR_RE = re.compile(
+    rf"({IDENT}) = (?:({_STRING})|(true|false)|\[({_STRINGS})\])(?:, (?=.)|\Z)"
+)
+_ENTITY_RE = re.compile(rf"entity ({IDENT}): ({IDENT})(?: \{{(.+)\}})?")
+_PACKAGE_RE = re.compile(
+    rf"package ({IDENT})(?: ({_STRING}))?(?: items \[({_STRINGS})\])?"
+    rf"(?: derives ({IDENT}(?:, {IDENT})*))?"
+)
+_RELATION_RE = re.compile(
+    rf"relation ({IDENT}): ({IDENT}) ({IDENT}) -> ({IDENT})(?: \{{(.+)\}})?"
+)
+_FLOW_RE = re.compile(
+    rf"flow ({IDENT}): ({IDENT}) ({IDENT}) (<?->) ({IDENT}) package ({IDENT})"
+)
+
+
+def _strings(text: str) -> list:
+    return [_unquote(string) for string in _STRING_RE.findall(text)]
+
+
+def _attr_map(text: str | None) -> dict | None:
+    """The attributes between the braces of a map; None unless the items
+    are all well formed and no key repeats."""
+    attrs: dict = {}
+    pos = 0
+    while text and pos < len(text):
+        item = _ATTR_RE.match(text, pos)
+        if item is None:
+            return None
+        key, string, flag, strings = item.groups()
+        if key in attrs:
+            return None
+        if string:
+            attrs[key] = _unquote(string)
+        elif flag:
+            attrs[key] = flag == "true"
+        else:
+            attrs[key] = _strings(strings)
+        pos = item.end()
+    return attrs
+
+
+def _fast_entity(graph: InstanceGraph, id_, code, attrs) -> bool:
+    attrs = _attr_map(attrs)
+    if attrs is None or code not in INSTANTIABLE_TYPE_CODES:
+        return False
+    graph.add_entity(id_, code, attrs)
+    return True
+
+
+def _fast_package(graph: InstanceGraph, id_, description, items, derives) -> bool:
+    description = _unquote(description) if description else ""
+    items = _strings(items) if items else []
+    derives = tuple(derives.split(", ")) if derives else ()
+    graph.add_package(DataPackage(id_, description, items, derives))
+    return True
+
+
+def _fast_relation(graph: InstanceGraph, id_, name, source, target, attrs) -> bool:
+    attrs = _attr_map(attrs)
+    if attrs is None:
+        return False
+    graph.add_semantic_relation(id_, name, source, target, attrs)
+    return True
+
+
+def _fast_flow(graph: InstanceGraph, id_, edge, source, arrow, target, package) -> bool:
+    add = graph.add_flow if arrow == "->" else graph.add_bidirectional_flow
+    add(id_, edge, source, target, package)
+    return True
+
+
+_FAST_STATEMENTS = {
+    "entity": (_ENTITY_RE, _fast_entity),
+    "package": (_PACKAGE_RE, _fast_package),
+    "relation": (_RELATION_RE, _fast_relation),
+    "flow": (_FLOW_RE, _fast_flow),
+}
+
+
+def _execute_fast(text: str, graph: InstanceGraph) -> bool:
+    """Execute a well-formed statement line. False, with the graph
+    unchanged, when the line needs the cursor."""
+    statement = _FAST_STATEMENTS.get(text.partition(" ")[0])
+    if statement is None:
+        return False
+    pattern, execute = statement
+    match = pattern.fullmatch(text)
+    if match is None:
+        return False
+    try:
+        return execute(graph, *match.groups())
+    except GraphError:
+        return False
+
+
 def parse(source: str) -> InstanceGraph:
     """Parse scenario text into an instance graph.
 
@@ -302,26 +455,8 @@ def parse(source: str) -> InstanceGraph:
     lines = source.split("\n")
     for lineno, raw in enumerate(lines, start=1):
         text = raw[:-1] if raw.endswith("\r") else raw
-        tokens = _tokenize(text, lineno)
-        if not tokens:
-            continue
-        stmt = _Statement(tokens, text, lineno)
-        head = stmt.word("statement keyword")
-        if graph is None:
-            if head.value != "scenario":
-                raise stmt.error("expected 'scenario' header", head)
-            name = stmt.string("scenario name")
-            stmt.done()
-            if not name.value:
-                raise stmt.error("scenario name must be non-empty", name)
-            graph = new_scenario(name.value)
-            continue
-        if head.value == "scenario":
-            raise stmt.error("duplicate 'scenario' header", head)
-        parser = _STATEMENT_PARSERS.get(head.value)
-        if parser is None:
-            raise stmt.error(f"unknown statement {head.value!r}", head)
-        parser(stmt, graph)
+        if text and (graph is None or not _execute_fast(text, graph)):
+            graph = _parse_line(text, lineno, graph)
     if graph is None:
         raise ParseError("empty input: expected 'scenario' header", max(1, len(lines)), 1, "")
     return graph
@@ -331,7 +466,7 @@ def parse(source: str) -> InstanceGraph:
 
 
 def _quote(text: str) -> str:
-    return '"' + "".join(_UNESCAPES.get(ch, ch) for ch in text) + '"'
+    return '"' + text.translate(_QUOTE_TABLE) + '"'
 
 
 def _format_value(value) -> str:

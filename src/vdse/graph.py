@@ -33,6 +33,7 @@ __all__ = [
     "new_scenario",
     "check_entity_attributes",
     "strongly_connected_components",
+    "IDENT",
     "IDENT_RE",
     "FLOW_ID_RE",
 ]
@@ -40,10 +41,11 @@ __all__ = [
 AttrValue = str | bool | list[str]
 Attrs = dict[str, AttrValue]
 
-IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+IDENT_RE = re.compile(IDENT + r"\Z")
 # Flow ids may carry a .fwd/.rev suffix; those only arise as the two
 # halves of a bidirectional flow declaration.
-FLOW_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(\.fwd|\.rev)?\Z")
+FLOW_ID_RE = re.compile(IDENT + r"(\.fwd|\.rev)?\Z")
 
 # Reserved entity attribute names and where they are admissible.
 _LIST_ATTRS = ("static", "dynamic")
@@ -52,6 +54,8 @@ _VEHICLE_TYPES = (EntityType.VEHICLE, EntityType.VEHICLE_COMPONENT)
 
 @dataclass
 class EntityInstance:
+    """An entity of a scenario: its id, its type and its attributes."""
+
     id: str
     entity_type: EntityType
     attributes: dict = field(default_factory=dict)
@@ -73,6 +77,8 @@ class DataPackage:
 
 @dataclass
 class SemanticRelationInstance:
+    """A named semantic relation from one entity to another."""
+
     id: str
     relation: str
     source: str

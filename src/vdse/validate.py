@@ -44,6 +44,8 @@ _OCCUPY_ROLES = frozenset({"driver", "passenger"})
 
 @dataclass(frozen=True)
 class Violation:
+    """One finding: its code, the id it concerns and a message."""
+
     code: ViolationCode
     subject: str
     message: str
@@ -55,6 +57,8 @@ class Violation:
 
 @dataclass
 class ValidationReport:
+    """Every violation found in a scenario, in the validator's order."""
+
     scenario: str
     violations: list = field(default_factory=list)
 

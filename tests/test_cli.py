@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vdse
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
 from vdse.cli import run
 from vdse.dsl import serialize
@@ -335,6 +339,41 @@ def test_fmt_leaves_unparseable_file_alone(tmp_path):
     code, out, err = invoke(["fmt", str(path)])
     assert code == 2
     assert path.read_text(encoding="utf-8") == "not a scenario\n"
+
+
+def test_fmt_leaves_unserializable_file_alone(tmp_path):
+    # Parses, but "x" is both a plain flow and the base of a pair.
+    text = (
+        'scenario "t"\nentity a: P\nentity b: DA\npackage p\n'
+        "flow x: E2 a -> b package p\nflow x: E2 b <-> a package p\n"
+    )
+    path = tmp_path / "clash.vdse"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = invoke(["fmt", str(path)])
+    assert code == 3
+    assert "used both directly and as a bidirectional pair" in err
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def _python_m_vdse(*args):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(vdse.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "vdse", *args], capture_output=True, env=env, timeout=60
+    )
+
+
+def test_python_m_vdse_schema_matches_run():
+    code, out, err = invoke(["schema"])
+    done = _python_m_vdse("schema")
+    assert (done.returncode, done.stdout) == (code, out.encode("utf-8"))
+
+
+def test_python_m_vdse_validate_exit_1(broken_file):
+    done = _python_m_vdse("validate", broken_file)
+    assert done.returncode == 1
+    assert b"error " in done.stdout
 
 
 # -- exit codes and streams --------------------------------------------------------

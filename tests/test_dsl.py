@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import build_random_graph, wellformed_graphs
-from vdse.dsl import _tokenize, parse, serialize
+from vdse import dsl
+from vdse.dsl import _quote, _tokenize, _unquote, parse, serialize
 from vdse.errors import MalformedGraphError, ParseError
-from vdse.graph import DataPackage, FlowInstance, new_scenario
+from vdse.graph import DataPackage, FlowInstance, InstanceGraph, new_scenario
 from vdse.scenarios import scenario_text
 
 MINIMAL = (
@@ -345,3 +346,204 @@ def test_word_class_is_alphanumeric_or_underscore():
     for code in range(sys.maxunicode + 1):
         ch = chr(code)
         assert bool(word.match(ch)) == (ch.isalnum() or ch == "_"), hex(code)
+
+
+def test_quote_matches_per_character_escapes():
+    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for text in (every, '\\"\n\t\r', 'a\\\\b""\r\n\t', ""):
+        quoted = _quote(text)
+        assert quoted == '"' + "".join(escapes.get(ch, ch) for ch in text) + '"'
+        assert _unquote(quoted) == text
+
+
+# -- fast path ----------------------------------------------------------------
+
+# Every construct of the format in its single-space form, escapes included.
+RICH = r"""scenario "rich"
+entity car: V {dynamic = ["speed", "gps \"fix\""], static = ["VRM"]}
+entity app: DA {label = "tab\there", privacy_preserving = true}
+entity org: O {category = "a, b = c}", label = "x\\y", privacy_preserving = false}
+entity p1: P
+entity p2: P {label = ""}
+package base
+package mid "desc \"q\"\n" items ["one", "two, three", "]"]
+package top "t" derives base, mid
+package solo items ["x"] derives mid
+package empty ""
+relation r1: occupy p1 -> car {role = "driver"}
+relation r2: ownedBy app -> org
+relation r3: occupy p2 -> car {note = "n", role = "passenger"}
+flow f1: E1 p1 -> car package base
+flow f2: E3 app <-> car package top
+flow f3: E4 app -> org package solo
+"""
+
+# Lines the cursor rejects, in the context of RICH.
+REJECTED = [
+    'entity x: P {label = "a", label = "b"}',
+    'entity x: P {label = "a", }',
+    'entity x: P {label = "a",}',
+    'entity x: P {label = "a"} }',
+    "entity x: Person",
+    "entity x: DP",
+    "entity car: V",
+    'entity x: P {privacy_preserving = "yes"}',
+    'entity x: P {static = ["a"]}',
+    "package base",
+    "package q derives nope",
+    "package q derives base, base",
+    "package q items []",
+    "relation r9: drives p1 -> car",
+    "relation r9: occupy ghost -> car",
+    'relation r1: occupy p1 -> car {role = "driver"}',
+    'relation r9: occupy p1 -> car {role = "a", role = "b"}',
+    "flow f9: E99 p1 -> car package base",
+    "flow f9: E1 p1 -> ghost package base",
+    "flow f9: E1 car -> car package base",
+    "flow f9: E1 p1 -> car package ghost",
+    "flow f1: E1 p1 -> car package base",
+    "flow f2: E3 app <-> car package top",
+    "flow f9.fwd: E1 p1 -> car package base",
+    "flow _f: E1 p1 -> car package base",
+    "flow f9: E1 p1 -> car packages base",
+]
+
+# Lines the cursor accepts but that are not in the single-space form.
+RESPACED = [
+    "entity x:P",
+    "entity x: P  # comment",
+    "entity x: P {}",
+    "entity x: P { label = \"a\" }",
+    "package q derives base,mid",
+    "flow f9: E1 p1->car package base",
+    "\tflow f9: E1 p1 -> car package base",
+]
+
+
+def _snapshot(graph: InstanceGraph) -> InstanceGraph:
+    # Mutations only insert new objects, so copying the four maps is enough.
+    return InstanceGraph(
+        graph.name,
+        dict(graph.entities),
+        dict(graph.relations),
+        dict(graph.flows),
+        dict(graph.packages),
+    )
+
+
+def _state(graph: InstanceGraph) -> tuple:
+    maps = (graph.entities, graph.relations, graph.flows, graph.packages)
+    return (graph.name, *(list(items.items()) for items in maps))
+
+
+def fast_agrees_with_cursor(text: str, graph: InstanceGraph) -> bool:
+    """Run the fast path on a copy of graph. If it accepts the line, the
+    cursor must accept it too and build the same graph; if it declines, the
+    copy must be unchanged. Returns whether it accepted."""
+    fast = _snapshot(graph)
+    if not dsl._execute_fast(text, fast):
+        assert _state(fast) == _state(graph), text
+        return False
+    cursor = _snapshot(graph)
+    try:
+        dsl._parse_line(text, 1, cursor)
+    except ParseError as exc:
+        pytest.fail(f"fast path accepted {text!r}, which the cursor rejects: {exc}")
+    assert _state(fast) == _state(cursor), text
+    return True
+
+
+def statement_contexts(document: str):
+    """Each statement line after the header, with the graph the lines
+    before it build (through the cursor)."""
+    graph = None
+    for lineno, text in enumerate(document.split("\n"), start=1):
+        if graph is not None and text and not text.startswith("#"):
+            yield text, graph
+        graph = dsl._parse_line(text, lineno, graph)
+
+
+# Quotes, escapes, punctuation, tab, digits, "_", non-ASCII alphanumerics,
+# CR and space.
+_MUTATION_CHARS = '"\\{}[],=:<->#\t0123456789_é²\r '
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """Insert, replace or delete one character."""
+    i = rng.randrange(len(text) + 1)
+    op = rng.randrange(3) if i < len(text) else 0
+    if op == 2:
+        return text[:i] + text[i + 1 :]
+    return text[:i] + rng.choice(_MUTATION_CHARS) + text[i + op :]
+
+
+def test_fast_path_agrees_with_cursor():
+    rng = random.Random(5)
+    documents = [(scenario_text("uber"), 60), (scenario_text("speeding"), 60), (RICH, 300)]
+    documents += [(serialize(build_random_graph(seed)), 3) for seed in range(200)]
+    mutated = accepted = 0
+    for document, per_line in documents:
+        for text, graph in statement_contexts(document):
+            assert fast_agrees_with_cursor(text, graph), text
+            for _ in range(per_line):
+                accepted += fast_agrees_with_cursor(mutate(rng, text), graph)
+                mutated += 1
+    assert mutated >= 20000
+    assert 0 < accepted < mutated
+
+
+@pytest.mark.parametrize("line", REJECTED)
+def test_fast_path_declines_what_the_cursor_rejects(line):
+    graph = parse(RICH)
+    assert not fast_agrees_with_cursor(line, graph)
+    with pytest.raises(ParseError):
+        parse(RICH + line + "\n")
+
+
+@pytest.mark.parametrize("line", RESPACED)
+def test_fast_path_leaves_other_spacing_to_the_cursor(line):
+    graph = parse(RICH)
+    assert not fast_agrees_with_cursor(line, graph)
+    assert parse(RICH + line + "\n") != graph
+
+
+def fleet_style_graph(copies: int) -> InstanceGraph:
+    """Renamed copies of the bundled scenarios, built through the graph API."""
+    graph = new_scenario("fleet")
+    for k in range(copies):
+        base, pre = parse(scenario_text(("uber", "speeding")[k % 2])), f"c{k}_"
+        for e in base.entities.values():
+            graph.add_entity(pre + e.id, e.entity_type, e.attributes)
+        for p in base.packages.values():
+            derives = tuple(pre + a for a in p.derives_from)
+            graph.add_package(DataPackage(pre + p.id, p.description, p.items, derives))
+        for r in base.relations.values():
+            graph.add_semantic_relation(
+                pre + r.id, r.relation, pre + r.source, pre + r.target, r.attributes
+            )
+        for f in base.flows.values():
+            stem, _, half = f.id.partition(".")
+            if half != "rev":
+                add = graph.add_bidirectional_flow if half else graph.add_flow
+                add(pre + stem, f.edge_type, pre + f.source, pre + f.target, pre + f.package)
+    return graph
+
+
+def test_serialized_text_reaches_the_cursor_only_for_its_header(monkeypatch):
+    graphs = [parse(scenario_text(name)) for name in ("uber", "speeding")]
+    graphs += [build_random_graph(seed) for seed in range(200)]
+    graphs.append(fleet_style_graph(20))
+    cursor_lines = []
+    parse_line = dsl._parse_line
+
+    def counted(text, lineno, graph):
+        cursor_lines.append(text)
+        return parse_line(text, lineno, graph)
+
+    monkeypatch.setattr(dsl, "_parse_line", counted)
+    for graph in graphs:
+        text = serialize(graph)
+        cursor_lines.clear()
+        assert parse(text) == graph
+        assert cursor_lines == [text.split("\n", 1)[0]]
