@@ -14,8 +14,11 @@ same graph from any line the fast path accepts.
 
 `serialize` emits the canonical form: sections in a fixed order, each
 sorted by id, attribute keys sorted, and paired `.fwd`/`.rev` flows
-re-sugared to a single `<->` statement. Parsing the canonical form gives
-back a structurally equal graph.
+re-sugared to a single `<->` statement. It first decides, in one check
+pass, whether the graph can be written; the formatting after it raises
+nothing. Every graph that parse returns, or that is built only through the
+InstanceGraph methods, passes that check, and parsing its canonical form
+gives back an equal graph: parse(serialize(g)) == g.
 """
 from __future__ import annotations
 
@@ -469,30 +472,19 @@ def _quote(text: str) -> str:
     return '"' + text.translate(_QUOTE_TABLE) + '"'
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, list) and value and all(isinstance(i, str) for i in value):
-        return "[" + ", ".join(_quote(i) for i in value) + "]"
-    raise MalformedGraphError(f"attribute value {value!r} is not expressible")
-
-
-def _check_lexicon(id_: str, kind: str) -> str:
+def _check_lexicon(id_: str, kind: str) -> None:
     if not IDENT_RE.match(id_):
         raise MalformedGraphError(f"{kind} id {id_!r} is not a serializable identifier")
-    return id_
 
 
-def _format_attrs(attrs: dict) -> str:
-    if not attrs:
-        return ""
-    pairs = ", ".join(
-        f"{_check_lexicon(key, 'attribute')} = {_format_value(attrs[key])}"
-        for key in sorted(attrs)
-    )
-    return " {" + pairs + "}"
+def _check_attrs(attrs: dict) -> None:
+    for key in sorted(attrs):
+        _check_lexicon(key, "attribute")
+        value = attrs[key]
+        if not isinstance(value, (bool, str)) and not (
+            isinstance(value, list) and value and all(isinstance(i, str) for i in value)
+        ):
+            raise MalformedGraphError(f"attribute value {value!r} is not expressible")
 
 
 def _package_order(graph: InstanceGraph) -> list[str]:
@@ -519,71 +511,15 @@ def _package_order(graph: InstanceGraph) -> list[str]:
     return order
 
 
-def _flow_statements(graph: InstanceGraph) -> list[tuple[str, int, str]]:
-    plain: list[FlowInstance] = []
-    halves: dict[str, dict[str, FlowInstance]] = {}
-    for flow in graph.flows.values():
-        base, dot, suffix = flow.id.partition(".")
-        if dot and suffix in ("fwd", "rev"):
-            halves.setdefault(base, {})[suffix] = flow
-        else:
-            plain.append(flow)
-    collisions = {flow.id for flow in plain} & set(halves)
-    if collisions:
-        raise MalformedGraphError(
-            f"flow id {sorted(collisions)[0]!r} is used both directly and as a "
-            "bidirectional pair; the serialized form would not round-trip"
-        )
-    statements: list[tuple[str, int, str]] = []
-    for flow in plain:
-        _check_lexicon(flow.id, "flow")
-        statements.append(
-            (
-                flow.id,
-                0,
-                f"flow {flow.id}: {flow.edge_type} {flow.source} -> {flow.target} "
-                f"package {flow.package}",
-            )
-        )
-    for base in halves:
-        _check_lexicon(base, "flow")
-        pair = halves[base]
-        fwd, rev = pair.get("fwd"), pair.get("rev")
-        if (
-            fwd is None
-            or rev is None
-            or fwd.source != rev.target
-            or fwd.target != rev.source
-            or fwd.edge_type != rev.edge_type
-            or fwd.package != rev.package
-        ):
-            raise MalformedGraphError(
-                f"flows {base!r}.fwd/.rev do not form a bidirectional pair"
-            )
-        statements.append(
-            (
-                base,
-                1,
-                f"flow {base}: {fwd.edge_type} {fwd.source} <-> {fwd.target} "
-                f"package {fwd.package}",
-            )
-        )
-    statements.sort(key=lambda item: (item[0], item[1]))
-    return statements
-
-
-def serialize(graph: InstanceGraph) -> str:
-    """Emit canonical scenario text for a well-formed graph. Raises
-    MalformedGraphError on what parse could not read back, including every
-    reference problem validate reports."""
+def _check_writable(graph: InstanceGraph) -> list[str]:
+    """Raise MalformedGraphError on the first thing in graph that the
+    canonical text could not carry back through parse, including every
+    reference problem validate reports; return the order to write the
+    packages in. Checks run in the order serialize writes the sections."""
     if not graph.name:
         raise MalformedGraphError("scenario name must be non-empty")
     check_references(graph)
-    sections: list[list[str]] = [[f"scenario {_quote(graph.name)}"]]
-
-    entities = []
-    for entity_id in sorted(graph.entities):
-        entity = graph.entities[entity_id]
+    for entity_id, entity in sorted(graph.entities.items()):
         _check_lexicon(entity_id, "entity")
         if not isinstance(entity.entity_type, EntityType) or (
             entity.entity_type.code not in INSTANTIABLE_TYPE_CODES
@@ -591,16 +527,70 @@ def serialize(graph: InstanceGraph) -> str:
             raise MalformedGraphError(
                 f"entity {entity_id!r} has unserializable type {entity.entity_type!r}"
             )
-        entities.append(
-            f"entity {entity_id}: {entity.entity_type.code}{_format_attrs(entity.attributes)}"
-        )
-    if entities:
-        sections.append(entities)
-
-    packages = []
-    for package_id in _package_order(graph):
-        package = graph.packages[package_id]
+        _check_attrs(entity.attributes)
+    packages = _package_order(graph)
+    for package_id in packages:
         _check_lexicon(package_id, "package")
+    for relation_id, relation in sorted(graph.relations.items()):
+        _check_lexicon(relation_id, "relation")
+        _check_attrs(relation.attributes)
+    # Every flow id is an identifier or the .fwd/.rev half of one, no plain
+    # id is also the base of a pair, and the halves of a pair mirror each other.
+    plain: list[str] = []
+    halves: dict[str, dict[str, FlowInstance]] = {}
+    for flow_id, flow in graph.flows.items():
+        base, dot, suffix = flow_id.partition(".")
+        if dot and suffix in ("fwd", "rev"):
+            halves.setdefault(base, {})[suffix] = flow
+        else:
+            plain.append(flow_id)
+    collisions = set(plain) & set(halves)
+    if collisions:
+        raise MalformedGraphError(
+            f"flow id {sorted(collisions)[0]!r} is used both directly and as a "
+            "bidirectional pair; the serialized form would not round-trip"
+        )
+    for flow_id in plain:
+        _check_lexicon(flow_id, "flow")
+    for base, pair in halves.items():
+        _check_lexicon(base, "flow")
+        fwd, rev = pair.get("fwd"), pair.get("rev")
+        if (
+            fwd is None
+            or rev is None
+            or (rev.edge_type, rev.source, rev.target, rev.package)
+            != (fwd.edge_type, fwd.target, fwd.source, fwd.package)
+        ):
+            raise MalformedGraphError(f"flows {base!r}.fwd/.rev do not form a bidirectional pair")
+    return packages
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return _quote(value)
+    return "[" + ", ".join(_quote(i) for i in value) + "]"
+
+
+def _format_attrs(attrs: dict) -> str:
+    if not attrs:
+        return ""
+    return " {" + ", ".join(f"{key} = {_format_value(attrs[key])}" for key in sorted(attrs)) + "}"
+
+
+def serialize(graph: InstanceGraph) -> str:
+    """Emit canonical scenario text for a well-formed graph. Raises
+    MalformedGraphError on what parse could not read back, including every
+    reference problem validate reports."""
+    package_order = _check_writable(graph)
+    entities = [
+        f"entity {entity_id}: {entity.entity_type.code}{_format_attrs(entity.attributes)}"
+        for entity_id, entity in sorted(graph.entities.items())
+    ]
+    packages = []
+    for package_id in package_order:
+        package = graph.packages[package_id]
         line = f"package {package_id}"
         if package.description:
             line += f" {_quote(package.description)}"
@@ -609,22 +599,21 @@ def serialize(graph: InstanceGraph) -> str:
         if package.derives_from:
             line += " derives " + ", ".join(package.derives_from)
         packages.append(line)
-    if packages:
-        sections.append(packages)
-
-    relations = []
-    for relation_id in sorted(graph.relations):
-        relation = graph.relations[relation_id]
-        _check_lexicon(relation_id, "relation")
-        relations.append(
-            f"relation {relation_id}: {relation.relation} {relation.source} -> "
-            f"{relation.target}{_format_attrs(relation.attributes)}"
-        )
-    if relations:
-        sections.append(relations)
-
-    flow_lines = [line for _, _, line in _flow_statements(graph)]
-    if flow_lines:
-        sections.append(flow_lines)
-
-    return "\n\n".join("\n".join(section) for section in sections) + "\n"
+    relations = [
+        f"relation {relation_id}: {relation.relation} {relation.source} -> "
+        f"{relation.target}{_format_attrs(relation.attributes)}"
+        for relation_id, relation in sorted(graph.relations.items())
+    ]
+    # A .fwd half sorts where its base would: "." precedes every identifier
+    # character. Its .rev half is written by the same `<->` statement.
+    flows = []
+    for flow_id, flow in sorted(graph.flows.items()):
+        base, _, half = flow_id.partition(".")
+        if half != "rev":
+            arrow = "<->" if half else "->"
+            flows.append(
+                f"flow {base}: {flow.edge_type} {flow.source} {arrow} {flow.target} "
+                f"package {flow.package}"
+            )
+    sections = [[f"scenario {_quote(graph.name)}"], entities, packages, relations, flows]
+    return "\n\n".join("\n".join(section) for section in sections if section) + "\n"

@@ -35,7 +35,6 @@ __all__ = [
     "strongly_connected_components",
     "IDENT",
     "IDENT_RE",
-    "FLOW_ID_RE",
 ]
 
 AttrValue = str | bool | list[str]
@@ -43,9 +42,6 @@ Attrs = dict[str, AttrValue]
 
 IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 IDENT_RE = re.compile(IDENT + r"\Z")
-# Flow ids may carry a .fwd/.rev suffix; those only arise as the two
-# halves of a bidirectional flow declaration.
-FLOW_ID_RE = re.compile(IDENT + r"(\.fwd|\.rev)?\Z")
 
 # Reserved entity attribute names and where they are admissible.
 _LIST_ATTRS = ("static", "dynamic")
@@ -97,8 +93,8 @@ class FlowInstance:
     package: str
 
 
-def _check_identifier(id_: str, kind: str, pattern: re.Pattern = IDENT_RE) -> None:
-    if not isinstance(id_, str) or not pattern.match(id_):
+def _check_identifier(id_: str, kind: str) -> None:
+    if not isinstance(id_, str) or not IDENT_RE.match(id_):
         raise IdentifierError(f"invalid {kind} id {id_!r}")
 
 
@@ -264,6 +260,8 @@ class InstanceGraph:
         package: "DataPackage | str",
     ) -> "InstanceGraph":
         _check_identifier(id_, "flow")
+        if f"{id_}.fwd" in self.flows or f"{id_}.rev" in self.flows:
+            raise DuplicateIdError(f"flow id {id_!r} already declared as a bidirectional pair")
         self._check_flow(id_, edge_type, source, target)
         package_id = self._resolve_package(package, id_)
         self.flows[id_] = FlowInstance(id_, edge_type, source, target, package_id)
@@ -278,8 +276,12 @@ class InstanceGraph:
         package: "DataPackage | str",
     ) -> "InstanceGraph":
         """Declare both directions of an exchange as `<id>.fwd` and
-        `<id>.rev`, sharing one package."""
+        `<id>.rev`, sharing one package. A plain flow `<id>` may not exist,
+        and add_flow refuses `<id>` once the pair does, so that the pair
+        always serializes as one `<->` statement."""
         _check_identifier(id_, "flow")
+        if id_ in self.flows:
+            raise DuplicateIdError(f"flow id {id_!r} already declared")
         fwd, rev = f"{id_}.fwd", f"{id_}.rev"
         self._check_flow(fwd, edge_type, source, target)
         self._check_flow(rev, edge_type, target, source)

@@ -251,10 +251,6 @@ def builtin_schema() -> TypeGraph:
     return _BUILTIN
 
 
-def _gvquote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def type_graph_to_dot(schema: TypeGraph | None = None) -> str:
     """Render the type graph as deterministic Graphviz source.
 
@@ -262,6 +258,8 @@ def type_graph_to_dot(schema: TypeGraph | None = None) -> str:
     an open arrowhead, semantic relations are solid labelled edges, and
     flow edge types are dashed (double-headed when bidirectional).
     """
+    from vdse.export import _gvquote  # vdse.export imports this module
+
     schema = schema or builtin_schema()
     nodes = sorted(_gvquote(t.display_name) + " [shape=box, style=rounded];"
                    for t in schema.entity_types)

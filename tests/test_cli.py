@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, stream separation, determinism."""
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import pytest
 
 import vdse
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
-from vdse.cli import run
+from vdse.cli import _build_parser, run
 from vdse.dsl import serialize
 from vdse.export import report_to_json
 from vdse.graph import DataPackage, new_scenario
@@ -342,7 +344,7 @@ def test_fmt_leaves_unparseable_file_alone(tmp_path):
 
 
 def test_fmt_leaves_unserializable_file_alone(tmp_path):
-    # Parses, but "x" is both a plain flow and the base of a pair.
+    # "x" may not be both a plain flow and the base of a pair.
     text = (
         'scenario "t"\nentity a: P\nentity b: DA\npackage p\n'
         "flow x: E2 a -> b package p\nflow x: E2 b <-> a package p\n"
@@ -350,8 +352,8 @@ def test_fmt_leaves_unserializable_file_alone(tmp_path):
     path = tmp_path / "clash.vdse"
     path.write_bytes(text.encode("utf-8"))
     code, out, err = invoke(["fmt", str(path)])
-    assert code == 3
-    assert "used both directly and as a bidirectional pair" in err
+    assert code == 2
+    assert "line 6, column 6: flow id 'x' already declared" in err
     assert path.read_bytes() == text.encode("utf-8")
 
 
@@ -440,3 +442,27 @@ def test_json_flag_matches_export_documents(uber_file):
     assert out == report_to_json(exposure_report(graph, "driver")) + "\n"
     _, out, _ = invoke(["export", uber_file, "--format", "json"])
     assert out == graph_to_json(graph) + "\n"
+
+
+def test_readme_cli_block_matches_parser():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        block = re.search(r"## CLI\n\n```\n(.*?)```", handle.read(), re.S)[1]
+    documented = {}
+    for line in block.splitlines():
+        words = line.split()
+        assert words[0] == "vdse", line
+        documented[words[1]] = set(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", line))
+    (subcommands,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(documented) == set(subcommands.choices)
+    for name, parser in subcommands.choices.items():
+        options = [
+            set(action.option_strings)
+            for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)
+        ]
+        assert documented[name] <= set().union(*options), name
+        assert all(documented[name] & flags for flags in options), name

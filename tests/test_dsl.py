@@ -12,7 +12,15 @@ from conftest import build_random_graph, wellformed_graphs
 from vdse import dsl
 from vdse.dsl import _quote, _tokenize, _unquote, parse, serialize
 from vdse.errors import MalformedGraphError, ParseError
-from vdse.graph import DataPackage, FlowInstance, InstanceGraph, new_scenario
+from vdse.graph import (
+    DataPackage,
+    EntityInstance,
+    FlowInstance,
+    InstanceGraph,
+    SemanticRelationInstance,
+    new_scenario,
+)
+from vdse.schema import EntityType
 from vdse.scenarios import scenario_text
 
 MINIMAL = (
@@ -146,6 +154,22 @@ def test_parse_error_carries_snippet():
     assert exc.value.snippet == "entity x: DP"
 
 
+COLLIDING_FLOWS = ["flow x: E2 a -> b package p", "flow x: E2 b <-> a package p"]
+
+
+@pytest.mark.parametrize(
+    "first, second", [COLLIDING_FLOWS, COLLIDING_FLOWS[::-1]], ids=["plain_first", "pair_first"]
+)
+@pytest.mark.parametrize("spacing", [" ", "  "], ids=["fast_path", "cursor"])
+def test_parse_rejects_plain_flow_and_pair_of_one_name(first, second, spacing):
+    second = second.replace(" ", spacing, 1)
+    text = f'scenario "t"\nentity a: P\nentity b: DA\npackage p\n{first}\n{second}\n'
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (6, second.index("x") + 1)
+    assert "flow id 'x' already declared" in exc.value.message
+
+
 def test_serialize_empty_graph():
     assert serialize(new_scenario("x")) == 'scenario "x"\n'
 
@@ -222,7 +246,7 @@ def test_serialize_rejects_mismatched_pair():
 def test_serialize_rejects_base_id_collision():
     graph = new_scenario("t").add_entity("a", "DA").add_entity("b", "V")
     graph.add_bidirectional_flow("x", "E3", "a", "b", DataPackage("d"))
-    graph.add_flow("x", "E3", "a", "b", "d")
+    graph.flows["x"] = FlowInstance("x", "E3", "a", "b", "d")
     with pytest.raises(MalformedGraphError) as exc:
         serialize(graph)
     assert "would not round-trip" in str(exc.value)
@@ -238,6 +262,75 @@ def test_serialize_rejects_dangling_and_bad_ids():
     with pytest.raises(MalformedGraphError) as exc:
         serialize(graph)
     assert "not a serializable identifier" in str(exc.value)
+
+
+# Defects written straight into the maps of a well-formed graph, one per
+# check serialize makes.
+WRITER_DEFECTS = {
+    "no_name": lambda g: setattr(g, "name", ""),
+    "dangling_endpoint": lambda g: g.flows.update(f=FlowInstance("f", "E3", "a", "ghost", "d")),
+    "entity_id": lambda g: g.entities.update(
+        {"bad id": EntityInstance("bad id", EntityType.PERSON)}
+    ),
+    "entity_type": lambda g: g.entities.update(
+        a0=EntityInstance("a0", EntityType.DATA_PACKAGE)
+    ),
+    "attribute_key": lambda g: g.entities["b"].attributes.update({"bad key": "v"}),
+    "attribute_value": lambda g: g.relations["r"].attributes.update(n=3),
+    "derivation_cycle": lambda g: g.packages.update(
+        p=DataPackage("p", derives_from=("q",)), q=DataPackage("q", derives_from=("p",))
+    ),
+    "package_id": lambda g: g.packages.update({"bad id": DataPackage("bad id")}),
+    "relation_id": lambda g: g.relations.update(
+        {"bad id": SemanticRelationInstance("bad id", "ownedBy", "a", "b")}
+    ),
+    "collision": lambda g: g.flows.update(x=FlowInstance("x", "E3", "a", "b", "d")),
+    "flow_id": lambda g: g.flows.update({"bad id": FlowInstance("bad id", "E3", "a", "b", "d")}),
+    "unpaired": lambda g: g.flows.pop("x.rev"),
+}
+
+_BAD_ID = "is not a serializable identifier"
+
+
+@pytest.mark.parametrize(
+    "defects, message",
+    [
+        (("no_name", "dangling_endpoint"), "scenario name must be non-empty"),
+        (("dangling_endpoint", "entity_id"), "flow 'f' references unknown entity 'ghost'"),
+        (("entity_id", "derivation_cycle"), f"entity id 'bad id' {_BAD_ID}"),
+        (
+            ("entity_type", "attribute_key"),
+            "entity 'a0' has unserializable type <EntityType.DATA_PACKAGE: 'DP'>",
+        ),
+        (("attribute_key", "package_id"), f"attribute id 'bad key' {_BAD_ID}"),
+        (("derivation_cycle", "package_id"), "package derivations contain a cycle"),
+        (("package_id", "unpaired"), f"package id 'bad id' {_BAD_ID}"),
+        (("attribute_value", "collision"), "attribute value 3 is not expressible"),
+        (("attribute_value", "relation_id"), f"relation id 'bad id' {_BAD_ID}"),
+        (("relation_id", "flow_id"), f"relation id 'bad id' {_BAD_ID}"),
+        (
+            ("collision", "flow_id"),
+            "flow id 'x' is used both directly and as a bidirectional pair; "
+            "the serialized form would not round-trip",
+        ),
+        (("flow_id", "unpaired"), f"flow id 'bad id' {_BAD_ID}"),
+    ],
+)
+def test_serialize_reports_the_first_defect_in_check_order(defects, message):
+    for order in (defects, defects[::-1]):
+        graph = (
+            new_scenario("t")
+            .add_entity("a", "DA")
+            .add_entity("b", "V")
+            .add_package(DataPackage("d"))
+            .add_semantic_relation("r", "ownedBy", "a", "b")
+            .add_bidirectional_flow("x", "E3", "a", "b", "d")
+        )
+        for defect in order:
+            WRITER_DEFECTS[defect](graph)
+        with pytest.raises(MalformedGraphError) as exc:
+            serialize(graph)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name", ["uber", "speeding"])
@@ -547,3 +640,40 @@ def test_serialized_text_reaches_the_cursor_only_for_its_header(monkeypatch):
         cursor_lines.clear()
         assert parse(text) == graph
         assert cursor_lines == [text.split("\n", 1)[0]]
+
+
+def round_trip_mutants(rng: random.Random, document: str, count: int):
+    """Copies of document with one line mutated, one line duplicated, or
+    one flow line duplicated with '->' and '<->' swapped."""
+    lines = document.split("\n")
+    flows = [i for i, line in enumerate(lines) if line.startswith("flow ")]
+    for _ in range(count):
+        mutated = list(lines)
+        kind = rng.randrange(3)
+        i = rng.choice(flows) if kind == 2 and flows else rng.randrange(len(lines))
+        if kind == 0:
+            mutated[i] = mutate(rng, lines[i])
+        elif kind == 1 or not flows:
+            mutated.insert(i, lines[i])
+        else:
+            arrows = (" <-> ", " -> ") if " <-> " in lines[i] else (" -> ", " <-> ")
+            mutated.insert(i + rng.randrange(2), lines[i].replace(*arrows))
+        yield "\n".join(mutated)
+
+
+def test_every_parsed_document_round_trips():
+    rng = random.Random(6)
+    documents = [(scenario_text("uber"), 1000), (scenario_text("speeding"), 1000), (RICH, 1000)]
+    documents += [(serialize(build_random_graph(seed)), 40) for seed in range(200)]
+    mutated = accepted = 0
+    for document, count in documents:
+        for text in round_trip_mutants(rng, document, count):
+            mutated += 1
+            try:
+                graph = parse(text)
+            except ParseError:
+                continue
+            accepted += 1
+            assert parse(serialize(graph)) == graph, text
+    assert mutated >= 10000
+    assert 0 < accepted < mutated

@@ -199,3 +199,21 @@ def test_builder_chaining_returns_graph():
     graph = new_scenario("t")
     out = graph.add_entity("a", "P")
     assert out is graph
+
+
+def test_plain_flow_and_pair_cannot_share_a_name():
+    graph = small_graph().add_package(DataPackage("DP3"))
+    graph.add_bidirectional_flow("x", "E3", "app", "car", "DP3")
+    before = snapshot(graph)
+    with pytest.raises(DuplicateIdError) as exc:
+        graph.add_flow("x", "E3", "app", "car", "DP3")
+    assert str(exc.value) == "flow id 'x' already declared as a bidirectional pair"
+    assert snapshot(graph) == before
+
+    graph = small_graph().add_package(DataPackage("DP3"))
+    graph.add_flow("x", "E3", "app", "car", "DP3")
+    before = snapshot(graph)
+    with pytest.raises(DuplicateIdError) as exc:
+        graph.add_bidirectional_flow("x", "E3", "app", "car", "DP3")
+    assert str(exc.value) == "flow id 'x' already declared"
+    assert snapshot(graph) == before
