@@ -19,8 +19,8 @@ built once per query; it recurses once per flow of a trace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from vdse.errors import AnalysisError
 from vdse.graph import InstanceGraph, strongly_connected_components
@@ -43,24 +43,21 @@ __all__ = [
 DEFAULT_MAX_PATH_LEN = 10
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A simple chain of flows; node_ids has one more element than flow_ids."""
 
     flow_ids: tuple
     node_ids: tuple
 
 
-@dataclass(frozen=True)
-class LineageTrace:
+class LineageTrace(NamedTuple):
     """A provenance trace; package_ids[i] is the package of flow_ids[i]."""
 
     flow_ids: tuple
     package_ids: tuple
 
 
-@dataclass(frozen=True)
-class SinkExposure:
+class SinkExposure(NamedTuple):
     """A sink a person's data reaches: its type code, the strict paths that
     reach it and the sorted packages those paths carry."""
 
@@ -70,16 +67,14 @@ class SinkExposure:
     packages: tuple
 
 
-@dataclass(frozen=True)
-class AggregationPoint:
+class AggregationPoint(NamedTuple):
     """An entity that two or more distinct paths from the person reach."""
 
     entity: str
     path_count: int
 
 
-@dataclass(frozen=True)
-class ExposureReport:
+class ExposureReport(NamedTuple):
     """Where a person's data can end up: sinks and aggregation points, each
     sorted by entity id."""
 

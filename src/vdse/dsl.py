@@ -33,6 +33,7 @@ from vdse.graph import (
     DataPackage,
     FlowInstance,
     InstanceGraph,
+    check_entity_attributes,
     new_scenario,
 )
 from vdse.schema import EntityType, INSTANTIABLE_TYPE_CODES, builtin_schema
@@ -519,6 +520,7 @@ def _check_writable(graph: InstanceGraph) -> list[str]:
     if not graph.name:
         raise MalformedGraphError("scenario name must be non-empty")
     check_references(graph)
+    schema = builtin_schema()
     for entity_id, entity in sorted(graph.entities.items()):
         _check_lexicon(entity_id, "entity")
         if not isinstance(entity.entity_type, EntityType) or (
@@ -528,9 +530,20 @@ def _check_writable(graph: InstanceGraph) -> list[str]:
                 f"entity {entity_id!r} has unserializable type {entity.entity_type!r}"
             )
         _check_attrs(entity.attributes)
+        problems = check_entity_attributes(schema, entity.entity_type, entity.attributes)
+        if problems:
+            raise MalformedGraphError(f"entity {entity_id!r}: " + "; ".join(problems))
     packages = _package_order(graph)
     for package_id in packages:
         _check_lexicon(package_id, "package")
+        package = graph.packages[package_id]
+        if len(set(package.derives_from)) < len(package.derives_from):
+            twice = next(p for p in package.derives_from if package.derives_from.count(p) > 1)
+            raise MalformedGraphError(f"package {package_id!r} lists derivation {twice!r} twice")
+        if not isinstance(package.description, str):
+            raise MalformedGraphError(f"package {package_id!r} description must be text")
+        if not all(isinstance(item, str) for item in package.items):
+            raise MalformedGraphError(f"package {package_id!r} items must be text")
     for relation_id, relation in sorted(graph.relations.items()):
         _check_lexicon(relation_id, "relation")
         _check_attrs(relation.attributes)

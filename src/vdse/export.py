@@ -17,12 +17,9 @@ path query results
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from vdse.analysis import ExposureReport, LineageTrace, Path
 from vdse.graph import InstanceGraph
-from vdse.schema import EntityType
+from vdse.schema import EntityType, _Record
 from vdse.validate import ValidationReport, check_references
 
 __all__ = [
@@ -34,19 +31,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExportOptions:
-    """Rendering switches; highlighted paths only make sense for DOT."""
+class ExportOptions(_Record):
+    """Rendering switches; highlighted paths only make sense for DOT.
+    Frozen: assigning or deleting a field raises AttributeError."""
 
-    format: str = "dot"
-    show_packages: bool = False
-    highlight_paths: tuple = ()
+    __slots__ = ("format", "show_packages", "highlight_paths")
 
-    def __post_init__(self):
-        if self.format not in ("dot", "json"):
-            raise ValueError(f"unknown export format {self.format!r}")
-        if self.highlight_paths and self.format != "dot":
+    def __init__(
+        self, format: str = "dot", show_packages: bool = False, highlight_paths: tuple = ()
+    ):
+        if format not in ("dot", "json"):
+            raise ValueError(f"unknown export format {format!r}")
+        if highlight_paths and format != "dot":
             raise ValueError("highlight_paths is only valid with the dot format")
+        for name, value in zip(self.__slots__, (format, show_packages, highlight_paths)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # copy and pickle go through __init__, not __setattr__
+        return ExportOptions, self._values()
 
 
 def _gvquote(text: str) -> str:
@@ -99,6 +110,8 @@ def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> 
 
 
 def _dump(document, pretty: bool) -> str:
+    import json  # only JSON output needs it; a command that writes none skips its import
+
     if pretty:
         return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
     return json.dumps(document, separators=(",", ":"), ensure_ascii=False)

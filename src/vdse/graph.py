@@ -9,7 +9,6 @@ longer being mutated is safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from vdse.errors import (
     AttributeMisuseError,
@@ -20,7 +19,7 @@ from vdse.errors import (
     SelfLoopError,
     UnknownTypeError,
 )
-from vdse.schema import EntityType, TypeGraph, builtin_schema
+from vdse.schema import EntityType, TypeGraph, _Record, builtin_schema
 
 __all__ = [
     "AttrValue",
@@ -48,49 +47,61 @@ _LIST_ATTRS = ("static", "dynamic")
 _VEHICLE_TYPES = (EntityType.VEHICLE, EntityType.VEHICLE_COMPONENT)
 
 
-@dataclass
-class EntityInstance:
+class EntityInstance(_Record):
     """An entity of a scenario: its id, its type and its attributes."""
 
-    id: str
-    entity_type: EntityType
-    attributes: dict = field(default_factory=dict)
+    __slots__ = ("id", "entity_type", "attributes")
+
+    def __init__(self, id: str, entity_type: EntityType, attributes: dict | None = None):
+        self.id = id
+        self.entity_type = entity_type
+        self.attributes = {} if attributes is None else attributes
 
     @property
     def privacy_preserving(self) -> bool:
         return bool(self.attributes.get("privacy_preserving", False))
 
 
-@dataclass
-class DataPackage:
+class DataPackage(_Record):
     """A bundle of data items exchanged over one or more flows."""
 
-    id: str
-    description: str = ""
-    items: list = field(default_factory=list)
-    derives_from: tuple = ()
+    __slots__ = ("id", "description", "items", "derives_from")
+
+    def __init__(
+        self, id: str, description: str = "", items: list | None = None, derives_from: tuple = ()
+    ):
+        self.id = id
+        self.description = description
+        self.items = [] if items is None else items
+        self.derives_from = derives_from
 
 
-@dataclass
-class SemanticRelationInstance:
+class SemanticRelationInstance(_Record):
     """A named semantic relation from one entity to another."""
 
-    id: str
-    relation: str
-    source: str
-    target: str
-    attributes: dict = field(default_factory=dict)
+    __slots__ = ("id", "relation", "source", "target", "attributes")
+
+    def __init__(
+        self, id: str, relation: str, source: str, target: str, attributes: dict | None = None
+    ):
+        self.id = id
+        self.relation = relation
+        self.source = source
+        self.target = target
+        self.attributes = {} if attributes is None else attributes
 
 
-@dataclass
-class FlowInstance:
+class FlowInstance(_Record):
     """A directed data flow carrying exactly one package."""
 
-    id: str
-    edge_type: str
-    source: str
-    target: str
-    package: str
+    __slots__ = ("id", "edge_type", "source", "target", "package")
+
+    def __init__(self, id: str, edge_type: str, source: str, target: str, package: str):
+        self.id = id
+        self.edge_type = edge_type
+        self.source = source
+        self.target = target
+        self.package = package
 
 
 def _check_identifier(id_: str, kind: str) -> None:
@@ -153,15 +164,24 @@ def _validated_attrs(schema: TypeGraph, entity_type: EntityType | None, attribut
     return attrs
 
 
-@dataclass
-class InstanceGraph:
+class InstanceGraph(_Record):
     """A named scenario over the built-in type graph."""
 
-    name: str
-    entities: dict = field(default_factory=dict)
-    relations: dict = field(default_factory=dict)
-    flows: dict = field(default_factory=dict)
-    packages: dict = field(default_factory=dict)
+    __slots__ = ("name", "entities", "relations", "flows", "packages")
+
+    def __init__(
+        self,
+        name: str,
+        entities: dict | None = None,
+        relations: dict | None = None,
+        flows: dict | None = None,
+        packages: dict | None = None,
+    ):
+        self.name = name
+        self.entities = {} if entities is None else entities
+        self.relations = {} if relations is None else relations
+        self.flows = {} if flows is None else flows
+        self.packages = {} if packages is None else packages
 
     # -- entities ---------------------------------------------------------
 

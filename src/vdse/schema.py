@@ -6,8 +6,8 @@ graphs are validated against it but never extend it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from vdse.errors import UnknownTypeError
 
@@ -94,8 +94,29 @@ INSTANTIABLE_TYPE_CODES: tuple[str, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class FlowEdgeType:
+class _Record:
+    """Base of the record classes with slots: the fields are the subclass's
+    __slots__, each subclass writes its own __init__, and records compare
+    and print like dataclasses. Unhashable unless a subclass defines
+    __hash__, as only the frozen ExportOptions does."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FlowEdgeType(NamedTuple):
     """A data-flow edge type between two entity types."""
 
     id: str
@@ -108,8 +129,7 @@ class FlowEdgeType:
         return "bi" if self.bidirectional else "uni"
 
 
-@dataclass(frozen=True)
-class SemanticRelationType:
+class SemanticRelationType(NamedTuple):
     """A named semantic relation with its admissible endpoint pairs."""
 
     name: str
@@ -117,14 +137,22 @@ class SemanticRelationType:
     required_attributes: frozenset[str] = frozenset()
 
 
-@dataclass
-class TypeGraph:
+class TypeGraph(_Record):
     """The fixed registry of types. Treat instances as immutable."""
 
-    entity_types: frozenset[EntityType]
-    subclass_parent: dict[EntityType, EntityType]
-    semantic_relations: dict[str, SemanticRelationType]
-    flow_edge_types: dict[str, FlowEdgeType]
+    __slots__ = ("entity_types", "subclass_parent", "semantic_relations", "flow_edge_types")
+
+    def __init__(
+        self,
+        entity_types: frozenset[EntityType],
+        subclass_parent: dict[EntityType, EntityType],
+        semantic_relations: dict[str, SemanticRelationType],
+        flow_edge_types: dict[str, FlowEdgeType],
+    ):
+        self.entity_types = entity_types
+        self.subclass_parent = subclass_parent
+        self.semantic_relations = semantic_relations
+        self.flow_edge_types = flow_edge_types
 
     def is_subtype(self, child: EntityType | str, parent: EntityType | str) -> bool:
         """True when child equals parent or is its direct subclass."""

@@ -8,12 +8,12 @@ untrusted sources.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from vdse.errors import MalformedGraphError
 from vdse.graph import InstanceGraph, check_entity_attributes, strongly_connected_components
-from vdse.schema import EntityType, TypeGraph, builtin_schema
+from vdse.schema import EntityType, TypeGraph, _Record, builtin_schema
 
 __all__ = ["ViolationCode", "Violation", "ValidationReport", "validate"]
 
@@ -42,8 +42,7 @@ _OWNERSHIP_EDGE_TYPES = frozenset({"E8", "E9", "E17", "E19"})
 _OCCUPY_ROLES = frozenset({"driver", "passenger"})
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One finding: its code, the id it concerns and a message."""
 
     code: ViolationCode
@@ -55,12 +54,14 @@ class Violation:
         return "warning" if self.code in _WARNING_CODES else "error"
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(_Record):
     """Every violation found in a scenario, in the validator's order."""
 
-    scenario: str
-    violations: list = field(default_factory=list)
+    __slots__ = ("scenario", "violations")
+
+    def __init__(self, scenario: str, violations: list | None = None):
+        self.scenario = scenario
+        self.violations = [] if violations is None else violations
 
     @property
     def errors(self) -> list:

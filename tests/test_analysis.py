@@ -1,8 +1,6 @@
 """Path enumeration, lineage traces, reachability, exposure reports."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from conftest import brute_force_lineage, build_random_graph, derivation_closure, sample_pairs
@@ -21,7 +19,7 @@ from vdse.analysis import (
 )
 from vdse.dsl import parse, serialize
 from vdse.errors import AnalysisError
-from vdse.graph import DataPackage, new_scenario
+from vdse.graph import DataPackage, FlowInstance, new_scenario
 from vdse.scenarios import load_scenario
 from vdse.schema import EntityType
 
@@ -312,7 +310,10 @@ def test_lineage_matches_oracle_on_seeded_graphs(seed):
 def with_undeclared_packages(graph):
     """Every third flow carries a package no declaration names."""
     for flow_id in sorted(graph.flows)[::3]:
-        graph.flows[flow_id] = replace(graph.flows[flow_id], package="ghost")
+        flow = graph.flows[flow_id]
+        graph.flows[flow_id] = FlowInstance(
+            flow.id, flow.edge_type, flow.source, flow.target, "ghost"
+        )
     return graph
 
 
@@ -320,7 +321,8 @@ def with_dangling_derivation(graph):
     """The undeclared package above, and a declared one deriving from it."""
     graph = with_undeclared_packages(graph)
     last = max(graph.packages)
-    graph.packages[last] = replace(graph.packages[last], derives_from=("ghost",))
+    package = graph.packages[last]
+    graph.packages[last] = DataPackage(package.id, package.description, package.items, ("ghost",))
     return graph
 
 

@@ -357,13 +357,29 @@ def test_fmt_leaves_unserializable_file_alone(tmp_path):
     assert path.read_bytes() == text.encode("utf-8")
 
 
-def _python_m_vdse(*args):
+def _python(*args):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(vdse.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "vdse", *args], capture_output=True, env=env, timeout=60
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+
+
+def _python_m_vdse(*args):
+    return _python("-m", "vdse", *args)
+
+
+def test_cold_import_of_the_cli_loads_no_heavy_modules():
+    # dataclasses (with inspect, ast, dis and tokenize) and json cost every
+    # command several milliseconds of start-up.
+    done = _python(
+        "-c",
+        "import sys; before = set(sys.modules); import vdse.cli; "
+        "print(*sorted(set(sys.modules) - before))",
     )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.decode().split())
+    assert "vdse.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}
 
 
 def test_python_m_vdse_schema_matches_run():

@@ -264,6 +264,38 @@ def test_serialize_rejects_dangling_and_bad_ids():
     assert "not a serializable identifier" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (
+            lambda g: g.entities.update(
+                x=EntityInstance("x", EntityType.PERSON, {"static": ["a"]})
+            ),
+            "entity 'x': 'static' is only allowed on V or VC entities",
+        ),
+        (
+            lambda g: g.packages.update(q=DataPackage("q", derives_from=("p", "p"))),
+            "package 'q' lists derivation 'p' twice",
+        ),
+        (
+            lambda g: g.packages.update(q=DataPackage("q", description=None)),
+            "package 'q' description must be text",
+        ),
+        (
+            lambda g: g.packages.update(q=DataPackage("q", items=["a", 2])),
+            "package 'q' items must be text",
+        ),
+    ],
+    ids=["reserved_attribute", "derivation_twice", "description", "items"],
+)
+def test_serialize_rejects_what_parse_would_not_read_back(defect, message):
+    graph = new_scenario("t").add_entity("a", "V").add_package(DataPackage("p"))
+    defect(graph)
+    with pytest.raises(MalformedGraphError) as exc:
+        serialize(graph)
+    assert str(exc.value) == message
+
+
 # Defects written straight into the maps of a well-formed graph, one per
 # check serialize makes.
 WRITER_DEFECTS = {
@@ -276,11 +308,14 @@ WRITER_DEFECTS = {
         a0=EntityInstance("a0", EntityType.DATA_PACKAGE)
     ),
     "attribute_key": lambda g: g.entities["b"].attributes.update({"bad key": "v"}),
+    "reserved_attribute": lambda g: g.entities["b"].attributes.update(category="fleet"),
     "attribute_value": lambda g: g.relations["r"].attributes.update(n=3),
     "derivation_cycle": lambda g: g.packages.update(
         p=DataPackage("p", derives_from=("q",)), q=DataPackage("q", derives_from=("p",))
     ),
     "package_id": lambda g: g.packages.update({"bad id": DataPackage("bad id")}),
+    "derivation_twice": lambda g: g.packages.update(w=DataPackage("w", derives_from=("d", "d"))),
+    "package_text": lambda g: g.packages.update(n=DataPackage("n", description=3)),
     "relation_id": lambda g: g.relations.update(
         {"bad id": SemanticRelationInstance("bad id", "ownedBy", "a", "b")}
     ),
@@ -290,6 +325,7 @@ WRITER_DEFECTS = {
 }
 
 _BAD_ID = "is not a serializable identifier"
+_RESERVED = "entity 'b': 'category' is only allowed on O, G, or SP entities"
 
 
 @pytest.mark.parametrize(
@@ -314,6 +350,19 @@ _BAD_ID = "is not a serializable identifier"
             "the serialized form would not round-trip",
         ),
         (("flow_id", "unpaired"), f"flow id 'bad id' {_BAD_ID}"),
+        (
+            ("dangling_endpoint", "reserved_attribute"),
+            "flow 'f' references unknown entity 'ghost'",
+        ),
+        (("attribute_key", "reserved_attribute"), f"attribute id 'bad key' {_BAD_ID}"),
+        (("reserved_attribute", "derivation_cycle"), _RESERVED),
+        (("entity_id", "reserved_attribute"), _RESERVED),
+        (("derivation_cycle", "derivation_twice"), "package derivations contain a cycle"),
+        (("package_id", "derivation_twice"), f"package id 'bad id' {_BAD_ID}"),
+        (("derivation_twice", "relation_id"), "package 'w' lists derivation 'd' twice"),
+        (("package_text", "derivation_twice"), "package 'n' description must be text"),
+        (("package_id", "package_text"), f"package id 'bad id' {_BAD_ID}"),
+        (("package_text", "attribute_value"), "package 'n' description must be text"),
     ],
 )
 def test_serialize_reports_the_first_defect_in_check_order(defects, message):
