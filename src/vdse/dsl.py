@@ -10,7 +10,14 @@ A statement line in the single-space form that `serialize` emits is
 executed from one whole-line regex match. Every other line, and any line
 the fast path declines, goes through the tokenizer and a token cursor,
 which is the only code that reports a ParseError. Both paths build the
-same graph from any line the fast path accepts.
+same graph from any line the fast path accepts, and both hand each
+statement to the graph's private insert for its record kind. The grammar
+has already proved what the public InstanceGraph methods would check on a
+caller's input: the ids match IDENT, the type code is instantiable, and
+each attribute map is fresh, well-shaped and free of repeated keys. The
+insert keeps the checks that only the graph can make: duplicate ids and
+flow pairs, dangling entities and packages, self-loops, edge types and
+relation names, and the meaning of reserved attributes.
 
 `serialize` emits the canonical form: sections in a fixed order, each
 sorted by id, attribute keys sorted, and paired `.fwd`/`.rev` flows
@@ -30,7 +37,6 @@ from vdse.errors import GraphError, MalformedGraphError, ParseError
 from vdse.graph import (
     IDENT,
     IDENT_RE,
-    DataPackage,
     FlowInstance,
     InstanceGraph,
     check_entity_attributes,
@@ -42,8 +48,7 @@ from vdse.validate import check_references
 __all__ = ["parse", "serialize"]
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-_UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-_QUOTE_TABLE = str.maketrans(_UNESCAPES)
+_ENTITY_TYPES = {code: EntityType(code) for code in INSTANTIABLE_TYPE_CODES}
 _ESCAPE_RE = re.compile(r"\\(.)")
 # A string without, and with, its closing quote; the tokenizer and the
 # statement patterns share them.
@@ -213,13 +218,12 @@ def _parse_entity(stmt: _Statement, graph: InstanceGraph) -> None:
     id_token = stmt.ident("entity id")
     stmt.punct(":")
     type_token = stmt.word("entity type code")
-    if type_token.value not in INSTANTIABLE_TYPE_CODES:
+    etype = _ENTITY_TYPES.get(type_token.value)
+    if etype is None:
         raise stmt.error(f"unknown entity type code {type_token.value!r}", type_token)
     attrs = _parse_attrs(stmt) if stmt.at_punct("{") else {}
     stmt.done()
-    _wrap_build(
-        stmt, id_token, lambda: graph.add_entity(id_token.value, type_token.value, attrs)
-    )
+    _wrap_build(stmt, id_token, lambda: graph._insert_entity(id_token.value, etype, attrs))
 
 
 def _parse_package(stmt: _Statement, graph: InstanceGraph) -> None:
@@ -249,8 +253,11 @@ def _parse_package(stmt: _Statement, graph: InstanceGraph) -> None:
                 continue
             break
     stmt.done()
-    package = DataPackage(id_token.value, description, items, tuple(derives))
-    _wrap_build(stmt, id_token, lambda: graph.add_package(package))
+    _wrap_build(
+        stmt,
+        id_token,
+        lambda: graph._insert_package(id_token.value, description, items, derives),
+    )
 
 
 def _parse_relation(stmt: _Statement, graph: InstanceGraph) -> None:
@@ -270,7 +277,7 @@ def _parse_relation(stmt: _Statement, graph: InstanceGraph) -> None:
     _wrap_build(
         stmt,
         id_token,
-        lambda: graph.add_semantic_relation(
+        lambda: graph._insert_relation(
             id_token.value, name_token.value, source.value, target.value, attrs
         ),
     )
@@ -299,11 +306,13 @@ def _parse_flow(stmt: _Statement, graph: InstanceGraph) -> None:
     if package.value not in graph.packages:
         raise stmt.error(f"undeclared package {package.value!r}", package)
     stmt.done()
-    add = graph.add_flow if arrow.value == "->" else graph.add_bidirectional_flow
+    insert = graph._insert_flow if arrow.value == "->" else graph._insert_bidirectional_flow
     _wrap_build(
         stmt,
         id_token,
-        lambda: add(id_token.value, edge_token.value, source.value, target.value, package.value),
+        lambda: insert(
+            id_token.value, edge_token.value, source.value, target.value, package.value
+        ),
     )
 
 
@@ -344,12 +353,14 @@ def _parse_line(text: str, lineno: int, graph: InstanceGraph | None) -> Instance
 #
 # One whole-line pattern per statement keyword, for the single-space form
 # that serialize emits. A matched line is executed straight from its groups
-# by the graph method the cursor calls. That method checks ids, references,
-# relation names, edge types and self-loops, and a GraphError leaves the
-# graph as it was; the fast path itself checks only what the method would
-# let through: the type code (the method also takes display names) and
-# repeated attribute keys. A line that does not match, fails a check or is
-# rejected goes to _parse_line, which executes it or diagnoses it.
+# by the graph insert the cursor calls. The patterns prove every id, so the
+# fast path itself checks only what no pattern can: that the type code is
+# instantiable, and that the items of an attribute map are well formed and
+# no key repeats. The insert checks duplicate ids and flow pairs, dangling
+# references, relation names, edge types, self-loops and reserved
+# attributes, and a GraphError from it leaves the graph as it was. A line
+# that does not match, fails a check or is rejected goes to _parse_line,
+# which executes it or diagnoses it.
 
 _STRINGS = rf"{_STRING}(?:, {_STRING})*"
 # One item of an attribute map and the ", " before the next.
@@ -397,17 +408,18 @@ def _attr_map(text: str | None) -> dict | None:
 
 def _fast_entity(graph: InstanceGraph, id_, code, attrs) -> bool:
     attrs = _attr_map(attrs)
-    if attrs is None or code not in INSTANTIABLE_TYPE_CODES:
+    etype = _ENTITY_TYPES.get(code)
+    if attrs is None or etype is None:
         return False
-    graph.add_entity(id_, code, attrs)
+    graph._insert_entity(id_, etype, attrs)
     return True
 
 
 def _fast_package(graph: InstanceGraph, id_, description, items, derives) -> bool:
     description = _unquote(description) if description else ""
     items = _strings(items) if items else []
-    derives = tuple(derives.split(", ")) if derives else ()
-    graph.add_package(DataPackage(id_, description, items, derives))
+    derives = derives.split(", ") if derives else ()
+    graph._insert_package(id_, description, items, derives)
     return True
 
 
@@ -415,13 +427,13 @@ def _fast_relation(graph: InstanceGraph, id_, name, source, target, attrs) -> bo
     attrs = _attr_map(attrs)
     if attrs is None:
         return False
-    graph.add_semantic_relation(id_, name, source, target, attrs)
+    graph._insert_relation(id_, name, source, target, attrs)
     return True
 
 
 def _fast_flow(graph: InstanceGraph, id_, edge, source, arrow, target, package) -> bool:
-    add = graph.add_flow if arrow == "->" else graph.add_bidirectional_flow
-    add(id_, edge, source, target, package)
+    insert = graph._insert_flow if arrow == "->" else graph._insert_bidirectional_flow
+    insert(id_, edge, source, target, package)
     return True
 
 
@@ -470,16 +482,33 @@ def parse(source: str) -> InstanceGraph:
 
 
 def _quote(text: str) -> str:
-    return '"' + text.translate(_QUOTE_TABLE) + '"'
+    # A chain of replace calls, backslash first: str.translate with a table
+    # that maps characters to two-character strings takes CPython's slow
+    # per-character path, two to four times slower on typical values.
+    return (
+        '"'
+        + text.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\t", "\\t")
+        .replace("\r", "\\r")
+        + '"'
+    )
 
 
 def _check_lexicon(id_: str, kind: str) -> None:
-    if not IDENT_RE.match(id_):
+    if not isinstance(id_, str) or not IDENT_RE.match(id_):
         raise MalformedGraphError(f"{kind} id {id_!r} is not a serializable identifier")
 
 
-def _check_attrs(attrs: dict) -> None:
-    for key in sorted(attrs):
+def _check_attrs(owner: str, attrs: dict) -> None:
+    if not isinstance(attrs, dict):
+        raise MalformedGraphError(
+            f"{owner} attributes must be a map, not {type(attrs).__name__}"
+        )
+    # key=str orders text keys as plain sorting does, and keys that are not
+    # text without raising, so that _check_lexicon reports them.
+    for key in sorted(attrs, key=str):
         _check_lexicon(key, "attribute")
         value = attrs[key]
         if not isinstance(value, (bool, str)) and not (
@@ -529,10 +558,13 @@ def _check_writable(graph: InstanceGraph) -> list[str]:
             raise MalformedGraphError(
                 f"entity {entity_id!r} has unserializable type {entity.entity_type!r}"
             )
-        _check_attrs(entity.attributes)
-        problems = check_entity_attributes(schema, entity.entity_type, entity.attributes)
-        if problems:
-            raise MalformedGraphError(f"entity {entity_id!r}: " + "; ".join(problems))
+        # An empty map is written as none; anything else that is not a
+        # non-empty map must still reach _check_attrs and be refused.
+        if entity.attributes != {}:
+            _check_attrs(f"entity {entity_id!r}", entity.attributes)
+            problems = check_entity_attributes(schema, entity.entity_type, entity.attributes)
+            if problems:
+                raise MalformedGraphError(f"entity {entity_id!r}: " + "; ".join(problems))
     packages = _package_order(graph)
     for package_id in packages:
         _check_lexicon(package_id, "package")
@@ -546,7 +578,8 @@ def _check_writable(graph: InstanceGraph) -> list[str]:
             raise MalformedGraphError(f"package {package_id!r} items must be text")
     for relation_id, relation in sorted(graph.relations.items()):
         _check_lexicon(relation_id, "relation")
-        _check_attrs(relation.attributes)
+        if relation.attributes != {}:
+            _check_attrs(f"relation {relation_id!r}", relation.attributes)
     # Every flow id is an identifier or the .fwd/.rev half of one, no plain
     # id is also the base of a pair, and the halves of a pair mirror each other.
     plain: list[str] = []

@@ -5,6 +5,22 @@ data flows, and the data packages those flows carry. Mutations are
 atomic: every precondition is checked before anything is inserted, so a
 raised GraphError leaves the graph exactly as it was. A graph that is no
 longer being mutated is safe to share across threads.
+
+Each record kind has one private insert (`_insert_entity`,
+`_insert_package`, `_insert_relation`, `_insert_flow`,
+`_insert_bidirectional_flow`). It makes the checks that a parsed statement
+does not prove by its grammar: duplicate ids, a plain flow id against a
+`.fwd`/`.rev` pair, dangling entities and packages, self-loops, unknown
+edge types and relation names, the DP type, and what reserved attributes
+mean. It stores the maps and lists it is given. The public `add_*`
+methods add the checks on what only a caller can get wrong: the id,
+the entity type (a code, a display name or a member), and the shape of
+attribute maps and package content. Those last checks run inside the
+insert, when `from_caller` is set, at the point where they have always
+run, so a call with two defects raises the same error either way; a
+caller's maps and lists are then copied. `dsl.parse` calls the inserts
+directly: its grammar has proved the ids and built fresh, well-shaped
+maps.
 """
 from __future__ import annotations
 
@@ -153,14 +169,13 @@ def check_entity_attributes(
     return problems
 
 
-def _validated_attrs(schema: TypeGraph, entity_type: EntityType | None, attributes: dict) -> dict:
+def _caller_attrs(attributes) -> dict:
+    """A checked copy of a caller's attribute map; list values are copied too."""
     attrs = dict(attributes or {})
     for key, value in attrs.items():
         _check_attr_shape(key, value)
-    if entity_type is not None:
-        problems = check_entity_attributes(schema, entity_type, attrs)
-        if problems:
-            raise AttributeMisuseError("; ".join(problems))
+        if isinstance(value, list):
+            attrs[key] = list(value)
     return attrs
 
 
@@ -188,9 +203,14 @@ class InstanceGraph(_Record):
     def add_entity(
         self, id_: str, entity_type: EntityType | str, attributes: dict | None = None
     ) -> "InstanceGraph":
-        schema = builtin_schema()
         _check_identifier(id_, "entity")
-        etype = EntityType.coerce(entity_type)
+        return self._insert_entity(
+            id_, EntityType.coerce(entity_type), attributes, from_caller=True
+        )
+
+    def _insert_entity(
+        self, id_: str, etype: EntityType, attrs: dict, *, from_caller: bool = False
+    ) -> "InstanceGraph":
         if etype is EntityType.DATA_PACKAGE:
             raise UnknownTypeError(
                 "DataPackage is not an instantiable entity type; "
@@ -198,7 +218,12 @@ class InstanceGraph(_Record):
             )
         if id_ in self.entities:
             raise DuplicateIdError(f"entity id {id_!r} already declared")
-        attrs = _validated_attrs(schema, etype, attributes or {})
+        if from_caller:
+            attrs = _caller_attrs(attrs)
+        if attrs:
+            problems = check_entity_attributes(builtin_schema(), etype, attrs)
+            if problems:
+                raise AttributeMisuseError("; ".join(problems))
         self.entities[id_] = EntityInstance(id_, etype, attrs)
         return self
 
@@ -208,30 +233,41 @@ class InstanceGraph(_Record):
         """Register a package. Derivations must point at existing packages,
         which keeps the derivation relation acyclic by construction."""
         _check_identifier(package.id, "package")
-        if package.id in self.packages:
-            raise DuplicateIdError(f"package id {package.id!r} already declared")
-        if not isinstance(package.description, str):
-            raise AttributeMisuseError("package description must be text")
-        if not all(isinstance(i, str) for i in package.items):
-            raise AttributeMisuseError("package items must be text")
+        return self._insert_package(
+            package.id,
+            package.description,
+            package.items,
+            package.derives_from,
+            from_caller=True,
+        )
+
+    def _insert_package(
+        self,
+        id_: str,
+        description: str,
+        items: list,
+        derives_from: tuple,
+        *,
+        from_caller: bool = False,
+    ) -> "InstanceGraph":
+        if id_ in self.packages:
+            raise DuplicateIdError(f"package id {id_!r} already declared")
+        if from_caller:
+            if not isinstance(description, str):
+                raise AttributeMisuseError("package description must be text")
+            if not all(isinstance(i, str) for i in items):
+                raise AttributeMisuseError("package items must be text")
+            items = list(items)
         seen: set[str] = set()
-        for ancestor in package.derives_from:
+        for ancestor in derives_from:
             if ancestor in seen:
-                raise PackageConflictError(
-                    f"package {package.id!r} lists derivation {ancestor!r} twice"
-                )
+                raise PackageConflictError(f"package {id_!r} lists derivation {ancestor!r} twice")
             seen.add(ancestor)
             if ancestor not in self.packages:
                 raise DanglingReferenceError(
-                    f"package {package.id!r} derives from unknown package {ancestor!r}"
+                    f"package {id_!r} derives from unknown package {ancestor!r}"
                 )
-        stored = DataPackage(
-            package.id,
-            package.description,
-            list(package.items),
-            tuple(sorted(package.derives_from)),
-        )
-        self.packages[package.id] = stored
+        self.packages[id_] = DataPackage(id_, description, items, tuple(sorted(derives_from)))
         return self
 
     def _resolve_package(self, package: "DataPackage | str", flow_id: str) -> str:
@@ -280,6 +316,11 @@ class InstanceGraph(_Record):
         package: "DataPackage | str",
     ) -> "InstanceGraph":
         _check_identifier(id_, "flow")
+        return self._insert_flow(id_, edge_type, source, target, package)
+
+    def _insert_flow(
+        self, id_: str, edge_type: str, source: str, target: str, package: "DataPackage | str"
+    ) -> "InstanceGraph":
         if f"{id_}.fwd" in self.flows or f"{id_}.rev" in self.flows:
             raise DuplicateIdError(f"flow id {id_!r} already declared as a bidirectional pair")
         self._check_flow(id_, edge_type, source, target)
@@ -300,6 +341,11 @@ class InstanceGraph(_Record):
         and add_flow refuses `<id>` once the pair does, so that the pair
         always serializes as one `<->` statement."""
         _check_identifier(id_, "flow")
+        return self._insert_bidirectional_flow(id_, edge_type, source, target, package)
+
+    def _insert_bidirectional_flow(
+        self, id_: str, edge_type: str, source: str, target: str, package: "DataPackage | str"
+    ) -> "InstanceGraph":
         if id_ in self.flows:
             raise DuplicateIdError(f"flow id {id_!r} already declared")
         fwd, rev = f"{id_}.fwd", f"{id_}.rev"
@@ -321,6 +367,20 @@ class InstanceGraph(_Record):
         attributes: dict | None = None,
     ) -> "InstanceGraph":
         _check_identifier(id_, "relation")
+        return self._insert_relation(
+            id_, relation, source, target, attributes, from_caller=True
+        )
+
+    def _insert_relation(
+        self,
+        id_: str,
+        relation: str,
+        source: str,
+        target: str,
+        attrs: dict,
+        *,
+        from_caller: bool = False,
+    ) -> "InstanceGraph":
         if relation not in builtin_schema().semantic_relations:
             raise UnknownTypeError(f"unknown semantic relation {relation!r}")
         if id_ in self.relations:
@@ -330,7 +390,8 @@ class InstanceGraph(_Record):
                 raise DanglingReferenceError(
                     f"relation {id_!r} references unknown entity {endpoint!r}"
                 )
-        attrs = _validated_attrs(builtin_schema(), None, attributes or {})
+        if from_caller:
+            attrs = _caller_attrs(attrs)
         self.relations[id_] = SemanticRelationInstance(id_, relation, source, target, attrs)
         return self
 

@@ -167,8 +167,24 @@ def check_references(graph: InstanceGraph) -> None:
         raise MalformedGraphError(min(problems, key=_order).message)
 
 
+def _is_map(item, out: list) -> bool:
+    """Report the attributes of an entity or relation unless they are a
+    map; true when they are."""
+    if isinstance(item.attributes, dict):
+        return True
+    out.append(
+        Violation(
+            ViolationCode.ATTRIBUTE_MISUSE,
+            item.id,
+            f"attributes must be a map, not {type(item.attributes).__name__}",
+        )
+    )
+    return False
+
+
 def _check_entities(schema: TypeGraph, graph: InstanceGraph, out: list) -> None:
     for entity in graph.entities.values():
+        is_map = _is_map(entity, out)
         if not isinstance(entity.entity_type, EntityType):
             out.append(
                 Violation(
@@ -187,8 +203,9 @@ def _check_entities(schema: TypeGraph, graph: InstanceGraph, out: list) -> None:
                 )
             )
             continue
-        for problem in check_entity_attributes(schema, entity.entity_type, entity.attributes):
-            out.append(Violation(ViolationCode.ATTRIBUTE_MISUSE, entity.id, problem))
+        if is_map and entity.attributes:
+            for problem in check_entity_attributes(schema, entity.entity_type, entity.attributes):
+                out.append(Violation(ViolationCode.ATTRIBUTE_MISUSE, entity.id, problem))
 
 
 def _check_packages(graph: InstanceGraph, out: list) -> None:
@@ -207,8 +224,9 @@ def _check_packages(graph: InstanceGraph, out: list) -> None:
 def _check_relations(relations: list, out: list) -> None:
     part_of_edges: dict[str, set[str]] = {}
     for relation in relations:
+        is_map = _is_map(relation, out)
         if relation.relation == "occupy":
-            role = relation.attributes.get("role")
+            role = relation.attributes.get("role") if is_map else None
             if role not in _OCCUPY_ROLES:
                 detail = "has no 'role'" if role is None else f"has invalid role {role!r}"
                 out.append(
@@ -239,8 +257,33 @@ def _owner_pairs(graph: InstanceGraph) -> set[tuple[str, str]]:
     }
 
 
+def _flow_verdict(schema: TypeGraph, edge_type: str, src_type, dst_type) -> tuple | None:
+    """None when a flow of edge_type from an entity of src_type to one of
+    dst_type conforms; otherwise its violation code and message."""
+    if schema.flow_conforms(edge_type, src_type, dst_type):
+        return None
+    edge = schema.flow_edge_types[edge_type]
+    reversed_fits = schema.is_subtype(src_type, edge.target) and schema.is_subtype(
+        dst_type, edge.source
+    )
+    if not edge.bidirectional and reversed_fits:
+        return (
+            ViolationCode.DIRECTION_VIOLATION,
+            f"uni-directional {edge.id} "
+            f"({edge.source.code} -> {edge.target.code}) used in reverse",
+        )
+    return (
+        ViolationCode.ENDPOINT_MISMATCH,
+        f"{edge.id} connects {edge.source.code} and {edge.target.code}; "
+        f"got {src_type.code} -> {dst_type.code}",
+    )
+
+
 def _check_flows(schema: TypeGraph, graph: InstanceGraph, flows: list, out: list) -> None:
     owned_by = _owner_pairs(graph)
+    # Conformance depends only on the edge type and the endpoint types, and
+    # a scenario has few such shapes: decide each once.
+    verdicts: dict[tuple, tuple | None] = {}
     for flow in flows:
         if flow.source == flow.target:
             out.append(
@@ -255,29 +298,12 @@ def _check_flows(schema: TypeGraph, graph: InstanceGraph, flows: list, out: list
         dst_type = graph.entities[flow.target].entity_type
         if not isinstance(src_type, EntityType) or not isinstance(dst_type, EntityType):
             continue  # the entity check already reported it
-        edge = schema.flow_edge_types[flow.edge_type]
-        if not schema.flow_conforms(flow.edge_type, src_type, dst_type):
-            reversed_fits = schema.is_subtype(src_type, edge.target) and schema.is_subtype(
-                dst_type, edge.source
-            )
-            if not edge.bidirectional and reversed_fits:
-                out.append(
-                    Violation(
-                        ViolationCode.DIRECTION_VIOLATION,
-                        flow.id,
-                        f"uni-directional {edge.id} "
-                        f"({edge.source.code} -> {edge.target.code}) used in reverse",
-                    )
-                )
-            else:
-                out.append(
-                    Violation(
-                        ViolationCode.ENDPOINT_MISMATCH,
-                        flow.id,
-                        f"{edge.id} connects {edge.source.code} and {edge.target.code}; "
-                        f"got {src_type.code} -> {dst_type.code}",
-                    )
-                )
+        shape = (flow.edge_type, src_type, dst_type)
+        if shape not in verdicts:
+            verdicts[shape] = _flow_verdict(schema, *shape)
+        verdict = verdicts[shape]
+        if verdict is not None:
+            out.append(Violation(verdict[0], flow.id, verdict[1]))
             continue
         if flow.edge_type in _OWNERSHIP_EDGE_TYPES and (flow.target, flow.source) in owned_by:
             out.append(

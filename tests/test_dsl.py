@@ -264,6 +264,12 @@ def test_serialize_rejects_dangling_and_bad_ids():
     assert "not a serializable identifier" in str(exc.value)
 
 
+def relation_with_attributes(attributes):
+    relation = SemanticRelationInstance("r", "ownedBy", "a", "a")
+    relation.attributes = attributes
+    return relation
+
+
 @pytest.mark.parametrize(
     "defect, message",
     [
@@ -285,8 +291,43 @@ def test_serialize_rejects_dangling_and_bad_ids():
             lambda g: g.packages.update(q=DataPackage("q", items=["a", 2])),
             "package 'q' items must be text",
         ),
+        (
+            lambda g: setattr(g.entities["a"], "attributes", None),
+            "entity 'a' attributes must be a map, not NoneType",
+        ),
+        (
+            lambda g: setattr(g.entities["a"], "attributes", []),
+            "entity 'a' attributes must be a map, not list",
+        ),
+        (
+            lambda g: g.entities["a"].attributes.update({1: "a"}),
+            "attribute id 1 is not a serializable identifier",
+        ),
+        (
+            lambda g: g.entities["a"].attributes.update({"b": "c", 1: "a"}),
+            "attribute id 1 is not a serializable identifier",
+        ),
+        (
+            lambda g: g.relations.update(r=relation_with_attributes(None)),
+            "relation 'r' attributes must be a map, not NoneType",
+        ),
+        (
+            lambda g: g.relations.update(r=relation_with_attributes({("k",): "v"})),
+            "attribute id ('k',) is not a serializable identifier",
+        ),
     ],
-    ids=["reserved_attribute", "derivation_twice", "description", "items"],
+    ids=[
+        "reserved_attribute",
+        "derivation_twice",
+        "description",
+        "items",
+        "entity_attributes_none",
+        "entity_attributes_list",
+        "attribute_key_not_text",
+        "attribute_keys_mixed",
+        "relation_attributes_none",
+        "relation_attribute_key_tuple",
+    ],
 )
 def test_serialize_rejects_what_parse_would_not_read_back(defect, message):
     graph = new_scenario("t").add_entity("a", "V").add_package(DataPackage("p"))

@@ -1,6 +1,8 @@
 """Instance graph construction: reference checks, atomicity, attributes."""
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from vdse.errors import (
@@ -217,3 +219,255 @@ def test_plain_flow_and_pair_cannot_share_a_name():
         graph.add_bidirectional_flow("x", "E3", "app", "car", "DP3")
     assert str(exc.value) == "flow id 'x' already declared"
     assert snapshot(graph) == before
+
+
+def defect_graph():
+    """A graph with one of each record, for calls that carry two defects."""
+    graph = small_graph().add_package(DataPackage("DP1"))
+    graph.add_flow("f", "E1", "driver", "car", "DP1")
+    graph.add_bidirectional_flow("x", "E3", "app", "car", "DP1")
+    graph.add_semantic_relation("r1", "occupy", "driver", "car", {"role": "driver"})
+    return graph
+
+
+# Calls with two (or more) defects, the error that wins and its message.
+# The public methods check in a fixed order; a parser or a caller that sees
+# only the first error must see the same one whatever else is wrong.
+TWO_DEFECT_CALLS = {
+    "entity_bad_id_and_dp_type": (
+        lambda g: g.add_entity("1x", "DP"),
+        IdentifierError,
+        "invalid entity id '1x'",
+    ),
+    "entity_bad_id_and_duplicate_key": (
+        lambda g: g.add_entity("car x", "V", {"bad key": "v"}),
+        IdentifierError,
+        "invalid entity id 'car x'",
+    ),
+    "entity_unknown_type_and_duplicate": (
+        lambda g: g.add_entity("car", "NOPE"),
+        UnknownTypeError,
+        "unknown entity type code 'NOPE'",
+    ),
+    "entity_dp_type_and_duplicate": (
+        lambda g: g.add_entity("car", "DP"),
+        UnknownTypeError,
+        "DataPackage is not an instantiable entity type; "
+        "declare a package and attach it to a flow instead",
+    ),
+    "entity_dp_type_and_bad_key": (
+        lambda g: g.add_entity("y", "DataPackage", {"bad key": "v"}),
+        UnknownTypeError,
+        "DataPackage is not an instantiable entity type; "
+        "declare a package and attach it to a flow instead",
+    ),
+    "entity_duplicate_and_reserved_misuse": (
+        lambda g: g.add_entity("car", "V", {"category": "x"}),
+        DuplicateIdError,
+        "entity id 'car' already declared",
+    ),
+    "entity_duplicate_and_empty_list": (
+        lambda g: g.add_entity("car", "V", {"static": []}),
+        DuplicateIdError,
+        "entity id 'car' already declared",
+    ),
+    "entity_bad_key_and_reserved_misuse": (
+        lambda g: g.add_entity("y", "P", {"static": ["a"], "bad key": "v"}),
+        IdentifierError,
+        "invalid attribute id 'bad key'",
+    ),
+    "entity_bad_value_and_reserved_misuse": (
+        lambda g: g.add_entity("y", "P", {"category": "x", "n": 3}),
+        AttributeMisuseError,
+        "attribute 'n' must be text, a truth value, or a list of text",
+    ),
+    "entity_two_reserved_misuses": (
+        lambda g: g.add_entity("y", "P", {"category": "x", "static": ["a"]}),
+        AttributeMisuseError,
+        "'static' is only allowed on V or VC entities; "
+        "'category' is only allowed on O, G, or SP entities",
+    ),
+    "package_bad_id_and_description": (
+        lambda g: g.add_package(DataPackage("1x", None)),
+        IdentifierError,
+        "invalid package id '1x'",
+    ),
+    "package_duplicate_and_description": (
+        lambda g: g.add_package(DataPackage("DP1", None, ["a", 2])),
+        DuplicateIdError,
+        "package id 'DP1' already declared",
+    ),
+    "package_description_and_items": (
+        lambda g: g.add_package(DataPackage("q", None, ["a", 2])),
+        AttributeMisuseError,
+        "package description must be text",
+    ),
+    "package_items_and_dangling_derivation": (
+        lambda g: g.add_package(DataPackage("q", "", [2], ("ghost",))),
+        AttributeMisuseError,
+        "package items must be text",
+    ),
+    "package_derivation_twice_and_dangling": (
+        lambda g: g.add_package(DataPackage("q", derives_from=("DP1", "DP1", "ghost"))),
+        PackageConflictError,
+        "package 'q' lists derivation 'DP1' twice",
+    ),
+    "package_dangling_and_derivation_twice": (
+        lambda g: g.add_package(DataPackage("q", derives_from=("ghost", "DP1", "DP1"))),
+        DanglingReferenceError,
+        "package 'q' derives from unknown package 'ghost'",
+    ),
+    "relation_bad_id_and_unknown_name": (
+        lambda g: g.add_semantic_relation("1x", "drives", "driver", "car"),
+        IdentifierError,
+        "invalid relation id '1x'",
+    ),
+    "relation_unknown_name_and_duplicate": (
+        lambda g: g.add_semantic_relation("r1", "drives", "driver", "car"),
+        UnknownTypeError,
+        "unknown semantic relation 'drives'",
+    ),
+    "relation_duplicate_and_dangling": (
+        lambda g: g.add_semantic_relation("r1", "ownedBy", "driver", "ghost"),
+        DuplicateIdError,
+        "relation id 'r1' already declared",
+    ),
+    "relation_duplicate_and_empty_list": (
+        lambda g: g.add_semantic_relation("r1", "occupy", "driver", "car", {"role": []}),
+        DuplicateIdError,
+        "relation id 'r1' already declared",
+    ),
+    "relation_two_dangling": (
+        lambda g: g.add_semantic_relation("r2", "ownedBy", "ghost", "phantom"),
+        DanglingReferenceError,
+        "relation 'r2' references unknown entity 'ghost'",
+    ),
+    "relation_dangling_and_bad_value": (
+        lambda g: g.add_semantic_relation("r2", "ownedBy", "car", "ghost", {"n": 3}),
+        DanglingReferenceError,
+        "relation 'r2' references unknown entity 'ghost'",
+    ),
+    "relation_bad_key_and_bad_value": (
+        lambda g: g.add_semantic_relation("r2", "ownedBy", "car", "app", {"bad key": 3}),
+        IdentifierError,
+        "invalid attribute id 'bad key'",
+    ),
+    "flow_bad_id_and_unknown_edge": (
+        lambda g: g.add_flow("x.fwd", "E99", "driver", "car", "DP1"),
+        IdentifierError,
+        "invalid flow id 'x.fwd'",
+    ),
+    "flow_pair_collision_and_self_loop": (
+        lambda g: g.add_flow("x", "E12", "car", "car", "DP1"),
+        DuplicateIdError,
+        "flow id 'x' already declared as a bidirectional pair",
+    ),
+    "flow_unknown_edge_and_dangling": (
+        lambda g: g.add_flow("g", "E99", "driver", "ghost", "DP1"),
+        UnknownTypeError,
+        "unknown flow edge type 'E99'",
+    ),
+    "flow_unknown_edge_and_duplicate": (
+        lambda g: g.add_flow("f", "E99", "driver", "car", "DP1"),
+        UnknownTypeError,
+        "unknown flow edge type 'E99'",
+    ),
+    "flow_duplicate_and_dangling": (
+        lambda g: g.add_flow("f", "E1", "driver", "ghost", "DP1"),
+        DuplicateIdError,
+        "flow id 'f' already declared",
+    ),
+    "flow_dangling_and_self_loop": (
+        lambda g: g.add_flow("g", "E12", "ghost", "ghost", "DP1"),
+        DanglingReferenceError,
+        "flow 'g' references unknown entity 'ghost'",
+    ),
+    "flow_self_loop_and_missing_package": (
+        lambda g: g.add_flow("g", "E12", "car", "car", "nope"),
+        SelfLoopError,
+        "flow 'g' connects 'car' to itself",
+    ),
+    "flow_self_loop_and_package_conflict": (
+        lambda g: g.add_flow("g", "E12", "car", "car", DataPackage("DP1", "other")),
+        SelfLoopError,
+        "flow 'g' connects 'car' to itself",
+    ),
+    "flow_package_conflict": (
+        lambda g: g.add_flow("g", "E1", "driver", "car", DataPackage("DP1", "other")),
+        PackageConflictError,
+        "package 'DP1' redeclared with different content",
+    ),
+    "flow_inline_package_description_and_items": (
+        lambda g: g.add_flow("g", "E1", "driver", "car", DataPackage("q", None, [2])),
+        AttributeMisuseError,
+        "package description must be text",
+    ),
+    "pair_bad_id_and_unknown_edge": (
+        lambda g: g.add_bidirectional_flow("1x", "E99", "app", "car", "DP1"),
+        IdentifierError,
+        "invalid flow id '1x'",
+    ),
+    "pair_collision_and_self_loop": (
+        lambda g: g.add_bidirectional_flow("f", "E12", "car", "car", "DP1"),
+        DuplicateIdError,
+        "flow id 'f' already declared",
+    ),
+    "pair_duplicate_and_dangling": (
+        lambda g: g.add_bidirectional_flow("x", "E3", "app", "ghost", "DP1"),
+        DuplicateIdError,
+        "flow id 'x.fwd' already declared",
+    ),
+    "pair_unknown_edge_and_dangling": (
+        lambda g: g.add_bidirectional_flow("y", "E99", "app", "ghost", "DP1"),
+        UnknownTypeError,
+        "unknown flow edge type 'E99'",
+    ),
+    "pair_dangling_and_self_loop": (
+        lambda g: g.add_bidirectional_flow("y", "E3", "ghost", "ghost", "DP1"),
+        DanglingReferenceError,
+        "flow 'y.fwd' references unknown entity 'ghost'",
+    ),
+    "pair_self_loop_and_missing_package": (
+        lambda g: g.add_bidirectional_flow("y", "E12", "car", "car", "nope"),
+        SelfLoopError,
+        "flow 'y.fwd' connects 'car' to itself",
+    ),
+    "pair_missing_package": (
+        lambda g: g.add_bidirectional_flow("y", "E3", "app", "car", "nope"),
+        DanglingReferenceError,
+        "flow 'y' references unknown package 'nope'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", TWO_DEFECT_CALLS.values(), ids=TWO_DEFECT_CALLS)
+def test_first_defect_wins_and_graph_is_unchanged(call, error, message):
+    graph = defect_graph()
+    before = copy.deepcopy(graph)
+    with pytest.raises(error) as exc:
+        call(graph)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert graph == before
+
+
+def test_public_methods_store_copies_of_caller_input():
+    graph = small_graph()
+    entity_attrs = {"static": ["vin"], "label": "my car"}
+    relation_attrs = {"role": "driver"}
+    items = ["speed"]
+    inline_items = ["route"]
+    graph.add_entity("car2", "V", entity_attrs)
+    graph.add_semantic_relation("r1", "occupy", "driver", "car", relation_attrs)
+    graph.add_package(DataPackage("DP1", "d", items))
+    graph.add_flow("f", "E1", "driver", "car", DataPackage("DP2", "", inline_items))
+    before = copy.deepcopy(graph)
+
+    entity_attrs["label"] = "changed"
+    entity_attrs["dynamic"] = ["speed"]
+    entity_attrs["static"].append("plate")
+    relation_attrs["role"] = "passenger"
+    del relation_attrs["role"]
+    items.append("location")
+    inline_items.clear()
+    assert graph == before

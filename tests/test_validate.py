@@ -349,3 +349,116 @@ def test_long_chains_validate_in_linear_time(schema):
         (violation,) = timed_validate(schema, graph).violations
         assert violation.code is code and violation.subject == ids[0]
         assert violation.message == label + " -> ".join(ids)
+
+
+def test_attribute_maps_that_are_not_maps_are_reported(schema):
+    graph = (
+        new_scenario("t")
+        .add_entity("car", "V")
+        .add_entity("p", "P")
+        .add_entity("cam", "AVS")
+        .add_semantic_relation("r1", "occupy", "p", "car", {"role": "driver"})
+        .add_semantic_relation("r2", "ownedBy", "cam", "p")
+    )
+    graph.entities["car"].attributes = None
+    graph.entities["p"].attributes = ["static"]
+    graph.relations["r1"].attributes = None
+    graph.relations["r2"].attributes = [("role", "x")]
+    report = validate(schema, graph)
+    assert [(v.code, v.subject, v.message) for v in report.violations] == [
+        (ViolationCode.ATTRIBUTE_MISUSE, "car", "attributes must be a map, not NoneType"),
+        (ViolationCode.ATTRIBUTE_MISUSE, "p", "attributes must be a map, not list"),
+        (ViolationCode.ATTRIBUTE_MISUSE, "r1", "attributes must be a map, not NoneType"),
+        (
+            ViolationCode.ROLE_MISSING,
+            "r1",
+            "occupy relation 'r1' has no 'role'; expected \"driver\" or \"passenger\"",
+        ),
+        (ViolationCode.ATTRIBUTE_MISUSE, "r2", "attributes must be a map, not list"),
+    ]
+
+
+def test_every_flow_of_one_mismatched_shape_is_reported(schema):
+    graph = new_scenario("t").add_entity("driver", "P").add_entity("dashcam", "AVS")
+    graph.add_package(DataPackage("DP"))
+    for i in range(40):
+        graph.add_flow(f"f{i:02}", "E16", "driver", "dashcam", "DP")
+    report = validate(schema, graph)
+    assert [v.subject for v in report.violations] == [f"f{i:02}" for i in range(40)]
+    assert {(v.code, v.message) for v in report.violations} == {
+        (ViolationCode.ENDPOINT_MISMATCH, "E16 connects V and TMS; got P -> AVS")
+    }
+
+
+def per_flow_conformance(schema, graph):
+    """Oracle: the conformance violations, decided afresh for every flow."""
+    found = []
+    for flow in graph.flows.values():
+        src = graph.entities[flow.source].entity_type
+        dst = graph.entities[flow.target].entity_type
+        if schema.flow_conforms(flow.edge_type, src, dst):
+            continue
+        edge = schema.flow_edge_types[flow.edge_type]
+        ends = f"{edge.source.code} -> {edge.target.code}"
+        if not edge.bidirectional and schema.flow_conforms(flow.edge_type, dst, src):
+            found.append(
+                (
+                    ViolationCode.DIRECTION_VIOLATION,
+                    flow.id,
+                    f"uni-directional {edge.id} ({ends}) used in reverse",
+                )
+            )
+        else:
+            found.append(
+                (
+                    ViolationCode.ENDPOINT_MISMATCH,
+                    flow.id,
+                    f"{edge.id} connects {edge.source.code} and {edge.target.code}; "
+                    f"got {src.code} -> {dst.code}",
+                )
+            )
+    return sorted(found, key=lambda v: (v[1], v[0].value, v[2]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_flow_verdicts_match_per_flow_oracle(schema, seed):
+    # Two entities of every type; each flow runs along its edge type, against
+    # it, or between two random entities, so that every verdict occurs.
+    rng = random.Random(seed)
+    graph = new_scenario("t").add_package(DataPackage("DP"))
+    for etype in sorted(EntityType, key=lambda t: t.code):
+        if etype is not EntityType.DATA_PACKAGE:
+            graph.add_entity(f"{etype.code}1", etype).add_entity(f"{etype.code}2", etype)
+    for i in range(150):
+        edge = schema.flow_edge_types[rng.choice(sorted(schema.flow_edge_types))]
+        ends = [f"{edge.source.code}1", f"{edge.target.code}2"]
+        way = rng.choice(("along", "against", "random"))
+        if way == "against":
+            ends.reverse()
+        elif way == "random":
+            ends = rng.sample(sorted(graph.entities), 2)
+        graph.add_flow(f"f{i:03}", edge.id, *ends, "DP")
+    conformance = {ViolationCode.DIRECTION_VIOLATION, ViolationCode.ENDPOINT_MISMATCH}
+    found = [
+        (v.code, v.subject, v.message)
+        for v in validate(schema, graph).violations
+        if v.code in conformance
+    ]
+    assert found == per_flow_conformance(schema, graph)
+    assert {code for code, _, _ in found} == conformance
+    assert len(found) < len(graph.flows)
+
+
+def test_unhashable_endpoint_type_is_skipped(schema):
+    graph = (
+        new_scenario("t")
+        .add_entity("car", "V")
+        .add_entity("org", "O")
+        .add_flow("f", "E20", "car", "org", DataPackage("DP"))
+        .add_flow("g", "E20", "org", "car", "DP")
+    )
+    graph.entities["car"].entity_type = ["V"]
+    report = validate(schema, graph)
+    assert [(v.code, v.subject) for v in report.violations] == [
+        (ViolationCode.UNKNOWN_TYPE, "car")
+    ]
