@@ -2,9 +2,10 @@
 
 Strict mode enumerates simple directed paths: consecutive flows chain
 head to tail and no entity is visited twice. Lineage mode follows the
-data itself: a step is admissible when the flows chain, or when the next
-flow's package equals or (transitively) derives from the previous one,
-so provenance can continue even where the hop-by-hop chain breaks.
+data itself: a step is admissible when the flows chain, or when the
+previous flow's package is in the next one's lineage (its package and
+every package that one transitively derives from), so provenance can
+continue even where the hop-by-hop chain breaks.
 
 Both modes bound the number of flows per result by max_len and order
 results by (length, lexicographic flow-id sequence). Semantic relations
@@ -15,7 +16,9 @@ A query to a sink first runs one reverse breadth-first search from the
 sink, and the walk never takes a step after which the sink cannot be
 reached within max_len flows. Strict search is one iterative walk over an index of
 flows by source. Lineage search walks an index of admissible successors
-built once per query; it recurses once per flow of a trace.
+built once per query, from the lineages of the carried packages only; it
+recurses once per flow of a trace, and a search deeper than the
+interpreter's recursion limit raises AnalysisError.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from vdse.errors import AnalysisError
-from vdse.graph import InstanceGraph, strongly_connected_components
+from vdse.graph import InstanceGraph
 from vdse.schema import EntityType
 
 __all__ = [
@@ -155,31 +158,44 @@ def _strict_search(
     return found
 
 
-def _derivation_ancestors(graph: InstanceGraph) -> dict:
-    """Transitive derives-from closure for each package; a package on a
-    derivation cycle is its own ancestor, and the members of one cycle share
-    one closure. Closures are folded over the strongly connected components,
-    each of which comes after every component it derives from."""
-    edges = {package_id: package.derives_from for package_id, package in graph.packages.items()}
-    closure: dict[str, frozenset] = {}
-    for component in strongly_connected_components(edges):
-        found: set[str] = set()
-        for member in component:
-            for ancestor in edges.get(member, ()):
-                found.add(ancestor)
-                found.update(closure.get(ancestor, ()))
-        shared = frozenset(found)
-        closure.update(dict.fromkeys(component, shared))
-    return {package_id: closure[package_id] for package_id in graph.packages}
+def _lineages(graph: InstanceGraph) -> dict:
+    """For each package some flow carries, the frozenset of that package and
+    every package it derives from, transitively: one depth-first walk over
+    derives_from per package. An undeclared package derives from nothing,
+    and a derivation cycle ends at the walk's seen set. A walk takes the
+    lineage of a carried ancestor whole once it is known; packages go in
+    declaration order, which puts each after those it derives from in a
+    graph built by parse or add_package."""
+    carried = {flow.package for flow in graph.flows.values()}
+    lineages: dict[str, frozenset] = {}
+    for package_id in (*graph.packages, *carried):
+        if package_id not in carried or package_id in lineages:
+            continue
+        seen = {package_id}
+        stack = [package_id]
+        while stack:
+            package = graph.packages.get(stack.pop())
+            for ancestor in () if package is None else package.derives_from:
+                if ancestor in seen:
+                    continue
+                if ancestor in lineages:
+                    seen |= lineages[ancestor]
+                else:
+                    seen.add(ancestor)
+                    stack.append(ancestor)
+        lineages[package_id] = frozenset(seen)
+    return lineages
 
 
-def _lineage_distances(flows: list, ancestors: dict, sink: str, max_len: int) -> dict:
+def _lineage_distances(flows: list, lineages: dict, sink: str, max_len: int) -> dict:
     """For each flow that can end a lineage trace at sink within max_len
     flows, the fewest flows a trace needs after it to get there: one reverse
     breadth-first search from the flows into the sink. Flow f precedes g when
-    f.target is g.source, or f.package is g.package or one of its ancestors.
-    Each entity and each package is expanded once. The count ignores that a
-    trace uses a flow only once, so it is a lower bound."""
+    f.target is g.source, or f.package is in g.package's lineage. Each
+    entity and each package is expanded once; a lineage holds the lineage of
+    each of its members, so once a package is expanded, so is its lineage.
+    The count ignores that a trace uses a flow only once, so it is a lower
+    bound."""
     into: dict[str, list] = {}
     carrying: dict[str, list] = {}
     for flow in flows:
@@ -188,7 +204,6 @@ def _lineage_distances(flows: list, ancestors: dict, sink: str, max_len: int) ->
     frontier = into.get(sink, [])
     distances = {flow.id: 0 for flow in frontier}
     entities: set[str] = set()
-    derived: set[str] = set()
     packages: set[str] = set()
     for distance in range(1, max_len):
         reached = []
@@ -197,9 +212,8 @@ def _lineage_distances(flows: list, ancestors: dict, sink: str, max_len: int) ->
             if flow.source not in entities:
                 entities.add(flow.source)
                 groups.append(into.get(flow.source, ()))
-            if flow.package not in derived:
-                derived.add(flow.package)
-                for package in (flow.package, *ancestors.get(flow.package, ())):
+            if flow.package not in packages:
+                for package in lineages[flow.package]:
                     if package not in packages:
                         packages.add(package)
                         groups.append(carrying.get(package, ()))
@@ -212,19 +226,42 @@ def _lineage_distances(flows: list, ancestors: dict, sink: str, max_len: int) ->
     return distances
 
 
+def _walk(
+    found: list, used: set, sink: str, max_len: int,
+    flow_ids: tuple, package_ids: tuple, following: tuple,
+) -> None:
+    """Extend a lineage trace by each successor entry that fits, filing
+    every trace that ends at sink. Recurses only when a further flow fits."""
+    spare = max_len - len(flow_ids)
+    for successors in following:
+        for distance, flow_id, package, target, next_following in successors:
+            if distance >= spare:
+                break
+            if flow_id in used:
+                continue
+            trace_flows, trace_packages = flow_ids + (flow_id,), package_ids + (package,)
+            if target == sink:
+                found.append(LineageTrace(trace_flows, trace_packages))
+            if spare > 1:
+                used.add(flow_id)
+                _walk(found, used, sink, max_len, trace_flows, trace_packages, next_following)
+                used.discard(flow_id)
+
+
 def _lineage_traces(graph: InstanceGraph, source: str, sink: str, max_len: int) -> list:
     """Every lineage trace from source to sink, sorted.
 
     Successors are indexed once per query, over the flows that can still
-    reach the sink. Per package p, one list holds the flows whose package is
-    p or derives from p; every flow carrying p shares it. A flow is followed
-    by its target's flows that are not in its package's list, then by that
+    reach the sink. Per package p, one list holds the flows whose lineage
+    holds p; every flow carrying p shares it. A flow is followed by its
+    target's flows whose lineage does not hold its package, then by that
     list. An entry is (distance to sink, flow id, package, target, the
     entry's two successor lists), and each list is sorted by distance, so a
-    step stops at the first entry that cannot reach the sink within max_len."""
-    ancestors = _derivation_ancestors(graph)
+    step stops at the first entry that cannot reach the sink within max_len.
+    A trace deeper than the recursion limit raises AnalysisError."""
+    lineages = _lineages(graph)
     flows = list(graph.flows.values())
-    distances = _lineage_distances(flows, ancestors, sink, max_len)
+    distances = _lineage_distances(flows, lineages, sink, max_len)
     leaving: dict[str, list] = {}
     derived_from: dict[str, list] = {}
     hops_only: dict[tuple, list] = {}
@@ -237,45 +274,19 @@ def _lineage_traces(graph: InstanceGraph, source: str, sink: str, max_len: int) 
         )
         entry = (distances[flow.id], flow.id, flow.package, flow.target, following)
         leaving.setdefault(flow.source, []).append(entry)
-        following[1].append(entry)
-        for ancestor in ancestors.get(flow.package, ()):
-            if ancestor != flow.package:
-                derived_from.setdefault(ancestor, []).append(entry)
+        for package in lineages[flow.package]:
+            derived_from.setdefault(package, []).append(entry)
     for (target, package), entries in hops_only.items():
         entries.extend(
-            entry
-            for entry in leaving.get(target, ())
-            if entry[2] != package and package not in ancestors.get(entry[2], ())
+            entry for entry in leaving.get(target, ()) if package not in lineages[entry[2]]
         )
     for entries in (*leaving.values(), *derived_from.values(), *hops_only.values()):
         entries.sort(key=itemgetter(0))
     found: list[LineageTrace] = []
-    used: set[str] = set()
-
-    def walk(flow_ids: tuple, package_ids: tuple, following: tuple) -> None:
-        # Each step files the trace it makes if that ends at the sink, and
-        # recurses only when a further flow fits: a chain deeper than the
-        # recursion limit raises RecursionError, which the CLI reports.
-        spare = max_len - len(flow_ids)
-        for successors in following:
-            for distance, flow_id, package, target, next_following in successors:
-                if distance >= spare:
-                    break
-                if flow_id in used:
-                    continue
-                trace_flows, trace_packages = flow_ids + (flow_id,), package_ids + (package,)
-                if target == sink:
-                    found.append(LineageTrace(trace_flows, trace_packages))
-                if spare > 1:
-                    used.add(flow_id)
-                    walk(trace_flows, trace_packages, next_following)
-                    used.discard(flow_id)
-
-    walk((), (), (leaving.get(source, ()),))
-    # walk refers to itself through its closure, and so to found; clearing
-    # the name lets the traces go with the caller's list, not wait for the
-    # cycle collector.
-    del walk
+    try:
+        _walk(found, set(), sink, max_len, (), (), (leaving.get(source, ()),))
+    except RecursionError:
+        raise AnalysisError(f"search too deep for --max-len {max_len}") from None
     return _sorted_paths(found)
 
 

@@ -241,9 +241,6 @@ def run(argv, stdout=None, stderr=None) -> int:
     except (AnalysisError, GraphError, MalformedGraphError, ValueError) as exc:
         print(f"usage error: {exc}", file=stderr)
         return EXIT_USAGE
-    except RecursionError:  # only lineage search recurses, once per flow of a trace
-        print(f"usage error: search too deep for --max-len {args.max_len}", file=stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=stderr)
         return EXIT_IO

@@ -43,7 +43,7 @@ from vdse.graph import (
     new_scenario,
 )
 from vdse.schema import EntityType, INSTANTIABLE_TYPE_CODES, builtin_schema
-from vdse.validate import check_references
+from vdse.validate import check_references, not_a_map
 
 __all__ = ["parse", "serialize"]
 
@@ -503,9 +503,7 @@ def _check_lexicon(id_: str, kind: str) -> None:
 
 def _check_attrs(owner: str, attrs: dict) -> None:
     if not isinstance(attrs, dict):
-        raise MalformedGraphError(
-            f"{owner} attributes must be a map, not {type(attrs).__name__}"
-        )
+        raise not_a_map(owner, attrs)
     # key=str orders text keys as plain sorting does, and keys that are not
     # text without raising, so that _check_lexicon reports them.
     for key in sorted(attrs, key=str):

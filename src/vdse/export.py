@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from vdse.analysis import ExposureReport, LineageTrace, Path
 from vdse.graph import InstanceGraph
-from vdse.schema import EntityType, _Record
-from vdse.validate import ValidationReport, check_references
+from vdse.schema import EntityType, _Record, _gvquote
+from vdse.validate import ValidationReport, check_references, not_a_map
 
 __all__ = [
     "ExportOptions",
@@ -60,12 +60,6 @@ class ExportOptions(_Record):
         return ExportOptions, self._values()
 
 
-def _gvquote(text: str) -> str:
-    # Newlines become the \n label escape so every statement stays on one line.
-    quoted = text.replace("\\", "\\\\").replace('"', '\\"')
-    return '"' + quoted.replace("\r", "").replace("\n", "\\n") + '"'
-
-
 def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> str:
     """Render a scenario as Graphviz source: nodes labelled `id : code`,
     semantic relations solid, flows dashed (highlighted ones red)."""
@@ -85,6 +79,8 @@ def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> 
     for relation_id in sorted(graph.relations):
         relation = graph.relations[relation_id]
         label = relation.relation
+        if not isinstance(relation.attributes, dict):
+            raise not_a_map(f"relation {relation_id!r}", relation.attributes)
         role = relation.attributes.get("role")
         if isinstance(role, str):
             label += f" (role={role})"
@@ -117,6 +113,12 @@ def _dump(document, pretty: bool) -> str:
     return json.dumps(document, separators=(",", ":"), ensure_ascii=False)
 
 
+def _sorted_attributes(kind: str, item) -> dict:
+    if not isinstance(item.attributes, dict):
+        raise not_a_map(f"{kind} {item.id!r}", item.attributes)
+    return {k: item.attributes[k] for k in sorted(item.attributes)}
+
+
 def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
     """Render a scenario as a stable JSON document, all sections sorted by id."""
     check_references(graph)
@@ -128,7 +130,7 @@ def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
                 "type": e.entity_type.code
                 if isinstance(e.entity_type, EntityType)
                 else str(e.entity_type),
-                "attributes": {k: e.attributes[k] for k in sorted(e.attributes)},
+                "attributes": _sorted_attributes("entity", e),
             }
             for e in (graph.entities[i] for i in sorted(graph.entities))
         ],
@@ -147,7 +149,7 @@ def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
                 "relation": r.relation,
                 "source": r.source,
                 "target": r.target,
-                "attributes": {k: r.attributes[k] for k in sorted(r.attributes)},
+                "attributes": _sorted_attributes("relation", r),
             }
             for r in (graph.relations[i] for i in sorted(graph.relations))
         ],

@@ -279,6 +279,12 @@ def builtin_schema() -> TypeGraph:
     return _BUILTIN
 
 
+def _gvquote(text: str) -> str:
+    # Newlines become the \n label escape so every statement stays on one line.
+    quoted = text.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + quoted.replace("\r", "").replace("\n", "\\n") + '"'
+
+
 def type_graph_to_dot(schema: TypeGraph | None = None) -> str:
     """Render the type graph as deterministic Graphviz source.
 
@@ -286,8 +292,6 @@ def type_graph_to_dot(schema: TypeGraph | None = None) -> str:
     an open arrowhead, semantic relations are solid labelled edges, and
     flow edge types are dashed (double-headed when bidirectional).
     """
-    from vdse.export import _gvquote  # vdse.export imports this module
-
     schema = schema or builtin_schema()
     nodes = sorted(_gvquote(t.display_name) + " [shape=box, style=rounded];"
                    for t in schema.entity_types)

@@ -90,13 +90,25 @@ def _order(violation: Violation) -> tuple:
     return (violation.severity, violation.subject, violation.code.value, violation.message)
 
 
+def _names(table: dict, key) -> bool:
+    """Whether key is a key of table; a value that is not hashable, such as
+    a hand-set list, names nothing."""
+    try:
+        return key in table
+    except TypeError:
+        return False
+
+
 def _resolves(graph: InstanceGraph, kind: str, item, out: list) -> bool:
     """Report each endpoint of a relation or flow that names no entity;
     true when both resolve."""
-    if item.source in graph.entities and item.target in graph.entities:
-        return True
+    try:
+        if item.source in graph.entities and item.target in graph.entities:
+            return True
+    except TypeError:  # not hashable: report it below
+        pass
     for endpoint in (item.source, item.target):
-        if endpoint not in graph.entities:
+        if not _names(graph.entities, endpoint):
             out.append(
                 Violation(
                     ViolationCode.DANGLING_REF,
@@ -107,14 +119,30 @@ def _resolves(graph: InstanceGraph, kind: str, item, out: list) -> bool:
     return False
 
 
-def _check_references(schema: TypeGraph, graph: InstanceGraph, out: list) -> tuple[list, list]:
+def _check_references(
+    schema: TypeGraph, graph: InstanceGraph, out: list
+) -> tuple[dict, list, list]:
     """Report every reference that names nothing: a derivation, a relation
     name or endpoint, a flow edge type, endpoint or package. Returns the
-    relations and the flows whose name or type and endpoints resolve; the
-    other checks inspect only those."""
+    derivations that resolve, by package, and the relations and the flows
+    whose name or type and endpoints resolve; the other checks inspect only
+    those."""
+    derivations = {}
     for package in graph.packages.values():
+        if not isinstance(package.derives_from, (tuple, list)):
+            out.append(
+                Violation(
+                    ViolationCode.DANGLING_REF,
+                    package.id,
+                    f"package {package.id!r} derives from {package.derives_from!r}, "
+                    "not a list of packages",
+                )
+            )
+            continue
         for ancestor in package.derives_from:
-            if ancestor not in graph.packages:
+            if _names(graph.packages, ancestor):
+                derivations.setdefault(package.id, []).append(ancestor)
+            else:
                 out.append(
                     Violation(
                         ViolationCode.DANGLING_REF,
@@ -124,7 +152,7 @@ def _check_references(schema: TypeGraph, graph: InstanceGraph, out: list) -> tup
                 )
     relations = []
     for relation in graph.relations.values():
-        if relation.relation not in schema.semantic_relations:
+        if not _names(schema.semantic_relations, relation.relation):
             out.append(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
@@ -136,7 +164,12 @@ def _check_references(schema: TypeGraph, graph: InstanceGraph, out: list) -> tup
             relations.append(relation)
     flows = []
     for flow in graph.flows.values():
-        if flow.edge_type not in schema.flow_edge_types:
+        # Both names at once for the common case; _names sorts out the rest.
+        try:
+            named = flow.edge_type in schema.flow_edge_types and flow.package in graph.packages
+        except TypeError:
+            named = False
+        if not named and not _names(schema.flow_edge_types, flow.edge_type):
             out.append(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
@@ -147,7 +180,7 @@ def _check_references(schema: TypeGraph, graph: InstanceGraph, out: list) -> tup
             continue
         if _resolves(graph, "flow", flow, out):
             flows.append(flow)
-        if flow.package not in graph.packages:
+        if not named and not _names(graph.packages, flow.package):
             out.append(
                 Violation(
                     ViolationCode.MISSING_PACKAGE,
@@ -155,7 +188,15 @@ def _check_references(schema: TypeGraph, graph: InstanceGraph, out: list) -> tup
                     f"flow {flow.id!r} references unknown package {flow.package!r}",
                 )
             )
-    return relations, flows
+    return derivations, relations, flows
+
+
+def not_a_map(owner: str, attributes) -> MalformedGraphError:
+    """The error a writer raises when owner's attributes are not a map;
+    owner reads like "entity 'a'"."""
+    return MalformedGraphError(
+        f"{owner} attributes must be a map, not {type(attributes).__name__}"
+    )
 
 
 def check_references(graph: InstanceGraph) -> None:
@@ -208,10 +249,9 @@ def _check_entities(schema: TypeGraph, graph: InstanceGraph, out: list) -> None:
                 out.append(Violation(ViolationCode.ATTRIBUTE_MISUSE, entity.id, problem))
 
 
-def _check_packages(graph: InstanceGraph, out: list) -> None:
-    # A package that derives from nothing lies on no cycle.
-    derive_edges = {p.id: p.derives_from for p in graph.packages.values() if p.derives_from}
-    for group in _cycles(derive_edges):
+def _check_packages(derivations: dict, out: list) -> None:
+    # Only resolved derivations can close a cycle.
+    for group in _cycles(derivations):
         out.append(
             Violation(
                 ViolationCode.DERIVES_CYCLE,
@@ -249,12 +289,8 @@ def _check_relations(relations: list, out: list) -> None:
         )
 
 
-def _owner_pairs(graph: InstanceGraph) -> set[tuple[str, str]]:
-    return {
-        (r.source, r.target)
-        for r in graph.relations.values()
-        if r.relation == "ownedBy"
-    }
+def _owner_pairs(relations: list) -> set[tuple[str, str]]:
+    return {(r.source, r.target) for r in relations if r.relation == "ownedBy"}
 
 
 def _flow_verdict(schema: TypeGraph, edge_type: str, src_type, dst_type) -> tuple | None:
@@ -279,8 +315,10 @@ def _flow_verdict(schema: TypeGraph, edge_type: str, src_type, dst_type) -> tupl
     )
 
 
-def _check_flows(schema: TypeGraph, graph: InstanceGraph, flows: list, out: list) -> None:
-    owned_by = _owner_pairs(graph)
+def _check_flows(
+    schema: TypeGraph, graph: InstanceGraph, relations: list, flows: list, out: list
+) -> None:
+    owned_by = _owner_pairs(relations)
     # Conformance depends only on the edge type and the endpoint types, and
     # a scenario has few such shapes: decide each once.
     verdicts: dict[tuple, tuple | None] = {}
@@ -324,9 +362,9 @@ def validate(schema: TypeGraph, graph: InstanceGraph) -> ValidationReport:
     """
     violations: list[Violation] = []
     _check_entities(schema, graph, violations)
-    relations, flows = _check_references(schema, graph, violations)
-    _check_packages(graph, violations)
+    derivations, relations, flows = _check_references(schema, graph, violations)
+    _check_packages(derivations, violations)
     _check_relations(relations, violations)
-    _check_flows(schema, graph, flows, violations)
+    _check_flows(schema, graph, relations, flows, violations)
     violations.sort(key=_order)
     return ValidationReport(scenario=graph.name, violations=violations)

@@ -1,6 +1,8 @@
 """Path enumeration, lineage traces, reachability, exposure reports."""
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from conftest import brute_force_lineage, build_random_graph, derivation_closure, sample_pairs
@@ -11,7 +13,7 @@ from vdse.analysis import (
     LineageTrace,
     Path,
     SinkExposure,
-    _derivation_ancestors,
+    _lineages,
     brute_force_paths,
     enumerate_paths,
     exposure_report,
@@ -192,7 +194,7 @@ def test_lineage_requires_the_derivation():
 
 
 def test_lineage_ignores_package_order_on_a_derivation_cycle():
-    # A derives from B, B from C, C from A: each package's closure is all
+    # A derives from B, B from C, C from A: each package's lineage is all
     # three, whichever order the packages were inserted in.
     derives = {"A": ("B",), "B": ("C",), "C": ("A",)}
     results = []
@@ -209,11 +211,55 @@ def test_lineage_ignores_package_order_on_a_derivation_cycle():
         graph.add_flow("f1", "E2", "p", "a", "A")
         graph.add_flow("f2", "E4", "b", "o", "B")
         graph.add_flow("f3", "E5", "a", "b", "C")
-        closure = _derivation_ancestors(graph)
-        assert closure == {package_id: {"A", "B", "C"} for package_id in derives}
+        assert _lineages(graph) == {package_id: {"A", "B", "C"} for package_id in derives}
         results.append(flow_sets(enumerate_paths(graph, "p", "o", mode="lineage")))
     assert results[0] == results[1] == results[2]
     assert ("f1", "f2") in results[0]  # f1, f2 do not chain; B derives from A
+
+
+def test_lineages_close_a_cycle_and_keep_undeclared_ancestors():
+    graph = new_scenario("t").add_entity("p", "P").add_entity("a", "DA")
+    derives = {"A": ("B", "ghost"), "B": ("C",), "C": ("A",), "D": ("A",)}
+    for package_id, ancestors in derives.items():
+        graph.packages[package_id] = DataPackage(package_id, derives_from=ancestors)
+    for i, package_id in enumerate(("A", "B", "C", "loose")):
+        graph.flows[f"f{i}"] = FlowInstance(f"f{i}", "E2", "p", "a", package_id)
+    # D is carried by no flow, so it has no lineage; loose is undeclared.
+    cycle = {"A", "B", "C", "ghost"}
+    assert _lineages(graph) == {"A": cycle, "B": cycle, "C": cycle, "loose": {"loose"}}
+    assert all(type(lineage) is frozenset for lineage in _lineages(graph).values())
+
+
+LONG_DERIVATION = 4000
+
+
+def test_lineage_memory_stays_small_on_a_long_uncarried_derivation_chain():
+    # p0 derives from p1, p1 from p2, ...; one flow carries p0. The query
+    # holds one lineage, not a closure per declared package.
+    graph = new_scenario("t").add_entity("p", "P").add_entity("a", "DA")
+    for i in reversed(range(LONG_DERIVATION)):
+        ancestors = (f"p{i + 1}",) if i + 1 < LONG_DERIVATION else ()
+        graph.add_package(DataPackage(f"p{i}", derives_from=ancestors))
+    graph.add_flow("f", "E2", "p", "a", "p0")
+    tracemalloc.start()
+    try:
+        traces = enumerate_paths(graph, "p", "a", mode="lineage")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traces == [LineageTrace(("f",), ("p0",))]
+    assert peak < 5 * 2**20
+
+
+def test_too_deep_lineage_search_raises_analysis_error():
+    graph = new_scenario("chain").add_package(DataPackage("DP"))
+    for i in range(1500):
+        graph.add_entity(f"d{i}", "DA")
+    for i in range(1499):
+        graph.add_flow(f"f{i}", "E5", f"d{i}", f"d{i + 1}", "DP")
+    with pytest.raises(AnalysisError, match="^search too deep for --max-len 5000$"):
+        enumerate_paths(graph, "d0", "d1499", max_len=5000, mode="lineage")
+    assert len(enumerate_paths(graph, "d0", "d1499", max_len=5000)) == 1
 
 
 def test_lineage_traces_align_flows_and_packages(uber_graph):
@@ -352,7 +398,9 @@ def test_derivation_closure_matches_oracle(mutate):
     graphs = [load_scenario("uber"), load_scenario("speeding")]
     graphs += [build_random_graph(seed) for seed in range(200)]
     for graph in graphs if mutate is None else map(mutate, graphs):
-        assert _derivation_ancestors(graph) == derivation_closure(graph)
+        closure = derivation_closure(graph)
+        carried = {flow.package for flow in graph.flows.values()}
+        assert _lineages(graph) == {p: closure.get(p, set()) | {p} for p in carried}
 
 
 @pytest.mark.parametrize("key", ("uber", "speeding", *range(20)))

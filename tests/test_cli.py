@@ -14,10 +14,12 @@ import pytest
 import vdse
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
 from vdse.cli import _build_parser, run
-from vdse.dsl import serialize
+from vdse.dsl import parse, serialize
 from vdse.export import report_to_json
 from vdse.graph import DataPackage, new_scenario
 from vdse.scenarios import load_scenario, scenario_text
+from vdse.schema import builtin_schema
+from vdse.validate import validate
 
 BROKEN = (
     'scenario "broken"\n'
@@ -460,9 +462,19 @@ def test_json_flag_matches_export_documents(uber_file):
     assert out == graph_to_json(graph) + "\n"
 
 
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+def test_readme_scenario_file_example_parses_and_validates():
+    with open(README, encoding="utf-8") as handle:
+        block = re.search(r"## Scenario files\n.*?```\n(.*?)```", handle.read(), re.S)[1]
+    graph = parse(block)
+    assert validate(builtin_schema(), graph).ok
+    assert sorted(graph.flows) == ["e1_1", "e2_1.fwd", "e2_1.rev"]
+
+
 def test_readme_cli_block_matches_parser():
-    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
-    with open(readme, encoding="utf-8") as handle:
+    with open(README, encoding="utf-8") as handle:
         block = re.search(r"## CLI\n\n```\n(.*?)```", handle.read(), re.S)[1]
     documented = {}
     for line in block.splitlines():

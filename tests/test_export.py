@@ -186,3 +186,63 @@ def test_writers_reject_what_validate_reports(schema, writer, defect):
     with pytest.raises(MalformedGraphError) as exc:
         writer(graph)
     assert str(exc.value) == error.message
+
+
+UNHASHABLE_REFERENCES = [
+    # section, id, field, hand-set value, and the code validate gives it
+    ("flows", "f", "edge_type", ["E1"], "UNKNOWN_TYPE"),
+    ("flows", "f", "source", ["a"], "DANGLING_REF"),
+    ("flows", "f", "target", ["b"], "DANGLING_REF"),
+    ("flows", "f", "package", ["d"], "MISSING_PACKAGE"),
+    ("relations", "r", "relation", ["ownedBy"], "UNKNOWN_TYPE"),
+    ("relations", "r", "source", ["b"], "DANGLING_REF"),
+    ("relations", "r", "target", ["a"], "DANGLING_REF"),
+    ("packages", "d", "derives_from", (["base"],), "DANGLING_REF"),
+    ("packages", "d", "derives_from", ("base", {"x": 1}), "DANGLING_REF"),
+    ("packages", "d", "derives_from", None, "DANGLING_REF"),
+]
+
+
+@pytest.mark.parametrize("writer", (serialize, graph_to_dot, graph_to_json))
+@pytest.mark.parametrize(
+    "case", UNHASHABLE_REFERENCES, ids=[f"{c[1]}.{c[2]}={c[3]!r}" for c in UNHASHABLE_REFERENCES]
+)
+def test_reference_fields_that_name_nothing_are_reported_not_raised(schema, writer, case):
+    section, item_id, field, value, code = case
+    graph = tiny_graph().add_package(DataPackage("base"))
+    graph.add_semantic_relation("r", "ownedBy", "b", "a")
+    graph.packages["d"].derives_from = ("base",)
+    assert validate(schema, graph).violations == []
+    setattr(getattr(graph, section)[item_id], field, value)
+    (error,) = validate(schema, graph).violations
+    assert (error.code.value, error.subject) == (code, item_id)
+    with pytest.raises(MalformedGraphError) as exc:
+        writer(graph)
+    assert str(exc.value) == error.message
+
+
+NON_MAP_ATTRIBUTES = {
+    # (writer, section, id): the message, or None when the writer reads no such map
+    (graph_to_json, "entities", "a"): "entity 'a' attributes must be a map, not NoneType",
+    (graph_to_json, "relations", "r"): "relation 'r' attributes must be a map, not NoneType",
+    (graph_to_dot, "entities", "a"): None,
+    (graph_to_dot, "relations", "r"): "relation 'r' attributes must be a map, not NoneType",
+    (serialize, "entities", "a"): "entity 'a' attributes must be a map, not NoneType",
+    (serialize, "relations", "r"): "relation 'r' attributes must be a map, not NoneType",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(NON_MAP_ATTRIBUTES), ids=[f"{w.__name__}-{i}" for w, _, i in NON_MAP_ATTRIBUTES]
+)
+def test_writers_refuse_attributes_that_are_not_a_map(case):
+    writer, section, item_id = case
+    graph = tiny_graph().add_semantic_relation("r", "ownedBy", "b", "a")
+    getattr(graph, section)[item_id].attributes = None
+    message = NON_MAP_ATTRIBUTES[case]
+    if message is None:
+        writer(graph)
+        return
+    with pytest.raises(MalformedGraphError) as exc:
+        writer(graph)
+    assert str(exc.value) == message
