@@ -164,12 +164,7 @@ def _check_references(
             relations.append(relation)
     flows = []
     for flow in graph.flows.values():
-        # Both names at once for the common case; _names sorts out the rest.
-        try:
-            named = flow.edge_type in schema.flow_edge_types and flow.package in graph.packages
-        except TypeError:
-            named = False
-        if not named and not _names(schema.flow_edge_types, flow.edge_type):
+        if not _names(schema.flow_edge_types, flow.edge_type):
             out.append(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
@@ -180,7 +175,7 @@ def _check_references(
             continue
         if _resolves(graph, "flow", flow, out):
             flows.append(flow)
-        if not named and not _names(graph.packages, flow.package):
+        if not _names(graph.packages, flow.package):
             out.append(
                 Violation(
                     ViolationCode.MISSING_PACKAGE,
