@@ -14,11 +14,21 @@ insertion order.
 
 A query to a sink first runs one reverse breadth-first search from the
 sink, and the walk never takes a step after which the sink cannot be
-reached within max_len flows. Strict search is one iterative walk over an index of
-flows by source. Lineage search walks an index of admissible successors
-built once per query, from the lineages of the carried packages only; it
-recurses once per flow of a trace, and a search deeper than the
-interpreter's recursion limit raises AnalysisError.
+reached within max_len flows; each search stops once it runs out of
+graph, however large max_len is. Strict search is one iterative walk over
+an index of flows by source, each entity's flows sorted by id, so the
+walk meets the paths of each length already in flow-id order: it files
+them by length and joins the lengths shortest first, and no strict result
+is sorted afterwards. Lineage search walks an index of admissible
+successors built once per query, from the lineages of the carried
+packages only, and sorts its traces at the end; it recurses once per flow
+of a trace, and a search deeper than the interpreter's recursion limit
+raises AnalysisError.
+
+Queries are total on hand-set graphs that validate would reject: a
+derivation that names nothing is ignored, and a reached undeclared
+entity, a package that is not text, or flow ids leaving one entity that
+cannot be compared raise AnalysisError.
 """
 from __future__ import annotations
 
@@ -27,7 +37,7 @@ from typing import NamedTuple
 
 from vdse.errors import AnalysisError
 from vdse.graph import InstanceGraph
-from vdse.schema import EntityType
+from vdse.schema import EntityType, type_code
 
 __all__ = [
     "DEFAULT_MAX_PATH_LEN",
@@ -105,6 +115,14 @@ def _sorted_paths(paths: list) -> list:
     return paths
 
 
+def _require_text_packages(flows) -> None:
+    """Raise AnalysisError naming the first of flows whose package is not
+    text; called once a query has failed on such a package."""
+    for flow in flows:
+        if not isinstance(flow.package, str):
+            raise AnalysisError(f"flow {flow.id!r} carries {flow.package!r}, not a package id")
+
+
 def _hops_to(graph: InstanceGraph, sink: str, limit: int) -> dict:
     """The fewest flows from each entity to sink, for the entities that
     reach it within limit flows: one reverse breadth-first search."""
@@ -114,6 +132,8 @@ def _hops_to(graph: InstanceGraph, sink: str, limit: int) -> dict:
     hops = {sink: 0}
     frontier = [sink]
     for distance in range(1, limit + 1):
+        if not frontier:
+            break
         reached = []
         for node in frontier:
             for source in sources_into.get(node, ()):
@@ -127,20 +147,39 @@ def _hops_to(graph: InstanceGraph, sink: str, limit: int) -> dict:
 def _strict_search(
     graph: InstanceGraph, source: str, max_len: int, sink: str | None = None
 ) -> dict:
-    """Every simple path of 1..max_len flows from source, unsorted, filed
-    under its endpoint. Given a sink, only the paths ending there; none is
-    extended past it, and no step goes to an entity that cannot reach the
-    sink within max_len flows. Iterative, so no recursion limit caps max_len."""
+    """Every simple path of 1..max_len flows from source, filed under its
+    endpoint, each endpoint's paths in (length, flow-id sequence) order.
+    Given a sink, only the paths ending there; none is extended past it, and
+    no step goes to an entity that cannot reach the sink within max_len
+    flows. Iterative, so no recursion limit caps max_len.
+
+    Each entity's successors are sorted by flow id, so the depth-first
+    preorder meets flow sequences in lexicographic order: the paths of one
+    length to one endpoint arrive in order. They are filed by length and
+    joined shortest first. Where a hand-set graph gives two flows leaving
+    one entity the same id, their targets break the tie, so the order still
+    depends on content only. Flow ids leaving one entity that cannot be
+    compared raise AnalysisError."""
     adjacency: dict[str, list] = {}
     for flow in graph.flows.values():
         adjacency.setdefault(flow.source, []).append((flow.id, flow.target))
+    for node, successors in adjacency.items():
+        try:
+            successors.sort()
+        except TypeError:
+            raise AnalysisError(f"flows leaving {node!r} have ids that cannot be ordered") from None
+    if source not in adjacency:
+        return {}
     hops = None if sink is None else _hops_to(graph, sink, max_len - 1)
-    found: dict[str, list] = {}
-    stack = [(iter(adjacency.get(source, ())), (), (source,))]
+    # A simple path's flows leave distinct entities, so none is longer than
+    # len(adjacency); by_length[n] files the paths of n flows by endpoint.
+    by_length: list[dict] = [{} for _ in range(min(max_len, len(adjacency)) + 1)]
+    stack = [(iter(adjacency[source]), (), (source,))]
     while stack:
         successors, flow_ids, nodes = stack[-1]
-        # A step makes a path of len(nodes) flows; spare more may follow it.
-        spare = max_len - len(nodes)
+        # A step makes a path of depth flows; spare more may follow it.
+        depth = len(nodes)
+        spare, filed = max_len - depth, by_length[depth]
         for flow_id, target in successors:
             if target in nodes or hops is not None and hops.get(target, max_len) > spare:
                 continue
@@ -149,12 +188,16 @@ def _strict_search(
             if ends or deeper:
                 path_flows, path_nodes = flow_ids + (flow_id,), nodes + (target,)
                 if ends:
-                    found.setdefault(target, []).append(Path(path_flows, path_nodes))
+                    filed.setdefault(target, []).append(Path(path_flows, path_nodes))
                 if deeper:
                     stack.append((iter(adjacency[target]), path_flows, path_nodes))
                     break
         else:
             stack.pop()
+    found: dict[str, list] = {}
+    for filed in by_length:
+        for endpoint, paths in filed.items():
+            found.setdefault(endpoint, []).extend(paths)
     return found
 
 
@@ -165,8 +208,13 @@ def _lineages(graph: InstanceGraph) -> dict:
     and a derivation cycle ends at the walk's seen set. A walk takes the
     lineage of a carried ancestor whole once it is known; packages go in
     declaration order, which puts each after those it derives from in a
-    graph built by parse or add_package."""
-    carried = {flow.package for flow in graph.flows.values()}
+    graph built by parse or add_package. As in validate, a derives_from
+    that is not a list, and an entry that is not hashable, name nothing."""
+    try:
+        carried = {flow.package for flow in graph.flows.values()}
+    except TypeError:
+        _require_text_packages(graph.flows.values())
+        raise
     lineages: dict[str, frozenset] = {}
     for package_id in (*graph.packages, *carried):
         if package_id not in carried or package_id in lineages:
@@ -175,8 +223,14 @@ def _lineages(graph: InstanceGraph) -> dict:
         stack = [package_id]
         while stack:
             package = graph.packages.get(stack.pop())
-            for ancestor in () if package is None else package.derives_from:
-                if ancestor in seen:
+            derives_from = () if package is None else package.derives_from
+            if not isinstance(derives_from, (tuple, list)):
+                continue
+            for ancestor in derives_from:
+                try:
+                    if ancestor in seen:
+                        continue
+                except TypeError:  # not hashable: names nothing
                     continue
                 if ancestor in lineages:
                     seen |= lineages[ancestor]
@@ -206,6 +260,8 @@ def _lineage_distances(flows: list, lineages: dict, sink: str, max_len: int) -> 
     entities: set[str] = set()
     packages: set[str] = set()
     for distance in range(1, max_len):
+        if not frontier:
+            break
         reached = []
         for flow in frontier:
             groups = []
@@ -301,7 +357,7 @@ def enumerate_paths(
     source to sink with at most max_len flows."""
     _check_query(graph, source, sink, max_len)
     if mode == "strict":
-        return _sorted_paths(_strict_search(graph, source, max_len, sink).get(sink, []))
+        return _strict_search(graph, source, max_len, sink).get(sink, [])
     if mode == "lineage":
         return _lineage_traces(graph, source, sink, max_len)
     raise AnalysisError(f"unknown mode {mode!r}")
@@ -359,7 +415,8 @@ def exposure_report(
 ) -> ExposureReport:
     """Where a person's data can end up: every reachable sink with its
     strict paths and packages, plus entities collecting two or more
-    distinct paths (aggregation points)."""
+    distinct paths (aggregation points). A reached entity that is not
+    declared, or a package on a path that is not text, raises AnalysisError."""
     _require_entity(graph, person)
     entity = graph.entities[person]
     if entity.entity_type is not EntityType.PERSON:
@@ -370,13 +427,22 @@ def exposure_report(
     sinks: list[SinkExposure] = []
     aggregation: list[AggregationPoint] = []
     for sink_id in sorted(found):
-        paths = _sorted_paths(found[sink_id])
+        paths = found[sink_id]
+        sink = graph.entities.get(sink_id)
+        if sink is None:
+            raise AnalysisError(
+                f"flow {paths[0].flow_ids[-1]!r} references unknown entity {sink_id!r}"
+            )
         flow_ids = set().union(*(path.flow_ids for path in paths))
-        packages = sorted({graph.flows[fid].package for fid in flow_ids})
+        try:
+            packages = sorted({graph.flows[fid].package for fid in flow_ids})
+        except TypeError:
+            _require_text_packages(graph.flows[fid] for path in paths for fid in path.flow_ids)
+            raise
         sinks.append(
             SinkExposure(
                 sink=sink_id,
-                sink_type=graph.entities[sink_id].entity_type.code,
+                sink_type=type_code(sink.entity_type),
                 paths=tuple(paths),
                 packages=tuple(packages),
             )

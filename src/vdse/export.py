@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from vdse.analysis import ExposureReport, LineageTrace, Path
 from vdse.graph import InstanceGraph
-from vdse.schema import EntityType, _Record, _gvquote
+from vdse.schema import _Record, _gvquote, type_code
 from vdse.validate import ValidationReport, check_references, not_a_map
 
 __all__ = [
@@ -71,10 +71,8 @@ def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> 
     nodes = []
     for entity_id in sorted(graph.entities):
         entity = graph.entities[entity_id]
-        code = entity.entity_type.code if isinstance(entity.entity_type, EntityType) else str(
-            entity.entity_type
-        )
-        nodes.append(f"{_gvquote(entity_id)} [label={_gvquote(f'{entity_id} : {code}')}];")
+        label = f"{entity_id} : {type_code(entity.entity_type)}"
+        nodes.append(f"{_gvquote(entity_id)} [label={_gvquote(label)}];")
     edges = []
     for relation_id in sorted(graph.relations):
         relation = graph.relations[relation_id]
@@ -127,9 +125,7 @@ def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
         "entities": [
             {
                 "id": e.id,
-                "type": e.entity_type.code
-                if isinstance(e.entity_type, EntityType)
-                else str(e.entity_type),
+                "type": type_code(e.entity_type),
                 "attributes": _sorted_attributes("entity", e),
             }
             for e in (graph.entities[i] for i in sorted(graph.entities))

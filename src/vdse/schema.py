@@ -19,6 +19,7 @@ __all__ = [
     "builtin_schema",
     "type_graph_to_dot",
     "INSTANTIABLE_TYPE_CODES",
+    "type_code",
 ]
 
 
@@ -86,6 +87,13 @@ _DISPLAY_NAMES = {
 }
 
 _BY_DISPLAY_NAME = {name: etype for etype, name in _DISPLAY_NAMES.items()}
+
+
+def type_code(entity_type) -> str:
+    """An entity's type as the writers render it: an EntityType's code, else
+    str() of whatever a hand-set graph holds."""
+    return entity_type.code if isinstance(entity_type, EntityType) else str(entity_type)
+
 
 # DataPackage is part of the registry but is never instantiated as a free
 # entity; packages attach to flows instead.

@@ -1,6 +1,7 @@
 """Path enumeration, lineage traces, reachability, exposure reports."""
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
@@ -14,6 +15,7 @@ from vdse.analysis import (
     Path,
     SinkExposure,
     _lineages,
+    _strict_search,
     brute_force_paths,
     enumerate_paths,
     exposure_report,
@@ -21,7 +23,7 @@ from vdse.analysis import (
 )
 from vdse.dsl import parse, serialize
 from vdse.errors import AnalysisError
-from vdse.graph import DataPackage, FlowInstance, new_scenario
+from vdse.graph import DataPackage, EntityInstance, FlowInstance, new_scenario
 from vdse.scenarios import load_scenario
 from vdse.schema import EntityType
 
@@ -136,6 +138,68 @@ def test_insertion_order_does_not_matter(speeding_graph):
     assert enumerate_paths(rebuilt, "driver", "insurer") == enumerate_paths(
         speeding_graph, "driver", "insurer"
     )
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_strict_search_files_paths_in_order(seed):
+    graph = build_random_graph(seed)
+    flows = list(graph.flows.items())
+    random.Random(seed).shuffle(flows)
+    graph.flows.clear()
+    graph.flows.update(flows)
+    max_len = 4
+    for source in sorted({a for a, _ in sample_pairs(graph, seed)})[:2]:
+        found = _strict_search(graph, source, max_len)
+        for sink in sorted(graph.entities):
+            if sink == source:
+                continue
+            want = brute_force_paths(graph, source, sink, max_len)
+            to_sink = _strict_search(graph, source, max_len, sink)
+            assert set(to_sink) <= {sink}
+            for paths in (found.get(sink, []), to_sink.get(sink, [])):
+                assert paths == sorted(paths, key=lambda p: (len(p.flow_ids), p.flow_ids))
+                assert paths == want
+
+
+def order_graph():
+    """Flow ids whose string order is not their insertion order: f2 before
+    f10, f1 before F1, and a plain flow g before the pair x.fwd / x.rev."""
+    graph = new_scenario("order").add_package(DataPackage("DP"))
+    graph.add_entity("p", "P").add_entity("m", "DA").add_entity("s", "DA")
+    for flow_id, edge, source, target in (
+        ("f2", "E2", "p", "s"),
+        ("f10", "E2", "p", "s"),
+        ("f1", "E2", "p", "m"),
+        ("F1", "E2", "p", "m"),
+        ("g", "E5", "m", "s"),
+    ):
+        graph.add_flow(flow_id, edge, source, target, "DP")
+    return graph.add_bidirectional_flow("x", "E5", "m", "s", "DP")
+
+
+def test_strict_paths_follow_string_order_not_insertion_order():
+    graph = order_graph()
+    to_s = [("f10",), ("f2",), ("F1", "g"), ("F1", "x.fwd"), ("f1", "g"), ("f1", "x.fwd")]
+    to_m = [("F1",), ("f1",), ("f10", "x.rev"), ("f2", "x.rev")]
+    assert flow_sets(enumerate_paths(graph, "p", "s")) == to_s
+    assert flow_sets(enumerate_paths(graph, "p", "m")) == to_m
+    assert enumerate_paths(graph, "p", "s") == brute_force_paths(graph, "p", "s")
+    report = exposure_report(graph, "p")
+    assert [s.sink for s in report.sinks] == ["m", "s"]
+    assert [flow_sets(s.paths) for s in report.sinks] == [to_m, to_s]
+
+
+@pytest.mark.parametrize("key", ("uber", "speeding", *range(20)))
+def test_strict_results_ignore_flow_insertion_order(key):
+    graph = load_scenario(key) if isinstance(key, str) else build_random_graph(key)
+    pairs = all_pairs(graph) if isinstance(key, str) else sample_pairs(graph, key)
+    want = [enumerate_paths(graph, a, b) for a, b in pairs]
+    reports = [exposure_report(graph, person) for person in persons(graph)]
+    flows = list(graph.flows.items())
+    graph.flows.clear()
+    graph.flows.update(reversed(flows))
+    assert [enumerate_paths(graph, a, b) for a, b in pairs] == want
+    assert [exposure_report(graph, person) for person in persons(graph)] == reports
 
 
 def test_query_errors(uber_graph):
@@ -539,6 +603,104 @@ def test_exposure_of_isolated_person():
     report = exposure_report(graph, "p")
     assert report.sinks == () or report.sinks == tuple()
     assert report.aggregation_points == tuple()
+
+
+def hand_set_graph():
+    """p -f1-> a -f2-> b, with package Q derived from P; the six shapes
+    below each hand-set one field that validate would reject."""
+    graph = new_scenario("hand_set")
+    graph.add_entity("p", "P").add_entity("a", "DA").add_entity("b", "DA")
+    graph.add_entity("c", "DA").add_entity("d", "DA")
+    graph.add_package(DataPackage("P")).add_package(DataPackage("Q", derives_from=("P",)))
+    graph.add_flow("f1", "E2", "p", "a", "P").add_flow("f2", "E5", "a", "b", "Q")
+    return graph.add_flow("f3", "E5", "c", "d", "P")
+
+
+def reach_an_undeclared_entity(graph):
+    graph.flows["f4"] = FlowInstance("f4", "E5", "b", "ghost", "P")
+
+
+def type_as_text(graph):
+    graph.entities["b"] = EntityInstance("b", "DA")
+
+
+def list_package_on_a_path(graph):
+    graph.flows["f2"] = FlowInstance("f2", "E5", "a", "b", ["Q"])
+
+
+def list_package_off_every_path(graph):
+    graph.flows["f3"] = FlowInstance("f3", "E5", "c", "d", ["P"])
+
+
+def derives_from_none(graph):
+    graph.packages["Q"] = DataPackage("Q", derives_from=None)
+
+
+def unhashable_derivation(graph):
+    graph.packages["Q"] = DataPackage("Q", derives_from=(["P"],))
+
+
+# What each query gives on each shape: None for a result, else the
+# AnalysisError message.
+HAND_SET = {
+    reach_an_undeclared_entity: (
+        "flow 'f4' references unknown entity 'ghost'", None, None,
+    ),
+    type_as_text: (None, None, None),
+    list_package_on_a_path: (
+        "flow 'f2' carries ['Q'], not a package id",
+        None,
+        "flow 'f2' carries ['Q'], not a package id",
+    ),
+    list_package_off_every_path: (
+        None, None, "flow 'f3' carries ['P'], not a package id",
+    ),
+    derives_from_none: (None, None, None),
+    unhashable_derivation: (None, None, None),
+}
+
+
+@pytest.mark.parametrize("shape", HAND_SET, ids=lambda shape: shape.__name__)
+def test_queries_are_total_on_hand_set_graphs(shape):
+    graph = hand_set_graph()
+    shape(graph)
+    queries = (
+        lambda: exposure_report(graph, "p"),
+        lambda: enumerate_paths(graph, "p", "b"),
+        lambda: enumerate_paths(graph, "p", "b", mode="lineage"),
+    )
+    for query, error in zip(queries, HAND_SET[shape]):
+        if error is None:
+            query()
+        else:
+            with pytest.raises(AnalysisError) as exc:
+                query()
+            assert str(exc.value) == error
+
+
+def test_hand_set_shapes_keep_their_answers():
+    graph = hand_set_graph()
+    type_as_text(graph)
+    sinks = exposure_report(graph, "p").sinks
+    assert [(s.sink, s.sink_type, s.packages) for s in sinks] == [
+        ("a", "DA", ("P",)), ("b", "DA", ("P", "Q")),
+    ]
+    for shape in (derives_from_none, unhashable_derivation):
+        graph = hand_set_graph()
+        shape(graph)
+        assert _lineages(graph)["Q"] == {"Q"}
+        assert enumerate_paths(graph, "p", "b", mode="lineage") == [
+            LineageTrace(("f1", "f2"), ("P", "Q"))
+        ]
+
+
+def test_flow_ids_that_cannot_be_ordered_raise_analysis_error():
+    graph = hand_set_graph()
+    graph.flows[1] = FlowInstance(1, "E2", "p", "b", "P")
+    for query in (lambda: exposure_report(graph, "p"), lambda: enumerate_paths(graph, "p", "b")):
+        with pytest.raises(AnalysisError) as exc:
+            query()
+        assert str(exc.value) == "flows leaving 'p' have ids that cannot be ordered"
 
 
 def test_path_value_objects_are_hashable():

@@ -247,6 +247,20 @@ def test_too_deep_lineage_search_is_a_usage_error(chain_file):
     assert err == "usage error: search too deep for --max-len 5000\n"
 
 
+def test_a_huge_max_len_stops_with_the_graph(speeding_file):
+    # Each search stops once it runs out of graph, so a max_len far past
+    # the longest path costs nothing.
+    huge = "99999999999999999999"
+    for command in (
+        ["paths", speeding_file, "--from", "driver", "--to", "insurer"],
+        ["paths", speeding_file, "--from", "driver", "--to", "insurer", "--mode", "lineage"],
+        ["exposure", speeding_file, "--person", "driver"],
+    ):
+        done = _python_m_vdse(*command, "--max-len", huge)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == _python_m_vdse(*command, "--max-len", "100").stdout != b""
+
+
 # -- export ---------------------------------------------------------------------
 
 
