@@ -25,10 +25,10 @@ packages only, and sorts its traces at the end; it recurses once per flow
 of a trace, and a search deeper than the interpreter's recursion limit
 raises AnalysisError.
 
-Queries are total on hand-set graphs that validate would reject: a
-derivation that names nothing is ignored, and a reached undeclared
-entity, a package that is not text, or flow ids leaving one entity that
-cannot be compared raise AnalysisError.
+Queries are total on hand-set graphs that validate would reject: each
+first checks the flows in one pass (_flows), which raises AnalysisError on
+a flow not filed under its own id, naming an undeclared entity or carrying
+a non-text package, and on ids not all text or all integers.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from typing import NamedTuple
 from vdse.errors import AnalysisError
 from vdse.graph import InstanceGraph
 from vdse.schema import EntityType, type_code
+from vdse.validate import _names, _names_all
 
 __all__ = [
     "DEFAULT_MAX_PATH_LEN",
@@ -115,19 +116,39 @@ def _sorted_paths(paths: list) -> list:
     return paths
 
 
-def _require_text_packages(flows) -> None:
-    """Raise AnalysisError naming the first of flows whose package is not
-    text; called once a query has failed on such a package."""
-    for flow in flows:
+def _flows(graph: InstanceGraph) -> list:
+    """The flows of graph, once each is filed under its own id, names
+    declared entities and carries a text package, and the ids order (all
+    text or all integers); else AnalysisError naming the least problem."""
+    flows = list(graph.flows.values())
+    problems = []
+    for key, flow in graph.flows.items():
+        if key != flow.id:
+            problems.append(f"flow {flow.id!r} is filed under {key!r}")
         if not isinstance(flow.package, str):
-            raise AnalysisError(f"flow {flow.id!r} carries {flow.package!r}, not a package id")
+            problems.append(f"flow {flow.id!r} carries {flow.package!r}, not a package id")
+    endpoints = [flow.source for flow in flows] + [flow.target for flow in flows]
+    if not _names_all(graph.entities, endpoints):
+        problems.extend(
+            f"flow {flow.id!r} references unknown entity {endpoint!r}"
+            for flow in flows
+            for endpoint in (flow.source, flow.target)
+            if not _names(graph.entities, endpoint)
+        )
+    odd = [flow.id for flow in flows if not isinstance(flow.id, str)]
+    if odd and (len(odd) < len(flows) or not all(isinstance(i, int) for i in odd)):
+        first = min(odd, key=repr)
+        problems.append(f"flow id {first!r} is not text, and not every flow id is an integer")
+    if problems:
+        raise AnalysisError(min(problems))
+    return flows
 
 
-def _hops_to(graph: InstanceGraph, sink: str, limit: int) -> dict:
+def _hops_to(flows: list, sink: str, limit: int) -> dict:
     """The fewest flows from each entity to sink, for the entities that
     reach it within limit flows: one reverse breadth-first search."""
     sources_into: dict[str, list] = {}
-    for flow in graph.flows.values():
+    for flow in flows:
         sources_into.setdefault(flow.target, []).append(flow.source)
     hops = {sink: 0}
     frontier = [sink]
@@ -144,9 +165,7 @@ def _hops_to(graph: InstanceGraph, sink: str, limit: int) -> dict:
     return hops
 
 
-def _strict_search(
-    graph: InstanceGraph, source: str, max_len: int, sink: str | None = None
-) -> dict:
+def _strict_search(flows: list, source: str, max_len: int, sink: str | None = None) -> dict:
     """Every simple path of 1..max_len flows from source, filed under its
     endpoint, each endpoint's paths in (length, flow-id sequence) order.
     Given a sink, only the paths ending there; none is extended past it, and
@@ -156,21 +175,15 @@ def _strict_search(
     Each entity's successors are sorted by flow id, so the depth-first
     preorder meets flow sequences in lexicographic order: the paths of one
     length to one endpoint arrive in order. They are filed by length and
-    joined shortest first. Where a hand-set graph gives two flows leaving
-    one entity the same id, their targets break the tie, so the order still
-    depends on content only. Flow ids leaving one entity that cannot be
-    compared raise AnalysisError."""
+    joined shortest first."""
     adjacency: dict[str, list] = {}
-    for flow in graph.flows.values():
+    for flow in flows:
         adjacency.setdefault(flow.source, []).append((flow.id, flow.target))
-    for node, successors in adjacency.items():
-        try:
-            successors.sort()
-        except TypeError:
-            raise AnalysisError(f"flows leaving {node!r} have ids that cannot be ordered") from None
+    for successors in adjacency.values():
+        successors.sort()
     if source not in adjacency:
         return {}
-    hops = None if sink is None else _hops_to(graph, sink, max_len - 1)
+    hops = None if sink is None else _hops_to(flows, sink, max_len - 1)
     # A simple path's flows leave distinct entities, so none is longer than
     # len(adjacency); by_length[n] files the paths of n flows by endpoint.
     by_length: list[dict] = [{} for _ in range(min(max_len, len(adjacency)) + 1)]
@@ -201,7 +214,7 @@ def _strict_search(
     return found
 
 
-def _lineages(graph: InstanceGraph) -> dict:
+def _lineages(packages: dict, flows: list) -> dict:
     """For each package some flow carries, the frozenset of that package and
     every package it derives from, transitively: one depth-first walk over
     derives_from per package. An undeclared package derives from nothing,
@@ -210,19 +223,15 @@ def _lineages(graph: InstanceGraph) -> dict:
     declaration order, which puts each after those it derives from in a
     graph built by parse or add_package. As in validate, a derives_from
     that is not a list, and an entry that is not hashable, name nothing."""
-    try:
-        carried = {flow.package for flow in graph.flows.values()}
-    except TypeError:
-        _require_text_packages(graph.flows.values())
-        raise
+    carried = {flow.package for flow in flows}
     lineages: dict[str, frozenset] = {}
-    for package_id in (*graph.packages, *carried):
+    for package_id in (*packages, *carried):
         if package_id not in carried or package_id in lineages:
             continue
         seen = {package_id}
         stack = [package_id]
         while stack:
-            package = graph.packages.get(stack.pop())
+            package = packages.get(stack.pop())
             derives_from = () if package is None else package.derives_from
             if not isinstance(derives_from, (tuple, list)):
                 continue
@@ -304,7 +313,7 @@ def _walk(
                 used.discard(flow_id)
 
 
-def _lineage_traces(graph: InstanceGraph, source: str, sink: str, max_len: int) -> list:
+def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len: int) -> list:
     """Every lineage trace from source to sink, sorted.
 
     Successors are indexed once per query, over the flows that can still
@@ -315,8 +324,7 @@ def _lineage_traces(graph: InstanceGraph, source: str, sink: str, max_len: int) 
     entry's two successor lists), and each list is sorted by distance, so a
     step stops at the first entry that cannot reach the sink within max_len.
     A trace deeper than the recursion limit raises AnalysisError."""
-    lineages = _lineages(graph)
-    flows = list(graph.flows.values())
+    lineages = _lineages(packages, flows)
     distances = _lineage_distances(flows, lineages, sink, max_len)
     leaving: dict[str, list] = {}
     derived_from: dict[str, list] = {}
@@ -355,11 +363,12 @@ def enumerate_paths(
 ) -> list:
     """All data-flow paths (strict) or provenance traces (lineage) from
     source to sink with at most max_len flows."""
+    flows = _flows(graph)
     _check_query(graph, source, sink, max_len)
     if mode == "strict":
-        return _strict_search(graph, source, max_len, sink).get(sink, [])
+        return _strict_search(flows, source, max_len, sink).get(sink, [])
     if mode == "lineage":
-        return _lineage_traces(graph, source, sink, max_len)
+        return _lineage_traces(graph.packages, flows, source, sink, max_len)
     raise AnalysisError(f"unknown mode {mode!r}")
 
 
@@ -371,8 +380,8 @@ def brute_force_paths(
 ) -> list:
     """Strict-mode oracle: exhaustive recursion over the raw flow list with
     no adjacency index and no pruning. Same contract as strict mode."""
+    all_flows = _flows(graph)
     _check_query(graph, source, sink, max_len)
-    all_flows = list(graph.flows.values())
     results: list[Path] = []
 
     def search(node: str, flow_ids: tuple, nodes: tuple) -> None:
@@ -385,18 +394,17 @@ def brute_force_paths(
             if flow.source == node and flow.target not in nodes:
                 search(flow.target, flow_ids + (flow.id,), nodes + (flow.target,))
 
-    for flow in all_flows:
-        if flow.source == source and flow.target not in (source,):
-            search(flow.target, (flow.id,), (source, flow.target))
+    search(source, (), (source,))
     return _sorted_paths(results)
 
 
 def reachable_from(graph: InstanceGraph, source: str) -> set:
     """Entities reachable from source over one or more directed flows,
     excluding the source itself."""
+    flows = _flows(graph)
     _require_entity(graph, source)
     adjacency: dict[str, set] = {}
-    for flow in graph.flows.values():
+    for flow in flows:
         adjacency.setdefault(flow.source, set()).add(flow.target)
     seen: set[str] = set()
     frontier = [source]
@@ -415,34 +423,24 @@ def exposure_report(
 ) -> ExposureReport:
     """Where a person's data can end up: every reachable sink with its
     strict paths and packages, plus entities collecting two or more
-    distinct paths (aggregation points). A reached entity that is not
-    declared, or a package on a path that is not text, raises AnalysisError."""
+    distinct paths (aggregation points)."""
+    flows = _flows(graph)
     _require_entity(graph, person)
-    entity = graph.entities[person]
-    if entity.entity_type is not EntityType.PERSON:
+    if graph.entities[person].entity_type is not EntityType.PERSON:
         raise AnalysisError(f"{person!r} is not a Person entity")
     if max_len < 1:
         raise AnalysisError("max_len must be at least 1")
-    found = _strict_search(graph, person, max_len)
+    found = _strict_search(flows, person, max_len)
     sinks: list[SinkExposure] = []
     aggregation: list[AggregationPoint] = []
     for sink_id in sorted(found):
         paths = found[sink_id]
-        sink = graph.entities.get(sink_id)
-        if sink is None:
-            raise AnalysisError(
-                f"flow {paths[0].flow_ids[-1]!r} references unknown entity {sink_id!r}"
-            )
         flow_ids = set().union(*(path.flow_ids for path in paths))
-        try:
-            packages = sorted({graph.flows[fid].package for fid in flow_ids})
-        except TypeError:
-            _require_text_packages(graph.flows[fid] for path in paths for fid in path.flow_ids)
-            raise
+        packages = sorted({graph.flows[fid].package for fid in flow_ids})
         sinks.append(
             SinkExposure(
                 sink=sink_id,
-                sink_type=type_code(sink.entity_type),
+                sink_type=type_code(graph.entities[sink_id].entity_type),
                 paths=tuple(paths),
                 packages=tuple(packages),
             )

@@ -43,7 +43,7 @@ from vdse.graph import (
     new_scenario,
 )
 from vdse.schema import EntityType, INSTANTIABLE_TYPE_CODES, builtin_schema
-from vdse.validate import check_references, not_a_map
+from vdse.validate import check_references, items_not_text, not_a_map
 
 __all__ = ["parse", "serialize"]
 
@@ -520,10 +520,10 @@ def _package_order(graph: InstanceGraph) -> list[str]:
     derives from (parse executes statements in file order)."""
     dependants: dict[str, list[str]] = {pid: [] for pid in graph.packages}
     indegree = {pid: 0 for pid in graph.packages}
-    for package in graph.packages.values():
+    for pid, package in graph.packages.items():
         for ancestor in package.derives_from:
-            dependants[ancestor].append(package.id)
-            indegree[package.id] += 1
+            dependants[ancestor].append(pid)
+            indegree[pid] += 1
     heap = [pid for pid, degree in indegree.items() if degree == 0]
     heapq.heapify(heap)
     order: list[str] = []
@@ -572,8 +572,10 @@ def _check_writable(graph: InstanceGraph) -> list[str]:
             raise MalformedGraphError(f"package {package_id!r} lists derivation {twice!r} twice")
         if not isinstance(package.description, str):
             raise MalformedGraphError(f"package {package_id!r} description must be text")
-        if not all(isinstance(item, str) for item in package.items):
-            raise MalformedGraphError(f"package {package_id!r} items must be text")
+        if not isinstance(package.items, (tuple, list)) or not all(
+            isinstance(item, str) for item in package.items
+        ):
+            raise items_not_text(package_id)
     for relation_id, relation in sorted(graph.relations.items()):
         _check_lexicon(relation_id, "relation")
         if relation.attributes != {}:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from vdse.analysis import ExposureReport, LineageTrace, Path
 from vdse.graph import InstanceGraph
 from vdse.schema import _Record, _gvquote, type_code
-from vdse.validate import ValidationReport, check_references, not_a_map
+from vdse.validate import ValidationReport, check_references, items_not_text, not_a_map
 
 __all__ = [
     "ExportOptions",
@@ -117,6 +117,12 @@ def _sorted_attributes(kind: str, item) -> dict:
     return {k: item.attributes[k] for k in sorted(item.attributes)}
 
 
+def _items(package_id: str, items) -> list:
+    if not isinstance(items, (tuple, list)):
+        raise items_not_text(package_id)
+    return list(items)
+
+
 def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
     """Render a scenario as a stable JSON document, all sections sorted by id."""
     check_references(graph)
@@ -134,7 +140,7 @@ def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
             {
                 "id": p.id,
                 "description": p.description,
-                "items": list(p.items),
+                "items": _items(p.id, p.items),
                 "derives_from": list(p.derives_from),
             }
             for p in (graph.packages[i] for i in sorted(graph.packages))

@@ -90,11 +90,29 @@ def _order(violation: Violation) -> tuple:
     return (violation.severity, violation.subject, violation.code.value, violation.message)
 
 
+def _sorted(violations: list) -> list:
+    """The violations in report order. A subject that is not text, such as a
+    hand-set flow id 1, is given as its repr, so subjects always compare."""
+    texts = [
+        v if isinstance(v.subject, str) else v._replace(subject=repr(v.subject))
+        for v in violations
+    ]
+    return sorted(texts, key=_order)
+
+
 def _names(table: dict, key) -> bool:
     """Whether key is a key of table; a value that is not hashable, such as
     a hand-set list, names nothing."""
     try:
         return key in table
+    except TypeError:
+        return False
+
+
+def _names_all(table: dict, keys: list) -> bool:
+    """Whether each of keys is a key of table, as _names decides it."""
+    try:
+        return table.keys() >= set(keys)
     except TypeError:
         return False
 
@@ -123,31 +141,32 @@ def _check_references(
     schema: TypeGraph, graph: InstanceGraph, out: list
 ) -> tuple[dict, list, list]:
     """Report every reference that names nothing: a derivation, a relation
-    name or endpoint, a flow edge type, endpoint or package. Returns the
+    name or endpoint, a flow edge type, endpoint or package; and every flow
+    that is not filed under its own id or whose id is not text. Returns the
     derivations that resolve, by package, and the relations and the flows
     whose name or type and endpoints resolve; the other checks inspect only
     those."""
     derivations = {}
-    for package in graph.packages.values():
+    for package_id, package in graph.packages.items():
         if not isinstance(package.derives_from, (tuple, list)):
             out.append(
                 Violation(
                     ViolationCode.DANGLING_REF,
-                    package.id,
-                    f"package {package.id!r} derives from {package.derives_from!r}, "
+                    package_id,
+                    f"package {package_id!r} derives from {package.derives_from!r}, "
                     "not a list of packages",
                 )
             )
             continue
         for ancestor in package.derives_from:
             if _names(graph.packages, ancestor):
-                derivations.setdefault(package.id, []).append(ancestor)
+                derivations.setdefault(package_id, []).append(ancestor)
             else:
                 out.append(
                     Violation(
                         ViolationCode.DANGLING_REF,
-                        package.id,
-                        f"package {package.id!r} derives from unknown package {ancestor!r}",
+                        package_id,
+                        f"package {package_id!r} derives from unknown package {ancestor!r}",
                     )
                 )
     relations = []
@@ -163,7 +182,14 @@ def _check_references(
         elif _resolves(graph, "relation", relation, out):
             relations.append(relation)
     flows = []
-    for flow in graph.flows.values():
+    for flow_id, flow in graph.flows.items():
+        if flow_id != flow.id or not isinstance(flow_id, str):
+            # Two keys can hold one id, and only a text id can be written.
+            message = (
+                f"flow id {flow_id!r} is not text" if flow_id == flow.id
+                else f"flow {flow.id!r} is filed under {flow_id!r}"
+            )
+            out.append(Violation(ViolationCode.DUPLICATE_ID, flow_id, message))
         if not _names(schema.flow_edge_types, flow.edge_type):
             out.append(
                 Violation(
@@ -194,13 +220,19 @@ def not_a_map(owner: str, attributes) -> MalformedGraphError:
     )
 
 
+def items_not_text(package_id: str) -> MalformedGraphError:
+    """The error a writer raises when a package's items are not a list it
+    can write."""
+    return MalformedGraphError(f"package {package_id!r} items must be text")
+
+
 def check_references(graph: InstanceGraph) -> None:
     """Raise MalformedGraphError with the first reference problem that
     validate reports for graph, if there is one."""
     problems: list[Violation] = []
     _check_references(builtin_schema(), graph, problems)
     if problems:
-        raise MalformedGraphError(min(problems, key=_order).message)
+        raise MalformedGraphError(_sorted(problems)[0].message)
 
 
 def _is_map(item, out: list) -> bool:
@@ -361,5 +393,4 @@ def validate(schema: TypeGraph, graph: InstanceGraph) -> ValidationReport:
     _check_packages(derivations, violations)
     _check_relations(relations, violations)
     _check_flows(schema, graph, relations, flows, violations)
-    violations.sort(key=_order)
-    return ValidationReport(scenario=graph.name, violations=violations)
+    return ValidationReport(scenario=graph.name, violations=_sorted(violations))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from vdse import builtin_schema, new_scenario
 from vdse.analysis import LineageTrace
-from vdse.graph import DataPackage
+from vdse.graph import DataPackage, FlowInstance, InstanceGraph
 from vdse.schema import INSTANTIABLE_TYPE_CODES
 from vdse.scenarios import load_scenario
 
@@ -74,6 +74,77 @@ def build_random_graph(seed: int):
             graph.add_flow(f"f{counter}", edge, source, sink, package)
         counter += 1
     return graph
+
+
+def hand_set_graph():
+    """p -f1-> a -f2-> b, with package Q derived from P, and c -f3-> d."""
+    graph = new_scenario("hand_set")
+    graph.add_entity("p", "P").add_entity("a", "DA").add_entity("b", "DA")
+    graph.add_entity("c", "DA").add_entity("d", "DA")
+    graph.add_package(DataPackage("P")).add_package(DataPackage("Q", derives_from=("P",)))
+    graph.add_flow("f1", "E2", "p", "a", "P").add_flow("f2", "E5", "a", "b", "Q")
+    return graph.add_flow("f3", "E5", "c", "d", "P")
+
+
+# What a hand-set field can hold that no builder call would store: nothing,
+# a value that is not hashable, an integer, and an id that names nothing.
+HAND_SET_VALUES = (None, ["ghost"], 7, "ghost")
+_TABLES = ("entities", "packages", "relations", "flows")
+
+
+def copy_graph(graph) -> InstanceGraph:
+    """graph with maps of its own; the records stay shared until replaced."""
+    return InstanceGraph(
+        graph.name,
+        dict(graph.entities),
+        dict(graph.relations),
+        dict(graph.flows),
+        dict(graph.packages),
+    )
+
+
+def hand_set(rng: random.Random, graph) -> str:
+    """Make one change to graph that no builder call would make, and say
+    what it was: one field of one record set to a HAND_SET_VALUES value, a
+    flow filed under another key (moved, or kept under both), or integer
+    flow ids (for one flow, so the id types mix, or for all of them)."""
+    kind = rng.choice(("field", "field", "key", "ids")) if graph.flows else "field"
+    if kind == "field":
+        name = rng.choice([name for name in _TABLES if getattr(graph, name)])
+        table = getattr(graph, name)
+        key = rng.choice(sorted(table))
+        field = rng.choice(table[key].__slots__)
+        value = rng.choice(HAND_SET_VALUES)
+        table[key] = type(table[key])(*table[key]._values())
+        setattr(table[key], field, value)
+        return f"{name}[{key!r}].{field} = {value!r}"
+    flow_ids = sorted(graph.flows)
+    if kind == "key":
+        flow_id = rng.choice(flow_ids)
+        key = rng.choice(("k", 3, *(other for other in flow_ids if other != flow_id)))
+        flow = graph.flows.pop(flow_id) if rng.random() < 0.5 else graph.flows[flow_id]
+        graph.flows[key] = flow
+        return f"flow {flow_id!r} filed under {key!r}"
+    renamed = flow_ids if rng.random() < 0.25 else [rng.choice(flow_ids)]
+    for number, flow_id in enumerate(renamed):
+        flow = graph.flows.pop(flow_id)
+        graph.flows[number] = FlowInstance(
+            number, flow.edge_type, flow.source, flow.target, flow.package
+        )
+    return f"flows {renamed} renumbered"
+
+
+def hand_set_graphs(seed: int, count: int):
+    """count seeded hand-set graphs, each a bundled scenario or a
+    build_random_graph graph with one hand_set change. Yields the change,
+    the graph it was made to and the changed copy."""
+    rng = random.Random(seed)
+    bases = [load_scenario("uber"), load_scenario("speeding")]
+    bases += [build_random_graph(seed * 1000 + i) for i in range(8)]
+    for _ in range(count):
+        base = rng.choice(bases)
+        graph = copy_graph(base)
+        yield hand_set(rng, graph), base, graph
 
 
 def sample_pairs(graph, seed: int, limit: int = 8):

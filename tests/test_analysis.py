@@ -6,7 +6,13 @@ import tracemalloc
 
 import pytest
 
-from conftest import brute_force_lineage, build_random_graph, derivation_closure, sample_pairs
+from conftest import (
+    brute_force_lineage,
+    build_random_graph,
+    derivation_closure,
+    hand_set_graph,
+    sample_pairs,
+)
 from vdse.analysis import (
     DEFAULT_MAX_PATH_LEN,
     AggregationPoint,
@@ -14,6 +20,7 @@ from vdse.analysis import (
     LineageTrace,
     Path,
     SinkExposure,
+    _flows,
     _lineages,
     _strict_search,
     brute_force_paths,
@@ -30,6 +37,10 @@ from vdse.schema import EntityType
 
 def flow_sets(paths):
     return [p.flow_ids for p in paths]
+
+
+def lineages(graph):
+    return _lineages(graph.packages, _flows(graph))
 
 
 # -- strict enumeration -----------------------------------------------------
@@ -149,12 +160,12 @@ def test_strict_search_files_paths_in_order(seed):
     graph.flows.update(flows)
     max_len = 4
     for source in sorted({a for a, _ in sample_pairs(graph, seed)})[:2]:
-        found = _strict_search(graph, source, max_len)
+        found = _strict_search(_flows(graph), source, max_len)
         for sink in sorted(graph.entities):
             if sink == source:
                 continue
             want = brute_force_paths(graph, source, sink, max_len)
-            to_sink = _strict_search(graph, source, max_len, sink)
+            to_sink = _strict_search(_flows(graph), source, max_len, sink)
             assert set(to_sink) <= {sink}
             for paths in (found.get(sink, []), to_sink.get(sink, [])):
                 assert paths == sorted(paths, key=lambda p: (len(p.flow_ids), p.flow_ids))
@@ -275,7 +286,7 @@ def test_lineage_ignores_package_order_on_a_derivation_cycle():
         graph.add_flow("f1", "E2", "p", "a", "A")
         graph.add_flow("f2", "E4", "b", "o", "B")
         graph.add_flow("f3", "E5", "a", "b", "C")
-        assert _lineages(graph) == {package_id: {"A", "B", "C"} for package_id in derives}
+        assert lineages(graph) == {package_id: {"A", "B", "C"} for package_id in derives}
         results.append(flow_sets(enumerate_paths(graph, "p", "o", mode="lineage")))
     assert results[0] == results[1] == results[2]
     assert ("f1", "f2") in results[0]  # f1, f2 do not chain; B derives from A
@@ -290,8 +301,8 @@ def test_lineages_close_a_cycle_and_keep_undeclared_ancestors():
         graph.flows[f"f{i}"] = FlowInstance(f"f{i}", "E2", "p", "a", package_id)
     # D is carried by no flow, so it has no lineage; loose is undeclared.
     cycle = {"A", "B", "C", "ghost"}
-    assert _lineages(graph) == {"A": cycle, "B": cycle, "C": cycle, "loose": {"loose"}}
-    assert all(type(lineage) is frozenset for lineage in _lineages(graph).values())
+    assert lineages(graph) == {"A": cycle, "B": cycle, "C": cycle, "loose": {"loose"}}
+    assert all(type(lineage) is frozenset for lineage in lineages(graph).values())
 
 
 LONG_DERIVATION = 4000
@@ -464,7 +475,7 @@ def test_derivation_closure_matches_oracle(mutate):
     for graph in graphs if mutate is None else map(mutate, graphs):
         closure = derivation_closure(graph)
         carried = {flow.package for flow in graph.flows.values()}
-        assert _lineages(graph) == {p: closure.get(p, set()) | {p} for p in carried}
+        assert lineages(graph) == {p: closure.get(p, set()) | {p} for p in carried}
 
 
 @pytest.mark.parametrize("key", ("uber", "speeding", *range(20)))
@@ -605,17 +616,6 @@ def test_exposure_of_isolated_person():
     assert report.aggregation_points == tuple()
 
 
-def hand_set_graph():
-    """p -f1-> a -f2-> b, with package Q derived from P; the six shapes
-    below each hand-set one field that validate would reject."""
-    graph = new_scenario("hand_set")
-    graph.add_entity("p", "P").add_entity("a", "DA").add_entity("b", "DA")
-    graph.add_entity("c", "DA").add_entity("d", "DA")
-    graph.add_package(DataPackage("P")).add_package(DataPackage("Q", derives_from=("P",)))
-    graph.add_flow("f1", "E2", "p", "a", "P").add_flow("f2", "E5", "a", "b", "Q")
-    return graph.add_flow("f3", "E5", "c", "d", "P")
-
-
 def reach_an_undeclared_entity(graph):
     graph.flows["f4"] = FlowInstance("f4", "E5", "b", "ghost", "P")
 
@@ -640,21 +640,14 @@ def unhashable_derivation(graph):
     graph.packages["Q"] = DataPackage("Q", derives_from=(["P"],))
 
 
-# What each query gives on each shape: None for a result, else the
-# AnalysisError message.
+# The six shapes above each hand-set one field of hand_set_graph that
+# validate would reject. What each query gives on each shape: None for a
+# result, else the AnalysisError message.
 HAND_SET = {
-    reach_an_undeclared_entity: (
-        "flow 'f4' references unknown entity 'ghost'", None, None,
-    ),
+    reach_an_undeclared_entity: ("flow 'f4' references unknown entity 'ghost'",) * 3,
     type_as_text: (None, None, None),
-    list_package_on_a_path: (
-        "flow 'f2' carries ['Q'], not a package id",
-        None,
-        "flow 'f2' carries ['Q'], not a package id",
-    ),
-    list_package_off_every_path: (
-        None, None, "flow 'f3' carries ['P'], not a package id",
-    ),
+    list_package_on_a_path: ("flow 'f2' carries ['Q'], not a package id",) * 3,
+    list_package_off_every_path: ("flow 'f3' carries ['P'], not a package id",) * 3,
     derives_from_none: (None, None, None),
     unhashable_derivation: (None, None, None),
 }
@@ -688,7 +681,7 @@ def test_hand_set_shapes_keep_their_answers():
     for shape in (derives_from_none, unhashable_derivation):
         graph = hand_set_graph()
         shape(graph)
-        assert _lineages(graph)["Q"] == {"Q"}
+        assert lineages(graph)["Q"] == {"Q"}
         assert enumerate_paths(graph, "p", "b", mode="lineage") == [
             LineageTrace(("f1", "f2"), ("P", "Q"))
         ]
@@ -697,10 +690,29 @@ def test_hand_set_shapes_keep_their_answers():
 def test_flow_ids_that_cannot_be_ordered_raise_analysis_error():
     graph = hand_set_graph()
     graph.flows[1] = FlowInstance(1, "E2", "p", "b", "P")
-    for query in (lambda: exposure_report(graph, "p"), lambda: enumerate_paths(graph, "p", "b")):
+    for query in (
+        lambda: exposure_report(graph, "p"),
+        lambda: enumerate_paths(graph, "p", "b"),
+        lambda: enumerate_paths(graph, "p", "b", mode="lineage"),
+    ):
         with pytest.raises(AnalysisError) as exc:
             query()
-        assert str(exc.value) == "flows leaving 'p' have ids that cannot be ordered"
+        assert str(exc.value) == "flow id 1 is not text, and not every flow id is an integer"
+
+
+def test_integer_flow_ids_order_numerically():
+    graph = hand_set_graph()
+    graph.flows.clear()
+    for number, source, target in ((10, "p", "a"), (2, "p", "a"), (3, "a", "b")):
+        graph.flows[number] = FlowInstance(number, "E5", source, target, "P")
+    assert flow_sets(enumerate_paths(graph, "p", "b")) == [(2, 3), (10, 3)]
+    assert enumerate_paths(graph, "p", "b") == brute_force_paths(graph, "p", "b")
+    assert flow_sets(enumerate_paths(graph, "p", "b", mode="lineage")) == [
+        (2, 3), (10, 3), (2, 10, 3), (10, 2, 3),
+    ]
+    assert [flow_sets(sink.paths) for sink in exposure_report(graph, "p").sinks] == [
+        [(2,), (10,)], [(2, 3), (10, 3)],
+    ]
 
 
 def test_path_value_objects_are_hashable():

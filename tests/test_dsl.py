@@ -292,6 +292,14 @@ def relation_with_attributes(attributes):
             "package 'q' items must be text",
         ),
         (
+            lambda g: setattr(g.packages["p"], "items", None),
+            "package 'p' items must be text",
+        ),
+        (
+            lambda g: setattr(g.packages["p"], "items", 7),
+            "package 'p' items must be text",
+        ),
+        (
             lambda g: setattr(g.entities["a"], "attributes", None),
             "entity 'a' attributes must be a map, not NoneType",
         ),
@@ -321,6 +329,8 @@ def relation_with_attributes(attributes):
         "derivation_twice",
         "description",
         "items",
+        "items_none",
+        "items_int",
         "entity_attributes_none",
         "entity_attributes_list",
         "attribute_key_not_text",
@@ -751,19 +761,61 @@ def round_trip_mutants(rng: random.Random, document: str, count: int):
         yield "\n".join(mutated)
 
 
+# A quoted string, an arrow, a word or one other character.
+_TOKEN_TEXT = re.compile(r'"(?:[^"\\]|\\.)*"|<->|->|\w+|\S')
+
+
+def token_mutants(rng: random.Random, document: str, count: int):
+    """Copies of document with one token of one line dropped, duplicated,
+    swapped with the next, or preceded by a token taken from the document."""
+    lines = document.split("\n")
+    statements = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    vocabulary = sorted({token for line in lines for token in _TOKEN_TEXT.findall(line)})
+    for _ in range(count):
+        i = rng.choice(statements)
+        line = lines[i]
+        spans = [match.span() for match in _TOKEN_TEXT.finditer(line)]
+        k = rng.randrange(len(spans))
+        start, end = spans[k]
+        op = rng.randrange(4)
+        if op == 0:
+            line = line[:start] + line[end:]
+        elif op == 1:
+            line = line[:end] + " " + line[start:]
+        elif op == 2 and k + 1 < len(spans):
+            after, stop = spans[k + 1]
+            line = line[:start] + line[after:stop] + line[end:after] + line[start:end] + line[stop:]
+        else:
+            line = line[:start] + rng.choice(vocabulary) + " " + line[start:]
+        yield "\n".join(lines[:i] + [line] + lines[i + 1 :])
+
+
+def assert_mutants_round_trip(mutants) -> tuple[int, int]:
+    """Each mutant raises ParseError or parses to a graph that round-trips;
+    returns how many there were and how many parsed."""
+    mutated = accepted = 0
+    for text in mutants:
+        mutated += 1
+        try:
+            graph = parse(text)
+        except ParseError:
+            continue
+        accepted += 1
+        assert parse(serialize(graph)) == graph, text
+    return mutated, accepted
+
+
 def test_every_parsed_document_round_trips():
-    rng = random.Random(6)
+    rng, token_rng = random.Random(6), random.Random(7)
     documents = [(scenario_text("uber"), 1000), (scenario_text("speeding"), 1000), (RICH, 1000)]
     documents += [(serialize(build_random_graph(seed)), 40) for seed in range(200)]
-    mutated = accepted = 0
+    mutated = accepted = token_mutated = token_accepted = 0
     for document, count in documents:
-        for text in round_trip_mutants(rng, document, count):
-            mutated += 1
-            try:
-                graph = parse(text)
-            except ParseError:
-                continue
-            accepted += 1
-            assert parse(serialize(graph)) == graph, text
+        lines = assert_mutants_round_trip(round_trip_mutants(rng, document, count))
+        tokens = assert_mutants_round_trip(token_mutants(token_rng, document, count // 2))
+        mutated, accepted = mutated + lines[0], accepted + lines[1]
+        token_mutated, token_accepted = token_mutated + tokens[0], token_accepted + tokens[1]
     assert mutated >= 10000
     assert 0 < accepted < mutated
+    assert token_mutated >= 5000
+    assert 0 < token_accepted < token_mutated

@@ -172,6 +172,7 @@ REFERENCE_DEFECTS = {
     "unknown_flow_edge_type": ("flows", FlowInstance("g", "E99", "a", "b", "d")),
     "dangling_flow": ("flows", FlowInstance("g", "E1", "a", "ghost", "d")),
     "undeclared_package": ("flows", FlowInstance("g", "E1", "a", "b", "ghost")),
+    "flow_id_not_text": ("flows", FlowInstance(3, "E1", "a", "b", "d")),
 }
 
 
@@ -200,6 +201,8 @@ UNHASHABLE_REFERENCES = [
     ("packages", "d", "derives_from", (["base"],), "DANGLING_REF"),
     ("packages", "d", "derives_from", ("base", {"x": 1}), "DANGLING_REF"),
     ("packages", "d", "derives_from", None, "DANGLING_REF"),
+    ("flows", "f", "id", "k", "DUPLICATE_ID"),
+    ("flows", "f", "id", ["f"], "DUPLICATE_ID"),
 ]
 
 
@@ -219,6 +222,14 @@ def test_reference_fields_that_name_nothing_are_reported_not_raised(schema, writ
     with pytest.raises(MalformedGraphError) as exc:
         writer(graph)
     assert str(exc.value) == error.message
+
+
+@pytest.mark.parametrize("items", (None, 7, "i1"))
+def test_graph_to_json_refuses_package_items_that_are_not_a_list(items):
+    graph = tiny_graph()
+    graph.packages["d"].items = items
+    with pytest.raises(MalformedGraphError, match="^package 'd' items must be text$"):
+        graph_to_json(graph)
 
 
 NON_MAP_ATTRIBUTES = {

@@ -1,0 +1,154 @@
+"""Queries, validate and the graph writers are total on hand-set graphs.
+
+Each graph carries a change that no builder call would make (see
+conftest.hand_set). On it, each public query returns or raises
+AnalysisError, and gives the same on the graph with its flows inserted in
+reverse; validate never raises, gives the same report on both, and reports
+an error whenever a query raised; each writer returns or raises
+MalformedGraphError.
+"""
+from __future__ import annotations
+
+import pytest
+
+from conftest import copy_graph, hand_set_graph, hand_set_graphs
+from vdse import builtin_schema
+from vdse.analysis import brute_force_paths, enumerate_paths, exposure_report, reachable_from
+from vdse.dsl import serialize
+from vdse.errors import AnalysisError, MalformedGraphError
+from vdse.export import graph_to_dot, graph_to_json
+from vdse.graph import FlowInstance
+from vdse.schema import EntityType
+from vdse.validate import validate
+
+SCHEMA = builtin_schema()
+MAX_LEN = 3
+
+
+def queries(base) -> list:
+    """Each public query, with arguments that are valid on base."""
+    ids = sorted(base.entities)
+    persons = [i for i in ids if base.entities[i].entity_type is EntityType.PERSON]
+    source = persons[0] if persons else ids[0]
+    sink = max(i for i in ids if i != source)
+    calls = [
+        lambda graph: enumerate_paths(graph, source, sink, MAX_LEN),
+        lambda graph: enumerate_paths(graph, source, sink, MAX_LEN, mode="lineage"),
+        lambda graph: brute_force_paths(graph, source, sink, MAX_LEN),
+        lambda graph: reachable_from(graph, source),
+    ]
+    if persons:
+        calls.append(lambda graph: exposure_report(graph, source, MAX_LEN))
+    return calls
+
+
+def outcome(query, graph):
+    try:
+        return True, query(graph)
+    except AnalysisError as error:
+        return False, str(error)
+
+
+def assert_total(base, graph) -> list:
+    """Check the contract on graph, changed from base; return the outcome
+    of each query."""
+    flipped = copy_graph(graph)
+    flipped.flows = dict(reversed(graph.flows.items()))
+    outcomes = [outcome(query, graph) for query in queries(base)]
+    assert [outcome(query, flipped) for query in queries(base)] == outcomes
+    report = validate(SCHEMA, graph)
+    assert validate(SCHEMA, flipped) == report
+    if not all(returned for returned, _ in outcomes):
+        assert report.errors
+    for writer in (serialize, graph_to_json, graph_to_dot):
+        try:
+            writer(graph)
+        except MalformedGraphError:
+            pass
+    return outcomes
+
+
+def _set(table: str, key, field: str, value):
+    def change(graph):
+        records = getattr(graph, table)
+        records[key] = type(records[key])(*records[key]._values())
+        setattr(records[key], field, value)
+
+    return change
+
+
+def _add_flows(*flows):
+    return lambda graph: graph.flows.update((flow.id, flow) for flow in flows)
+
+
+def _refile(flow_id, key):
+    return lambda graph: graph.flows.update({key: graph.flows.pop(flow_id)})
+
+
+def _renumber(graph):
+    for number, flow_id in enumerate(sorted(graph.flows), start=1):
+        flow = graph.flows.pop(flow_id)
+        graph.flows[number] = FlowInstance(
+            number, flow.edge_type, flow.source, flow.target, flow.package
+        )
+
+
+# Hand-set changes to hand_set_graph (p -f1-> a -f2-> b, c -f3-> d), each
+# with the AnalysisError its queries raise, or None when they return.
+NAMED = {
+    "list_target": (
+        _set("flows", "f2", "target", ["b"]),
+        "flow 'f2' references unknown entity ['b']",
+    ),
+    "flow_filed_under_another_key": (
+        _set("flows", "f2", "id", "k2"),
+        "flow 'k2' is filed under 'f2'",
+    ),
+    "mixed_flow_ids_in_lineage": (
+        _add_flows(FlowInstance(1, "E2", "p", "a", "P"), FlowInstance(2, "E5", "a", "b", "Q")),
+        "flow id 1 is not text, and not every flow id is an integer",
+    ),
+    "flow_filed_under_an_int_key": (
+        _refile("f3", 3),
+        "flow 'f3' is filed under 3",
+    ),
+    "dangling_flows_with_int_and_text_ids": (
+        _add_flows(
+            FlowInstance(1, "E5", "a", "ghost", "P"), FlowInstance("f4", "E5", "b", "ghost", "P")
+        ),
+        "flow 'f4' references unknown entity 'ghost'",
+    ),
+    "package_id_is_a_list": (_set("packages", "Q", "id", ["Q"]), None),
+    "package_items_none": (_set("packages", "P", "items", None), None),
+    "package_items_int": (_set("packages", "P", "items", 7), None),
+    "integer_flow_ids": (_renumber, None),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_hand_set_graphs_keep_the_contract(name):
+    change, error = NAMED[name]
+    base = hand_set_graph()
+    graph = copy_graph(base)
+    change(graph)
+    outcomes = assert_total(base, graph)
+    if error is None:
+        assert all(returned for returned, _ in outcomes)
+    else:
+        assert outcomes == [(False, error)] * len(outcomes)
+
+
+BATCHES, PER_BATCH = 8, 300
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+def test_seeded_hand_set_graphs_keep_the_contract(batch):
+    raised = 0
+    for change, base, graph in hand_set_graphs(batch, PER_BATCH):
+        try:
+            outcomes = assert_total(base, graph)
+        except Exception as failure:
+            raise AssertionError(change) from failure
+        raised += not all(returned for returned, _ in outcomes)
+    # Some changes make every query refuse the graph, and some leave them working.
+    assert 0 < raised < PER_BATCH

@@ -271,8 +271,10 @@ def test_report_is_deterministic(schema, uber_graph):
 
 
 def test_every_code_is_reachable_or_reserved():
-    # DUPLICATE_ID stays reserved: dict storage pre-empts duplicates, and
-    # the parser fails fast on duplicate declarations.
+    # Dict storage and the parser pre-empt duplicate declarations, so
+    # DUPLICATE_ID is reached only by a flow filed under a key other than
+    # its id (two keys can then hold one id) or by a flow id that is not
+    # text (test_flow_ids_are_text_and_filed_under_themselves).
     assert ViolationCode.DUPLICATE_ID.value == "DUPLICATE_ID"
     assert len(ViolationCode) == 12
 
@@ -461,4 +463,34 @@ def test_unhashable_endpoint_type_is_skipped(schema):
     report = validate(schema, graph)
     assert [(v.code, v.subject) for v in report.violations] == [
         (ViolationCode.UNKNOWN_TYPE, "car")
+    ]
+
+
+def test_flow_ids_are_text_and_filed_under_themselves(schema):
+    graph = new_scenario("t").add_entity("a", "P").add_entity("b", "V")
+    graph.add_flow("f", "E1", "a", "b", DataPackage("d"))
+    graph.flows["g"] = graph.flows["f"]
+    graph.flows[3] = FlowInstance(3, "E1", "a", "b", "d")
+    graph.flows["h"] = FlowInstance(["h"], "E1", "a", "b", "d")
+    report = validate(schema, graph)
+    assert [(v.code, v.subject, v.message) for v in report.violations] == [
+        (ViolationCode.DUPLICATE_ID, "3", "flow id 3 is not text"),
+        (ViolationCode.DUPLICATE_ID, "g", "flow 'f' is filed under 'g'"),
+        (ViolationCode.DUPLICATE_ID, "h", "flow ['h'] is filed under 'h'"),
+    ]
+
+
+def test_validate_is_total_on_hand_set_ids(schema):
+    # A package id that is not hashable, and violations about an int id and
+    # a text one, which once made the report fail to sort.
+    graph = new_scenario("t").add_entity("a", "P").add_entity("b", "V")
+    graph.add_package(DataPackage("base")).add_package(DataPackage("d", derives_from=("base",)))
+    graph.packages["d"].id = ["d"]
+    graph.flows[1] = FlowInstance(1, "E1", "a", "ghost", "d")
+    graph.flows["f3"] = FlowInstance("f3", "E1", "a", "ghost", "d")
+    report = validate(schema, graph)
+    assert [(v.code, v.subject) for v in report.violations] == [
+        (ViolationCode.DANGLING_REF, "1"),
+        (ViolationCode.DUPLICATE_ID, "1"),
+        (ViolationCode.DANGLING_REF, "f3"),
     ]
