@@ -36,9 +36,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from vdse.errors import AnalysisError
-from vdse.graph import InstanceGraph
+from vdse.graph import InstanceGraph, _names, _names_all
 from vdse.schema import EntityType, type_code
-from vdse.validate import _names, _names_all
 
 __all__ = [
     "DEFAULT_MAX_PATH_LEN",

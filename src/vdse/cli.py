@@ -72,13 +72,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 def _load(path: str) -> InstanceGraph:
-    return parse(_read(path))
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    return parse(text)
 
 
 def _cmd_validate(args, stdout, stderr) -> int:

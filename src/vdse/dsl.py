@@ -17,7 +17,9 @@ caller's input: the ids match IDENT, the type code is instantiable, and
 each attribute map is fresh, well-shaped and free of repeated keys. The
 insert keeps the checks that only the graph can make: duplicate ids and
 flow pairs, dangling entities and packages, self-loops, edge types and
-relation names, and the meaning of reserved attributes.
+relation names, and the meaning of reserved attributes. One handler in
+the cursor reports an insert's GraphError as a ParseError at the
+statement's id.
 
 `serialize` emits the canonical form: sections in a fixed order, each
 sorted by id, attribute keys sorted, and paired `.fwd`/`.rev` flows
@@ -167,23 +169,26 @@ class _Statement:
         return token is not None and token.kind == "punct" and token.value == value
 
 
+def _more(stmt: _Statement, closer: str) -> bool:
+    """Take a ',' or the closer of a list; true when another item follows."""
+    token = stmt.take(f"',' or '{closer}'")
+    if token.kind != "punct" or token.value not in (",", closer):
+        raise stmt.error(f"expected ',' or '{closer}', got {token.value!r}", token)
+    return token.value == ","
+
+
 def _parse_strings(stmt: _Statement) -> list:
     """The strings of a list whose '[' has been taken, up to its ']'."""
-    values = []
-    while True:
+    values = [stmt.string().value]
+    while _more(stmt, "]"):
         values.append(stmt.string().value)
-        token = stmt.take("',' or ']'")
-        if token.kind == "punct" and token.value == "]":
-            return values
-        if not (token.kind == "punct" and token.value == ","):
-            raise stmt.error(f"expected ',' or ']', got {token.value!r}", token)
+    return values
 
 
 def _parse_attrs(stmt: _Statement) -> dict:
     attrs: dict = {}
     stmt.punct("{")
-    token = stmt.peek()
-    if token and token.kind == "punct" and token.value == "}":
+    if stmt.at_punct("}"):
         stmt.punct("}")
         return attrs
     while True:
@@ -200,18 +205,23 @@ def _parse_attrs(stmt: _Statement) -> dict:
             attrs[key.value] = _parse_strings(stmt)
         else:
             raise stmt.error(f"expected attribute value, got {token.value!r}", token)
-        token = stmt.take("',' or '}'")
-        if token.kind == "punct" and token.value == "}":
+        if not _more(stmt, "}"):
             return attrs
-        if not (token.kind == "punct" and token.value == ","):
-            raise stmt.error(f"expected ',' or '}}', got {token.value!r}", token)
 
 
-def _wrap_build(stmt: _Statement, token: _Token, action) -> None:
-    try:
-        action()
-    except GraphError as exc:
-        raise stmt.error(str(exc), token) from exc
+def _parse_endpoints(stmt: _Statement, graph: InstanceGraph, arrows: tuple) -> tuple:
+    """The source, arrow and target tokens of `source arrow target`, where
+    the arrow is one of arrows and both ends are declared entities."""
+    source = stmt.ident("source entity id")
+    expected = " or ".join(f"'{arrow}'" for arrow in arrows)
+    arrow = stmt.take(expected)
+    if arrow.kind != "punct" or arrow.value not in arrows:
+        raise stmt.error(f"expected {expected}, got {arrow.value!r}", arrow)
+    target = stmt.ident("target entity id")
+    for endpoint in (source, target):
+        if endpoint.value not in graph.entities:
+            raise stmt.error(f"unknown entity {endpoint.value!r}", endpoint)
+    return source, arrow, target
 
 
 def _parse_entity(stmt: _Statement, graph: InstanceGraph) -> None:
@@ -223,7 +233,7 @@ def _parse_entity(stmt: _Statement, graph: InstanceGraph) -> None:
         raise stmt.error(f"unknown entity type code {type_token.value!r}", type_token)
     attrs = _parse_attrs(stmt) if stmt.at_punct("{") else {}
     stmt.done()
-    _wrap_build(stmt, id_token, lambda: graph._insert_entity(id_token.value, etype, attrs))
+    graph._insert_entity(id_token.value, etype, attrs)
 
 
 def _parse_package(stmt: _Statement, graph: InstanceGraph) -> None:
@@ -247,17 +257,11 @@ def _parse_package(stmt: _Statement, graph: InstanceGraph) -> None:
                     f"derives from undeclared package {ancestor.value!r}", ancestor
                 )
             derives.append(ancestor.value)
-            token = stmt.peek()
-            if token and token.kind == "punct" and token.value == ",":
-                stmt.punct(",")
-                continue
-            break
+            if not stmt.at_punct(","):
+                break
+            stmt.punct(",")
     stmt.done()
-    _wrap_build(
-        stmt,
-        id_token,
-        lambda: graph._insert_package(id_token.value, description, items, derives),
-    )
+    graph._insert_package(id_token.value, description, items, derives)
 
 
 def _parse_relation(stmt: _Statement, graph: InstanceGraph) -> None:
@@ -266,21 +270,10 @@ def _parse_relation(stmt: _Statement, graph: InstanceGraph) -> None:
     name_token = stmt.word("relation name")
     if name_token.value not in builtin_schema().semantic_relations:
         raise stmt.error(f"unknown semantic relation {name_token.value!r}", name_token)
-    source = stmt.ident("source entity id")
-    stmt.punct("->")
-    target = stmt.ident("target entity id")
-    for endpoint in (source, target):
-        if endpoint.value not in graph.entities:
-            raise stmt.error(f"unknown entity {endpoint.value!r}", endpoint)
+    source, _, target = _parse_endpoints(stmt, graph, ("->",))
     attrs = _parse_attrs(stmt) if stmt.at_punct("{") else {}
     stmt.done()
-    _wrap_build(
-        stmt,
-        id_token,
-        lambda: graph._insert_relation(
-            id_token.value, name_token.value, source.value, target.value, attrs
-        ),
-    )
+    graph._insert_relation(id_token.value, name_token.value, source.value, target.value, attrs)
 
 
 def _parse_flow(stmt: _Statement, graph: InstanceGraph) -> None:
@@ -289,14 +282,7 @@ def _parse_flow(stmt: _Statement, graph: InstanceGraph) -> None:
     edge_token = stmt.word("flow edge type code")
     if edge_token.value not in builtin_schema().flow_edge_types:
         raise stmt.error(f"unknown flow edge type {edge_token.value!r}", edge_token)
-    source = stmt.ident("source entity id")
-    arrow = stmt.take("'->' or '<->'")
-    if arrow.kind != "punct" or arrow.value not in ("->", "<->"):
-        raise stmt.error(f"expected '->' or '<->', got {arrow.value!r}", arrow)
-    target = stmt.ident("target entity id")
-    for endpoint in (source, target):
-        if endpoint.value not in graph.entities:
-            raise stmt.error(f"unknown entity {endpoint.value!r}", endpoint)
+    source, arrow, target = _parse_endpoints(stmt, graph, ("->", "<->"))
     if source.value == target.value:
         raise stmt.error(f"flow connects {source.value!r} to itself", target)
     keyword = stmt.word("'package'")
@@ -307,26 +293,13 @@ def _parse_flow(stmt: _Statement, graph: InstanceGraph) -> None:
         raise stmt.error(f"undeclared package {package.value!r}", package)
     stmt.done()
     insert = graph._insert_flow if arrow.value == "->" else graph._insert_bidirectional_flow
-    _wrap_build(
-        stmt,
-        id_token,
-        lambda: insert(
-            id_token.value, edge_token.value, source.value, target.value, package.value
-        ),
-    )
-
-
-_STATEMENT_PARSERS = {
-    "entity": _parse_entity,
-    "package": _parse_package,
-    "relation": _parse_relation,
-    "flow": _parse_flow,
-}
+    insert(id_token.value, edge_token.value, source.value, target.value, package.value)
 
 
 def _parse_line(text: str, lineno: int, graph: InstanceGraph | None) -> InstanceGraph | None:
     """Execute one line through the token cursor, which diagnoses every
-    error; return the graph, which the header line creates."""
+    error; return the graph, which the header line creates. A GraphError
+    from the graph's insert is reported at the statement's id."""
     tokens = _tokenize(text, lineno)
     if not tokens:
         return graph
@@ -342,10 +315,14 @@ def _parse_line(text: str, lineno: int, graph: InstanceGraph | None) -> Instance
         return new_scenario(name.value)
     if head.value == "scenario":
         raise stmt.error("duplicate 'scenario' header", head)
-    parser = _STATEMENT_PARSERS.get(head.value)
-    if parser is None:
+    statement = _STATEMENTS.get(head.value)
+    if statement is None:
         raise stmt.error(f"unknown statement {head.value!r}", head)
-    parser(stmt, graph)
+    *_, parse_statement = statement
+    try:
+        parse_statement(stmt, graph)
+    except GraphError as exc:
+        raise stmt.error(str(exc), tokens[1]) from exc
     return graph
 
 
@@ -437,21 +414,23 @@ def _fast_flow(graph: InstanceGraph, id_, edge, source, arrow, target, package) 
     return True
 
 
-_FAST_STATEMENTS = {
-    "entity": (_ENTITY_RE, _fast_entity),
-    "package": (_PACKAGE_RE, _fast_package),
-    "relation": (_RELATION_RE, _fast_relation),
-    "flow": (_FLOW_RE, _fast_flow),
+# Each statement keyword with its line pattern, its fast executor and its
+# cursor parser.
+_STATEMENTS = {
+    "entity": (_ENTITY_RE, _fast_entity, _parse_entity),
+    "package": (_PACKAGE_RE, _fast_package, _parse_package),
+    "relation": (_RELATION_RE, _fast_relation, _parse_relation),
+    "flow": (_FLOW_RE, _fast_flow, _parse_flow),
 }
 
 
 def _execute_fast(text: str, graph: InstanceGraph) -> bool:
     """Execute a well-formed statement line. False, with the graph
     unchanged, when the line needs the cursor."""
-    statement = _FAST_STATEMENTS.get(text.partition(" ")[0])
+    statement = _STATEMENTS.get(text.partition(" ")[0])
     if statement is None:
         return False
-    pattern, execute = statement
+    pattern, execute, _ = statement
     match = pattern.fullmatch(text)
     if match is None:
         return False
@@ -543,7 +522,9 @@ def _check_writable(graph: InstanceGraph) -> list[str]:
     """Raise MalformedGraphError on the first thing in graph that the
     canonical text could not carry back through parse, including every
     reference problem validate reports; return the order to write the
-    packages in. Checks run in the order serialize writes the sections."""
+    packages in. Checks run in the order serialize writes the sections, and
+    each flow check in flow id order, so the error depends on graph content
+    only: collisions first, then plain ids, then pairs."""
     if not graph.name:
         raise MalformedGraphError("scenario name must be non-empty")
     check_references(graph)
@@ -584,7 +565,7 @@ def _check_writable(graph: InstanceGraph) -> list[str]:
     # id is also the base of a pair, and the halves of a pair mirror each other.
     plain: list[str] = []
     halves: dict[str, dict[str, FlowInstance]] = {}
-    for flow_id, flow in graph.flows.items():
+    for flow_id, flow in sorted(graph.flows.items()):
         base, dot, suffix = flow_id.partition(".")
         if dot and suffix in ("fwd", "rev"):
             halves.setdefault(base, {})[suffix] = flow

@@ -18,7 +18,8 @@ the entity type (a code, a display name or a member), and the shape of
 attribute maps and package content. Those last checks run inside the
 insert, when `from_caller` is set, at the point where they have always
 run, so a call with two defects raises the same error either way; a
-caller's maps and lists are then copied. `dsl.parse` calls the inserts
+caller's maps and lists are then copied. A reference that is not hashable,
+such as a list, names nothing, as in `validate`. `dsl.parse` calls the inserts
 directly: its grammar has proved the ids and built fresh, well-shaped
 maps.
 """
@@ -120,6 +121,23 @@ class FlowInstance(_Record):
         self.package = package
 
 
+def _names(table: dict, key) -> bool:
+    """Whether key is a key of table; a value that is not hashable, such as
+    a hand-set list, names nothing."""
+    try:
+        return key in table
+    except TypeError:
+        return False
+
+
+def _names_all(table: dict, keys: list) -> bool:
+    """Whether each of keys is a key of table, as _names decides it."""
+    try:
+        return table.keys() >= set(keys)
+    except TypeError:
+        return False
+
+
 def _check_identifier(id_: str, kind: str) -> None:
     if not isinstance(id_, str) or not IDENT_RE.match(id_):
         raise IdentifierError(f"invalid {kind} id {id_!r}")
@@ -171,12 +189,32 @@ def check_entity_attributes(
 
 def _caller_attrs(attributes) -> dict:
     """A checked copy of a caller's attribute map; list values are copied too."""
-    attrs = dict(attributes or {})
+    if attributes is None:
+        return {}
+    if not isinstance(attributes, dict):
+        raise AttributeMisuseError(
+            f"attributes must be a map, not {type(attributes).__name__}"
+        )
+    attrs = dict(attributes)
     for key, value in attrs.items():
         _check_attr_shape(key, value)
         if isinstance(value, list):
             attrs[key] = list(value)
     return attrs
+
+
+def _caller_items(id_: str, description, items, derives_from) -> list:
+    """A checked copy of a caller's package items, after checking that the
+    description is text and the derivations are a list."""
+    if not isinstance(description, str):
+        raise AttributeMisuseError("package description must be text")
+    if not isinstance(items, (tuple, list)) or not all(isinstance(i, str) for i in items):
+        raise AttributeMisuseError("package items must be text")
+    if not isinstance(derives_from, (tuple, list)):
+        raise DanglingReferenceError(
+            f"package {id_!r} derives from {derives_from!r}, not a list of packages"
+        )
+    return list(items)
 
 
 class InstanceGraph(_Record):
@@ -253,57 +291,62 @@ class InstanceGraph(_Record):
         if id_ in self.packages:
             raise DuplicateIdError(f"package id {id_!r} already declared")
         if from_caller:
-            if not isinstance(description, str):
-                raise AttributeMisuseError("package description must be text")
-            if not all(isinstance(i, str) for i in items):
-                raise AttributeMisuseError("package items must be text")
-            items = list(items)
+            items = _caller_items(id_, description, items, derives_from)
         seen: set[str] = set()
         for ancestor in derives_from:
-            if ancestor in seen:
+            if _names(seen, ancestor):
                 raise PackageConflictError(f"package {id_!r} lists derivation {ancestor!r} twice")
-            seen.add(ancestor)
-            if ancestor not in self.packages:
+            if not _names(self.packages, ancestor):
                 raise DanglingReferenceError(
                     f"package {id_!r} derives from unknown package {ancestor!r}"
                 )
+            seen.add(ancestor)
         self.packages[id_] = DataPackage(id_, description, items, tuple(sorted(derives_from)))
         return self
 
     def _resolve_package(self, package: "DataPackage | str", flow_id: str) -> str:
-        if isinstance(package, str):
-            if package not in self.packages:
-                raise DanglingReferenceError(
-                    f"flow {flow_id!r} references unknown package {package!r}"
-                )
+        if isinstance(package, str) and package in self.packages:
             return package
-        if package.id in self.packages:
-            existing = self.packages[package.id]
-            offered = DataPackage(
-                package.id,
-                package.description,
-                list(package.items),
-                tuple(sorted(package.derives_from)),
+        if not isinstance(package, DataPackage):
+            raise DanglingReferenceError(
+                f"flow {flow_id!r} references unknown package {package!r}"
             )
-            if existing != offered:
-                raise PackageConflictError(
-                    f"package {package.id!r} redeclared with different content"
-                )
+        if not _names(self.packages, package.id):
+            self.add_package(package)
             return package.id
-        self.add_package(package)
+        # key=str sorts text as plain sorting does, and never raises on a
+        # derivation that is not text; such a package differs anyway.
+        offered = DataPackage(
+            package.id,
+            package.description,
+            _caller_items(package.id, package.description, package.items, package.derives_from),
+            tuple(sorted(package.derives_from, key=str)),
+        )
+        if self.packages[package.id] != offered:
+            raise PackageConflictError(f"package {package.id!r} redeclared with different content")
         return package.id
 
     # -- flows ------------------------------------------------------------
+
+    def _check_endpoints(self, kind: str, id_: str, source: str, target: str) -> None:
+        """Raise DanglingReferenceError unless source and target both name
+        an entity; a value that is not hashable names nothing."""
+        try:
+            if source in self.entities and target in self.entities:
+                return
+        except TypeError:
+            pass
+        for endpoint in (source, target):
+            if not _names(self.entities, endpoint):
+                raise DanglingReferenceError(
+                    f"{kind} {id_!r} references unknown entity {endpoint!r}"
+                )
 
     def _check_flow(self, id_: str, edge_type: str, source: str, target: str) -> None:
         builtin_schema().flow_edge_type(edge_type)
         if id_ in self.flows:
             raise DuplicateIdError(f"flow id {id_!r} already declared")
-        for endpoint in (source, target):
-            if endpoint not in self.entities:
-                raise DanglingReferenceError(
-                    f"flow {id_!r} references unknown entity {endpoint!r}"
-                )
+        self._check_endpoints("flow", id_, source, target)
         if source == target:
             raise SelfLoopError(f"flow {id_!r} connects {source!r} to itself")
 
@@ -381,15 +424,11 @@ class InstanceGraph(_Record):
         *,
         from_caller: bool = False,
     ) -> "InstanceGraph":
-        if relation not in builtin_schema().semantic_relations:
+        if not _names(builtin_schema().semantic_relations, relation):
             raise UnknownTypeError(f"unknown semantic relation {relation!r}")
         if id_ in self.relations:
             raise DuplicateIdError(f"relation id {id_!r} already declared")
-        for endpoint in (source, target):
-            if endpoint not in self.entities:
-                raise DanglingReferenceError(
-                    f"relation {id_!r} references unknown entity {endpoint!r}"
-                )
+        self._check_endpoints("relation", id_, source, target)
         if from_caller:
             attrs = _caller_attrs(attrs)
         self.relations[id_] = SemanticRelationInstance(id_, relation, source, target, attrs)

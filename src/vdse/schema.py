@@ -171,7 +171,7 @@ class TypeGraph(_Record):
     def flow_edge_type(self, edge_type_id: str) -> FlowEdgeType:
         try:
             return self.flow_edge_types[edge_type_id]
-        except KeyError:
+        except (KeyError, TypeError):  # a value that is not hashable names nothing
             raise UnknownTypeError(f"unknown flow edge type {edge_type_id!r}") from None
 
     def flow_conforms(
@@ -243,34 +243,30 @@ _SEMANTIC_RELATIONS: dict[str, SemanticRelationType] = {
 }
 
 
-def _flow(edge_id: str, src: EntityType, dst: EntityType, bidirectional: bool) -> FlowEdgeType:
-    return FlowEdgeType(edge_id, src, dst, bidirectional)
-
-
 _FLOW_EDGE_TYPES: dict[str, FlowEdgeType] = {
     e.id: e
     for e in (
-        _flow("E1", _E.PERSON, _E.VEHICLE, False),
-        _flow("E2", _E.PERSON, _E.DIGITAL_ASSET, True),
-        _flow("E3", _E.DIGITAL_ASSET, _E.VEHICLE, True),
-        _flow("E4", _E.DIGITAL_ASSET, _E.ORGANISATION, False),
-        _flow("E5", _E.DIGITAL_ASSET, _E.DIGITAL_ASSET, True),
-        _flow("E6", _E.ADDITIONAL_VEHICLE_SENSOR, _E.VEHICLE, True),
-        _flow("E7", _E.PERSON, _E.ADDITIONAL_VEHICLE_SENSOR, False),
-        _flow("E8", _E.ADDITIONAL_VEHICLE_SENSOR, _E.PERSON, True),
-        _flow("E9", _E.ADDITIONAL_VEHICLE_SENSOR, _E.ORGANISATION, True),
-        _flow("E10", _E.VEHICLE, _E.VEHICLE_COMPONENT, True),
-        _flow("E11", _E.VEHICLE_COMPONENT, _E.VEHICLE_COMPONENT, True),
-        _flow("E12", _E.VEHICLE, _E.VEHICLE, True),
-        _flow("E13", _E.VEHICLE, _E.COMMUNICATION_INFRASTRUCTURE, True),
-        _flow("E14", _E.COMMUNICATION_INFRASTRUCTURE, _E.COMMUNICATION_INFRASTRUCTURE, True),
-        _flow("E15", _E.COMMUNICATION_INFRASTRUCTURE, _E.ORGANISATION, False),
-        _flow("E16", _E.VEHICLE, _E.TRAFFIC_MONITORING_SENSOR, False),
-        _flow("E17", _E.TRAFFIC_MONITORING_SENSOR, _E.ORGANISATION, True),
-        _flow("E18", _E.CHARGING_FACILITY, _E.VEHICLE, True),
-        _flow("E19", _E.CHARGING_FACILITY, _E.ORGANISATION, True),
-        _flow("E20", _E.VEHICLE, _E.ORGANISATION, True),
-        _flow("E21", _E.ORGANISATION, _E.ORGANISATION, True),
+        FlowEdgeType("E1", _E.PERSON, _E.VEHICLE, False),
+        FlowEdgeType("E2", _E.PERSON, _E.DIGITAL_ASSET, True),
+        FlowEdgeType("E3", _E.DIGITAL_ASSET, _E.VEHICLE, True),
+        FlowEdgeType("E4", _E.DIGITAL_ASSET, _E.ORGANISATION, False),
+        FlowEdgeType("E5", _E.DIGITAL_ASSET, _E.DIGITAL_ASSET, True),
+        FlowEdgeType("E6", _E.ADDITIONAL_VEHICLE_SENSOR, _E.VEHICLE, True),
+        FlowEdgeType("E7", _E.PERSON, _E.ADDITIONAL_VEHICLE_SENSOR, False),
+        FlowEdgeType("E8", _E.ADDITIONAL_VEHICLE_SENSOR, _E.PERSON, True),
+        FlowEdgeType("E9", _E.ADDITIONAL_VEHICLE_SENSOR, _E.ORGANISATION, True),
+        FlowEdgeType("E10", _E.VEHICLE, _E.VEHICLE_COMPONENT, True),
+        FlowEdgeType("E11", _E.VEHICLE_COMPONENT, _E.VEHICLE_COMPONENT, True),
+        FlowEdgeType("E12", _E.VEHICLE, _E.VEHICLE, True),
+        FlowEdgeType("E13", _E.VEHICLE, _E.COMMUNICATION_INFRASTRUCTURE, True),
+        FlowEdgeType("E14", _E.COMMUNICATION_INFRASTRUCTURE, _E.COMMUNICATION_INFRASTRUCTURE, True),
+        FlowEdgeType("E15", _E.COMMUNICATION_INFRASTRUCTURE, _E.ORGANISATION, False),
+        FlowEdgeType("E16", _E.VEHICLE, _E.TRAFFIC_MONITORING_SENSOR, False),
+        FlowEdgeType("E17", _E.TRAFFIC_MONITORING_SENSOR, _E.ORGANISATION, True),
+        FlowEdgeType("E18", _E.CHARGING_FACILITY, _E.VEHICLE, True),
+        FlowEdgeType("E19", _E.CHARGING_FACILITY, _E.ORGANISATION, True),
+        FlowEdgeType("E20", _E.VEHICLE, _E.ORGANISATION, True),
+        FlowEdgeType("E21", _E.ORGANISATION, _E.ORGANISATION, True),
     )
 }
 

@@ -12,7 +12,12 @@ from enum import Enum
 from typing import NamedTuple
 
 from vdse.errors import MalformedGraphError
-from vdse.graph import InstanceGraph, check_entity_attributes, strongly_connected_components
+from vdse.graph import (
+    InstanceGraph,
+    _names,
+    check_entity_attributes,
+    strongly_connected_components,
+)
 from vdse.schema import EntityType, TypeGraph, _Record, builtin_schema
 
 __all__ = ["ViolationCode", "Violation", "ValidationReport", "validate"]
@@ -98,23 +103,6 @@ def _sorted(violations: list) -> list:
         for v in violations
     ]
     return sorted(texts, key=_order)
-
-
-def _names(table: dict, key) -> bool:
-    """Whether key is a key of table; a value that is not hashable, such as
-    a hand-set list, names nothing."""
-    try:
-        return key in table
-    except TypeError:
-        return False
-
-
-def _names_all(table: dict, keys: list) -> bool:
-    """Whether each of keys is a key of table, as _names decides it."""
-    try:
-        return table.keys() >= set(keys)
-    except TypeError:
-        return False
 
 
 def _resolves(graph: InstanceGraph, kind: str, item, out: list) -> bool:

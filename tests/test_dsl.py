@@ -170,6 +170,33 @@ def test_parse_rejects_plain_flow_and_pair_of_one_name(first, second, spacing):
     assert "flow id 'x' already declared" in exc.value.message
 
 
+# A line that each statement kind's graph insert refuses, after a document
+# that declares entities a and b, package p and relation r; and the message.
+INSERT_REFUSALS = {
+    "duplicate_package": ("package p", "package id 'p' already declared"),
+    "duplicate_relation": ("relation r: ownedBy b -> a", "relation id 'r' already declared"),
+    "reserved_attribute_misuse": (
+        'entity x: P {static = ["a"]}',
+        "'static' is only allowed on V or VC entities",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INSERT_REFUSALS)
+@pytest.mark.parametrize("spacing", [" ", "  "], ids=["fast_path", "cursor"])
+def test_parse_reports_an_insert_error_at_the_statement_id(name, spacing):
+    line, message = INSERT_REFUSALS[name]
+    line = line.replace(" ", spacing, 1)
+    text = (
+        'scenario "t"\nentity a: P\nentity b: DA\npackage p\n'
+        f"relation r: ownedBy b -> a\n{line}\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    column = line.index(spacing) + len(spacing) + 1
+    assert (exc.value.line, exc.value.column, exc.value.message) == (6, column, message)
+
+
 def test_serialize_empty_graph():
     assert serialize(new_scenario("x")) == 'scenario "x"\n'
 

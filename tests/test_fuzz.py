@@ -2,10 +2,10 @@
 
 Each graph carries a change that no builder call would make (see
 conftest.hand_set). On it, each public query returns or raises
-AnalysisError, and gives the same on the graph with its flows inserted in
-reverse; validate never raises, gives the same report on both, and reports
+AnalysisError, and gives the same on the graph with each of its maps in
+reverse insertion order; validate never raises, gives the same report on both, and reports
 an error whenever a query raised; each writer returns or raises
-MalformedGraphError.
+MalformedGraphError, and gives the same on both.
 """
 from __future__ import annotations
 
@@ -42,10 +42,10 @@ def queries(base) -> list:
     return calls
 
 
-def outcome(query, graph):
+def outcome(call, graph, refusal=AnalysisError):
     try:
-        return True, query(graph)
-    except AnalysisError as error:
+        return True, call(graph)
+    except refusal as error:
         return False, str(error)
 
 
@@ -53,7 +53,8 @@ def assert_total(base, graph) -> list:
     """Check the contract on graph, changed from base; return the outcome
     of each query."""
     flipped = copy_graph(graph)
-    flipped.flows = dict(reversed(graph.flows.items()))
+    for table in ("entities", "relations", "flows", "packages"):
+        setattr(flipped, table, dict(reversed(getattr(graph, table).items())))
     outcomes = [outcome(query, graph) for query in queries(base)]
     assert [outcome(query, flipped) for query in queries(base)] == outcomes
     report = validate(SCHEMA, graph)
@@ -61,10 +62,8 @@ def assert_total(base, graph) -> list:
     if not all(returned for returned, _ in outcomes):
         assert report.errors
     for writer in (serialize, graph_to_json, graph_to_dot):
-        try:
-            writer(graph)
-        except MalformedGraphError:
-            pass
+        written = outcome(writer, graph, MalformedGraphError)
+        assert outcome(writer, flipped, MalformedGraphError) == written, writer.__name__
     return outcomes
 
 
@@ -122,6 +121,18 @@ NAMED = {
     "package_items_none": (_set("packages", "P", "items", None), None),
     "package_items_int": (_set("packages", "P", "items", 7), None),
     "integer_flow_ids": (_renumber, None),
+    "two_unpaired_halves": (
+        _add_flows(
+            FlowInstance("x.fwd", "E5", "a", "b", "P"), FlowInstance("y.fwd", "E5", "c", "d", "P")
+        ),
+        None,
+    ),
+    "two_plain_ids_that_are_not_identifiers": (
+        _add_flows(
+            FlowInstance("z z", "E5", "a", "b", "P"), FlowInstance("a-b", "E5", "c", "d", "P")
+        ),
+        None,
+    ),
 }
 
 

@@ -440,7 +440,118 @@ TWO_DEFECT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call, error, message", TWO_DEFECT_CALLS.values(), ids=TWO_DEFECT_CALLS)
+# Calls whose arguments have the wrong shape, each with the GraphError it
+# raises: a value that is not hashable names nothing, as in validate.
+WRONG_SHAPE_CALLS = {
+    "package_items_int": (
+        lambda g: g.add_package(DataPackage("q", items=5)),
+        AttributeMisuseError,
+        "package items must be text",
+    ),
+    "package_items_text": (
+        lambda g: g.add_package(DataPackage("q", items="ab")),
+        AttributeMisuseError,
+        "package items must be text",
+    ),
+    "package_derives_int": (
+        lambda g: g.add_package(DataPackage("q", derives_from=5)),
+        DanglingReferenceError,
+        "package 'q' derives from 5, not a list of packages",
+    ),
+    "package_derives_none": (
+        lambda g: g.add_package(DataPackage("q", derives_from=None)),
+        DanglingReferenceError,
+        "package 'q' derives from None, not a list of packages",
+    ),
+    "package_derives_list": (
+        lambda g: g.add_package(DataPackage("q", derives_from=[["DP1"]])),
+        DanglingReferenceError,
+        "package 'q' derives from unknown package ['DP1']",
+    ),
+    "entity_attributes_int": (
+        lambda g: g.add_entity("y", "P", 5),
+        AttributeMisuseError,
+        "attributes must be a map, not int",
+    ),
+    "entity_attributes_pairs": (
+        lambda g: g.add_entity("y", "P", [("label", "b")]),
+        AttributeMisuseError,
+        "attributes must be a map, not list",
+    ),
+    "relation_attributes_int": (
+        lambda g: g.add_semantic_relation("r2", "ownedBy", "car", "app", 5),
+        AttributeMisuseError,
+        "attributes must be a map, not int",
+    ),
+    "relation_name_list": (
+        lambda g: g.add_semantic_relation("r2", ["ownedBy"], "car", "app"),
+        UnknownTypeError,
+        "unknown semantic relation ['ownedBy']",
+    ),
+    "relation_endpoint_list": (
+        lambda g: g.add_semantic_relation("r2", "ownedBy", "car", ["app"]),
+        DanglingReferenceError,
+        "relation 'r2' references unknown entity ['app']",
+    ),
+    "flow_package_int": (
+        lambda g: g.add_flow("g", "E1", "driver", "car", 5),
+        DanglingReferenceError,
+        "flow 'g' references unknown package 5",
+    ),
+    "flow_package_list": (
+        lambda g: g.add_flow("g", "E1", "driver", "car", ["DP1"]),
+        DanglingReferenceError,
+        "flow 'g' references unknown package ['DP1']",
+    ),
+    "flow_inline_package_items_int": (
+        lambda g: g.add_flow("g", "E1", "driver", "car", DataPackage("q", items=5)),
+        AttributeMisuseError,
+        "package items must be text",
+    ),
+    "flow_inline_package_derives_none": (
+        lambda g: g.add_flow("g", "E1", "driver", "car", DataPackage("q", derives_from=None)),
+        DanglingReferenceError,
+        "package 'q' derives from None, not a list of packages",
+    ),
+    "flow_declared_package_items_int": (
+        lambda g: g.add_flow("g", "E1", "driver", "car", DataPackage("DP1", items=5)),
+        AttributeMisuseError,
+        "package items must be text",
+    ),
+    "flow_declared_package_derives_int": (
+        lambda g: g.add_flow("g", "E1", "driver", "car", DataPackage("DP1", derives_from=5)),
+        DanglingReferenceError,
+        "package 'DP1' derives from 5, not a list of packages",
+    ),
+    "flow_declared_package_mixed_derives": (
+        lambda g: g.add_flow(
+            "g", "E1", "driver", "car", DataPackage("DP1", derives_from=[["x"], "y"])
+        ),
+        PackageConflictError,
+        "package 'DP1' redeclared with different content",
+    ),
+    "flow_edge_type_list": (
+        lambda g: g.add_flow("g", ["E1"], "driver", "car", "DP1"),
+        UnknownTypeError,
+        "unknown flow edge type ['E1']",
+    ),
+    "flow_endpoint_list": (
+        lambda g: g.add_flow("g", "E1", ["driver"], "car", "DP1"),
+        DanglingReferenceError,
+        "flow 'g' references unknown entity ['driver']",
+    ),
+    "pair_endpoint_list": (
+        lambda g: g.add_bidirectional_flow("y", "E3", "app", ["car"], "DP1"),
+        DanglingReferenceError,
+        "flow 'y.fwd' references unknown entity ['car']",
+    ),
+}
+
+
+REFUSED_CALLS = {**TWO_DEFECT_CALLS, **WRONG_SHAPE_CALLS}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSED_CALLS.values(), ids=REFUSED_CALLS)
 def test_first_defect_wins_and_graph_is_unchanged(call, error, message):
     graph = defect_graph()
     before = copy.deepcopy(graph)
