@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from vdse.errors import AnalysisError
-from vdse.graph import InstanceGraph, _names, _names_all
+from vdse.graph import InstanceGraph, _names_all, _unknown_endpoints
 from vdse.schema import EntityType, type_code
 
 __all__ = [
@@ -128,12 +128,8 @@ def _flows(graph: InstanceGraph) -> list:
             problems.append(f"flow {flow.id!r} carries {flow.package!r}, not a package id")
     endpoints = [flow.source for flow in flows] + [flow.target for flow in flows]
     if not _names_all(graph.entities, endpoints):
-        problems.extend(
-            f"flow {flow.id!r} references unknown entity {endpoint!r}"
-            for flow in flows
-            for endpoint in (flow.source, flow.target)
-            if not _names(graph.entities, endpoint)
-        )
+        for flow in flows:
+            problems += _unknown_endpoints(graph.entities, "flow", flow)
     odd = [flow.id for flow in flows if not isinstance(flow.id, str)]
     if odd and (len(odd) < len(flows) or not all(isinstance(i, int) for i in odd)):
         first = min(odd, key=repr)

@@ -23,11 +23,11 @@ statement's id.
 
 `serialize` emits the canonical form: sections in a fixed order, each
 sorted by id, attribute keys sorted, and paired `.fwd`/`.rev` flows
-re-sugared to a single `<->` statement. It first decides, in one check
-pass, whether the graph can be written; the formatting after it raises
-nothing. Every graph that parse returns, or that is built only through the
-InstanceGraph methods, passes that check, and parsing its canonical form
-gives back an equal graph: parse(serialize(g)) == g.
+re-sugared to a single `<->` statement. It checks each record where it
+writes it, and returns text only when every check passed. Every graph that
+parse returns, or that is built only through the InstanceGraph methods,
+passes those checks, and parsing its canonical form gives back an equal
+graph: parse(serialize(g)) == g.
 """
 from __future__ import annotations
 
@@ -39,13 +39,12 @@ from vdse.errors import GraphError, MalformedGraphError, ParseError
 from vdse.graph import (
     IDENT,
     IDENT_RE,
-    FlowInstance,
     InstanceGraph,
     check_entity_attributes,
     new_scenario,
 )
 from vdse.schema import EntityType, INSTANTIABLE_TYPE_CODES, builtin_schema
-from vdse.validate import check_references, items_not_text, not_a_map
+from vdse.validate import check_references, items_not_text, name_not_text, not_a_map
 
 __all__ = ["parse", "serialize"]
 
@@ -480,18 +479,30 @@ def _check_lexicon(id_: str, kind: str) -> None:
         raise MalformedGraphError(f"{kind} id {id_!r} is not a serializable identifier")
 
 
-def _check_attrs(owner: str, attrs: dict) -> None:
+def _attrs(kind: str, id_: str, attrs: dict) -> str:
+    """The ` {key = value, ...}` suffix that writes the attributes of record
+    id_, keys sorted; "" for an empty map. Raises MalformedGraphError on the
+    first key or value, in that order, that parse could not read back."""
+    if attrs == {}:
+        return ""
     if not isinstance(attrs, dict):
-        raise not_a_map(owner, attrs)
+        raise not_a_map(f"{kind} {id_!r}", attrs)
+    items = []
     # key=str orders text keys as plain sorting does, and keys that are not
     # text without raising, so that _check_lexicon reports them.
     for key in sorted(attrs, key=str):
         _check_lexicon(key, "attribute")
         value = attrs[key]
-        if not isinstance(value, (bool, str)) and not (
-            isinstance(value, list) and value and all(isinstance(i, str) for i in value)
-        ):
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, str):
+            value = _quote(value)
+        elif isinstance(value, list) and value and all(isinstance(i, str) for i in value):
+            value = "[" + ", ".join(_quote(i) for i in value) + "]"
+        else:
             raise MalformedGraphError(f"attribute value {value!r} is not expressible")
+        items.append(f"{key} = {value}")
+    return " {" + ", ".join(items) + "}"
 
 
 def _package_order(graph: InstanceGraph) -> list[str]:
@@ -518,67 +529,29 @@ def _package_order(graph: InstanceGraph) -> list[str]:
     return order
 
 
-def _check_writable(graph: InstanceGraph) -> list[str]:
-    """Raise MalformedGraphError on the first thing in graph that the
-    canonical text could not carry back through parse, including every
-    reference problem validate reports; return the order to write the
-    packages in. Checks run in the order serialize writes the sections, and
-    each flow check in flow id order, so the error depends on graph content
-    only: collisions first, then plain ids, then pairs."""
-    if not graph.name:
-        raise MalformedGraphError("scenario name must be non-empty")
-    check_references(graph)
-    schema = builtin_schema()
-    for entity_id, entity in sorted(graph.entities.items()):
-        _check_lexicon(entity_id, "entity")
-        if not isinstance(entity.entity_type, EntityType) or (
-            entity.entity_type.code not in INSTANTIABLE_TYPE_CODES
-        ):
-            raise MalformedGraphError(
-                f"entity {entity_id!r} has unserializable type {entity.entity_type!r}"
-            )
-        # An empty map is written as none; anything else that is not a
-        # non-empty map must still reach _check_attrs and be refused.
-        if entity.attributes != {}:
-            _check_attrs(f"entity {entity_id!r}", entity.attributes)
-            problems = check_entity_attributes(schema, entity.entity_type, entity.attributes)
-            if problems:
-                raise MalformedGraphError(f"entity {entity_id!r}: " + "; ".join(problems))
-    packages = _package_order(graph)
-    for package_id in packages:
-        _check_lexicon(package_id, "package")
-        package = graph.packages[package_id]
-        if len(set(package.derives_from)) < len(package.derives_from):
-            twice = next(p for p in package.derives_from if package.derives_from.count(p) > 1)
-            raise MalformedGraphError(f"package {package_id!r} lists derivation {twice!r} twice")
-        if not isinstance(package.description, str):
-            raise MalformedGraphError(f"package {package_id!r} description must be text")
-        if not isinstance(package.items, (tuple, list)) or not all(
-            isinstance(item, str) for item in package.items
-        ):
-            raise items_not_text(package_id)
-    for relation_id, relation in sorted(graph.relations.items()):
-        _check_lexicon(relation_id, "relation")
-        if relation.attributes != {}:
-            _check_attrs(f"relation {relation_id!r}", relation.attributes)
-    # Every flow id is an identifier or the .fwd/.rev half of one, no plain
-    # id is also the base of a pair, and the halves of a pair mirror each other.
-    plain: list[str] = []
-    halves: dict[str, dict[str, FlowInstance]] = {}
+def _flow_statements(graph: InstanceGraph) -> list[tuple]:
+    """The (id, arrow, flow) of each flow statement, sorted by id: a plain
+    flow, or a pair's .fwd half under its base id. Raises MalformedGraphError
+    on an id that is also the base of a pair, then on a plain id that is not
+    an identifier, then on a pair that cannot be written, each in id order."""
+    plain: dict = {}
+    halves: dict[str, dict] = {}
     for flow_id, flow in sorted(graph.flows.items()):
         base, dot, suffix = flow_id.partition(".")
         if dot and suffix in ("fwd", "rev"):
             halves.setdefault(base, {})[suffix] = flow
         else:
-            plain.append(flow_id)
-    collisions = set(plain) & set(halves)
+            plain[flow_id] = flow
+    collisions = plain.keys() & halves.keys()
     if collisions:
         raise MalformedGraphError(
-            f"flow id {sorted(collisions)[0]!r} is used both directly and as a "
+            f"flow id {min(collisions)!r} is used both directly and as a "
             "bidirectional pair; the serialized form would not round-trip"
         )
-    for flow_id in plain:
+    statements = []
+    for flow_id, flow in plain.items():
         _check_lexicon(flow_id, "flow")
+        statements.append((flow_id, "->", flow))
     for base, pair in halves.items():
         _check_lexicon(base, "flow")
         fwd, rev = pair.get("fwd"), pair.get("rev")
@@ -589,58 +562,70 @@ def _check_writable(graph: InstanceGraph) -> list[str]:
             != (fwd.edge_type, fwd.target, fwd.source, fwd.package)
         ):
             raise MalformedGraphError(f"flows {base!r}.fwd/.rev do not form a bidirectional pair")
-    return packages
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return _quote(value)
-    return "[" + ", ".join(_quote(i) for i in value) + "]"
-
-
-def _format_attrs(attrs: dict) -> str:
-    if not attrs:
-        return ""
-    return " {" + ", ".join(f"{key} = {_format_value(attrs[key])}" for key in sorted(attrs)) + "}"
+        statements.append((base, "<->", fwd))
+    # A base sorts where its .fwd half would: "." precedes every identifier
+    # character.
+    statements.sort()
+    return statements
 
 
 def serialize(graph: InstanceGraph) -> str:
     """Emit canonical scenario text for a well-formed graph. Raises
-    MalformedGraphError on what parse could not read back, including every
-    reference problem validate reports."""
-    package_order = _check_writable(graph)
-    entities = [
-        f"entity {entity_id}: {entity.entity_type.code}{_format_attrs(entity.attributes)}"
-        for entity_id, entity in sorted(graph.entities.items())
-    ]
+    MalformedGraphError on the first thing parse could not read back,
+    including every reference problem validate reports, in the order the
+    sorted sections are written, so the error depends on graph content only."""
+    if not graph.name:
+        raise MalformedGraphError("scenario name must be non-empty")
+    if not isinstance(graph.name, str):
+        raise name_not_text(graph.name)
+    check_references(graph)
+    schema = builtin_schema()
+    entities = []
+    for entity_id, entity in sorted(graph.entities.items()):
+        _check_lexicon(entity_id, "entity")
+        etype = entity.entity_type
+        if not isinstance(etype, EntityType) or etype.code not in INSTANTIABLE_TYPE_CODES:
+            raise MalformedGraphError(f"entity {entity_id!r} has unserializable type {etype!r}")
+        attrs = _attrs("entity", entity_id, entity.attributes)
+        if attrs:
+            problems = check_entity_attributes(schema, etype, entity.attributes)
+            if problems:
+                raise MalformedGraphError(f"entity {entity_id!r}: " + "; ".join(problems))
+        entities.append(f"entity {entity_id}: {etype.code}{attrs}")
     packages = []
-    for package_id in package_order:
+    for package_id in _package_order(graph):
+        _check_lexicon(package_id, "package")
         package = graph.packages[package_id]
+        derives = package.derives_from
+        if len(set(derives)) < len(derives):
+            twice = next(p for p in derives if derives.count(p) > 1)
+            raise MalformedGraphError(f"package {package_id!r} lists derivation {twice!r} twice")
+        if not isinstance(package.description, str):
+            raise MalformedGraphError(f"package {package_id!r} description must be text")
+        if not isinstance(package.items, (tuple, list)) or not all(
+            isinstance(item, str) for item in package.items
+        ):
+            raise items_not_text(package_id)
         line = f"package {package_id}"
         if package.description:
             line += f" {_quote(package.description)}"
         if package.items:
             line += " items [" + ", ".join(_quote(i) for i in package.items) + "]"
-        if package.derives_from:
-            line += " derives " + ", ".join(package.derives_from)
+        if derives:
+            line += " derives " + ", ".join(derives)
         packages.append(line)
-    relations = [
-        f"relation {relation_id}: {relation.relation} {relation.source} -> "
-        f"{relation.target}{_format_attrs(relation.attributes)}"
-        for relation_id, relation in sorted(graph.relations.items())
+    relations = []
+    for relation_id, relation in sorted(graph.relations.items()):
+        _check_lexicon(relation_id, "relation")
+        attrs = _attrs("relation", relation_id, relation.attributes)
+        relations.append(
+            f"relation {relation_id}: {relation.relation} {relation.source} -> "
+            f"{relation.target}{attrs}"
+        )
+    flows = [
+        f"flow {flow_id}: {flow.edge_type} {flow.source} {arrow} {flow.target} "
+        f"package {flow.package}"
+        for flow_id, arrow, flow in _flow_statements(graph)
     ]
-    # A .fwd half sorts where its base would: "." precedes every identifier
-    # character. Its .rev half is written by the same `<->` statement.
-    flows = []
-    for flow_id, flow in sorted(graph.flows.items()):
-        base, _, half = flow_id.partition(".")
-        if half != "rev":
-            arrow = "<->" if half else "->"
-            flows.append(
-                f"flow {base}: {flow.edge_type} {flow.source} {arrow} {flow.target} "
-                f"package {flow.package}"
-            )
     sections = [[f"scenario {_quote(graph.name)}"], entities, packages, relations, flows]
     return "\n\n".join("\n".join(section) for section in sections if section) + "\n"

@@ -18,9 +18,16 @@ path query results
 from __future__ import annotations
 
 from vdse.analysis import ExposureReport, LineageTrace, Path
+from vdse.errors import MalformedGraphError
 from vdse.graph import InstanceGraph
 from vdse.schema import _Record, _gvquote, type_code
-from vdse.validate import ValidationReport, check_references, items_not_text, not_a_map
+from vdse.validate import (
+    ValidationReport,
+    check_references,
+    items_not_text,
+    name_not_text,
+    not_a_map,
+)
 
 __all__ = [
     "ExportOptions",
@@ -64,6 +71,8 @@ def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> 
     """Render a scenario as Graphviz source: nodes labelled `id : code`,
     semantic relations solid, flows dashed (highlighted ones red)."""
     options = options or ExportOptions()
+    if not isinstance(graph.name, str):
+        raise name_not_text(graph.name)
     check_references(graph)
     highlighted: set[str] = {
         flow_id for path in options.highlight_paths for flow_id in path.flow_ids
@@ -114,7 +123,13 @@ def _dump(document, pretty: bool) -> str:
 def _sorted_attributes(kind: str, item) -> dict:
     if not isinstance(item.attributes, dict):
         raise not_a_map(f"{kind} {item.id!r}", item.attributes)
-    return {k: item.attributes[k] for k in sorted(item.attributes)}
+    # key=str orders text keys as plain sorting does, and the others
+    # without raising, so that the least is reported.
+    keys = sorted(item.attributes, key=str)
+    for key in keys:
+        if not isinstance(key, str):
+            raise MalformedGraphError(f"{kind} {item.id!r} attribute name {key!r} is not text")
+    return {k: item.attributes[k] for k in keys}
 
 
 def _items(package_id: str, items) -> list:
@@ -166,7 +181,10 @@ def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
             for f in (graph.flows[i] for i in sorted(graph.flows))
         ],
     }
-    return _dump(document, pretty)
+    try:
+        return _dump(document, pretty)
+    except (TypeError, ValueError) as error:  # a hand-set value json cannot encode
+        raise MalformedGraphError(f"scenario cannot be written as JSON: {error}") from None
 
 
 def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = False) -> str:

@@ -138,6 +138,22 @@ def _names_all(table: dict, keys: list) -> bool:
         return False
 
 
+def _unknown_endpoints(entities: dict, kind: str, item) -> tuple:
+    """The message for each endpoint of item, a relation or a flow, that
+    names no entity in entities; () when both do. A value that is not
+    hashable names nothing."""
+    try:
+        if item.source in entities and item.target in entities:
+            return ()
+    except TypeError:
+        pass
+    return tuple(
+        f"{kind} {item.id!r} references unknown entity {endpoint!r}"
+        for endpoint in (item.source, item.target)
+        if not _names(entities, endpoint)
+    )
+
+
 def _check_identifier(id_: str, kind: str) -> None:
     if not isinstance(id_, str) or not IDENT_RE.match(id_):
         raise IdentifierError(f"invalid {kind} id {id_!r}")
@@ -201,6 +217,12 @@ def _caller_attrs(attributes) -> dict:
         if isinstance(value, list):
             attrs[key] = list(value)
     return attrs
+
+
+def _derivations(derives_from) -> tuple:
+    """The derivations a package stores, sorted. key=str sorts text as plain
+    sorting does, and never raises on a hand-set package id that is not text."""
+    return tuple(sorted(derives_from, key=str))
 
 
 def _caller_items(id_: str, description, items, derives_from) -> list:
@@ -301,7 +323,7 @@ class InstanceGraph(_Record):
                     f"package {id_!r} derives from unknown package {ancestor!r}"
                 )
             seen.add(ancestor)
-        self.packages[id_] = DataPackage(id_, description, items, tuple(sorted(derives_from)))
+        self.packages[id_] = DataPackage(id_, description, items, _derivations(derives_from))
         return self
 
     def _resolve_package(self, package: "DataPackage | str", flow_id: str) -> str:
@@ -314,13 +336,11 @@ class InstanceGraph(_Record):
         if not _names(self.packages, package.id):
             self.add_package(package)
             return package.id
-        # key=str sorts text as plain sorting does, and never raises on a
-        # derivation that is not text; such a package differs anyway.
         offered = DataPackage(
             package.id,
             package.description,
             _caller_items(package.id, package.description, package.items, package.derives_from),
-            tuple(sorted(package.derives_from, key=str)),
+            _derivations(package.derives_from),
         )
         if self.packages[package.id] != offered:
             raise PackageConflictError(f"package {package.id!r} redeclared with different content")
@@ -328,27 +348,15 @@ class InstanceGraph(_Record):
 
     # -- flows ------------------------------------------------------------
 
-    def _check_endpoints(self, kind: str, id_: str, source: str, target: str) -> None:
-        """Raise DanglingReferenceError unless source and target both name
-        an entity; a value that is not hashable names nothing."""
-        try:
-            if source in self.entities and target in self.entities:
-                return
-        except TypeError:
-            pass
-        for endpoint in (source, target):
-            if not _names(self.entities, endpoint):
-                raise DanglingReferenceError(
-                    f"{kind} {id_!r} references unknown entity {endpoint!r}"
-                )
-
-    def _check_flow(self, id_: str, edge_type: str, source: str, target: str) -> None:
-        builtin_schema().flow_edge_type(edge_type)
-        if id_ in self.flows:
-            raise DuplicateIdError(f"flow id {id_!r} already declared")
-        self._check_endpoints("flow", id_, source, target)
-        if source == target:
-            raise SelfLoopError(f"flow {id_!r} connects {source!r} to itself")
+    def _check_flow(self, flow: FlowInstance) -> None:
+        builtin_schema().flow_edge_type(flow.edge_type)
+        if flow.id in self.flows:
+            raise DuplicateIdError(f"flow id {flow.id!r} already declared")
+        dangling = _unknown_endpoints(self.entities, "flow", flow)
+        if dangling:
+            raise DanglingReferenceError(dangling[0])
+        if flow.source == flow.target:
+            raise SelfLoopError(f"flow {flow.id!r} connects {flow.source!r} to itself")
 
     def add_flow(
         self,
@@ -366,9 +374,10 @@ class InstanceGraph(_Record):
     ) -> "InstanceGraph":
         if f"{id_}.fwd" in self.flows or f"{id_}.rev" in self.flows:
             raise DuplicateIdError(f"flow id {id_!r} already declared as a bidirectional pair")
-        self._check_flow(id_, edge_type, source, target)
-        package_id = self._resolve_package(package, id_)
-        self.flows[id_] = FlowInstance(id_, edge_type, source, target, package_id)
+        flow = FlowInstance(id_, edge_type, source, target, package)
+        self._check_flow(flow)
+        flow.package = self._resolve_package(package, id_)
+        self.flows[id_] = flow
         return self
 
     def add_bidirectional_flow(
@@ -391,12 +400,13 @@ class InstanceGraph(_Record):
     ) -> "InstanceGraph":
         if id_ in self.flows:
             raise DuplicateIdError(f"flow id {id_!r} already declared")
-        fwd, rev = f"{id_}.fwd", f"{id_}.rev"
-        self._check_flow(fwd, edge_type, source, target)
-        self._check_flow(rev, edge_type, target, source)
-        package_id = self._resolve_package(package, id_)
-        self.flows[fwd] = FlowInstance(fwd, edge_type, source, target, package_id)
-        self.flows[rev] = FlowInstance(rev, edge_type, target, source, package_id)
+        fwd = FlowInstance(f"{id_}.fwd", edge_type, source, target, package)
+        rev = FlowInstance(f"{id_}.rev", edge_type, target, source, package)
+        self._check_flow(fwd)
+        self._check_flow(rev)
+        fwd.package = rev.package = self._resolve_package(package, id_)
+        self.flows[fwd.id] = fwd
+        self.flows[rev.id] = rev
         return self
 
     # -- semantic relations -------------------------------------------------
@@ -428,10 +438,13 @@ class InstanceGraph(_Record):
             raise UnknownTypeError(f"unknown semantic relation {relation!r}")
         if id_ in self.relations:
             raise DuplicateIdError(f"relation id {id_!r} already declared")
-        self._check_endpoints("relation", id_, source, target)
+        record = SemanticRelationInstance(id_, relation, source, target, attrs)
+        dangling = _unknown_endpoints(self.entities, "relation", record)
+        if dangling:
+            raise DanglingReferenceError(dangling[0])
         if from_caller:
-            attrs = _caller_attrs(attrs)
-        self.relations[id_] = SemanticRelationInstance(id_, relation, source, target, attrs)
+            record.attributes = _caller_attrs(attrs)
+        self.relations[id_] = record
         return self
 
     # -- queries ------------------------------------------------------------

@@ -15,6 +15,7 @@ from vdse.errors import MalformedGraphError
 from vdse.graph import (
     InstanceGraph,
     _names,
+    _unknown_endpoints,
     check_entity_attributes,
     strongly_connected_components,
 )
@@ -105,35 +106,30 @@ def _sorted(violations: list) -> list:
     return sorted(texts, key=_order)
 
 
-def _resolves(graph: InstanceGraph, kind: str, item, out: list) -> bool:
-    """Report each endpoint of a relation or flow that names no entity;
-    true when both resolve."""
-    try:
-        if item.source in graph.entities and item.target in graph.entities:
-            return True
-    except TypeError:  # not hashable: report it below
-        pass
-    for endpoint in (item.source, item.target):
-        if not _names(graph.entities, endpoint):
-            out.append(
-                Violation(
-                    ViolationCode.DANGLING_REF,
-                    item.id,
-                    f"{kind} {item.id!r} references unknown entity {endpoint!r}",
-                )
-            )
-    return False
-
-
 def _check_references(
     schema: TypeGraph, graph: InstanceGraph, out: list
 ) -> tuple[dict, list, list]:
-    """Report every reference that names nothing: a derivation, a relation
-    name or endpoint, a flow edge type, endpoint or package; and every flow
-    that is not filed under its own id or whose id is not text. Returns the
-    derivations that resolve, by package, and the relations and the flows
-    whose name or type and endpoints resolve; the other checks inspect only
-    those."""
+    """Report every record that is not filed under its own id or whose id is
+    not text, and every reference that names nothing: a derivation, a
+    relation name or endpoint, a flow edge type, endpoint or package.
+    Returns the derivations that resolve, by package, and the relations and
+    the flows whose name or type and endpoints resolve; the other checks
+    inspect only those."""
+    tables = (
+        ("entity", graph.entities),
+        ("package", graph.packages),
+        ("relation", graph.relations),
+        ("flow", graph.flows),
+    )
+    for kind, table in tables:
+        for key, item in table.items():
+            if key != item.id or not isinstance(key, str):
+                # Two keys can hold one id, and only a text id can be written.
+                message = (
+                    f"{kind} id {key!r} is not text" if key == item.id
+                    else f"{kind} {item.id!r} is filed under {key!r}"
+                )
+                out.append(Violation(ViolationCode.DUPLICATE_ID, key, message))
     derivations = {}
     for package_id, package in graph.packages.items():
         if not isinstance(package.derives_from, (tuple, list)):
@@ -167,17 +163,14 @@ def _check_references(
                     f"relation {relation.id!r} uses unknown relation {relation.relation!r}",
                 )
             )
-        elif _resolves(graph, "relation", relation, out):
+            continue
+        dangling = _unknown_endpoints(graph.entities, "relation", relation)
+        if dangling:
+            out.extend(Violation(ViolationCode.DANGLING_REF, relation.id, m) for m in dangling)
+        else:
             relations.append(relation)
     flows = []
-    for flow_id, flow in graph.flows.items():
-        if flow_id != flow.id or not isinstance(flow_id, str):
-            # Two keys can hold one id, and only a text id can be written.
-            message = (
-                f"flow id {flow_id!r} is not text" if flow_id == flow.id
-                else f"flow {flow.id!r} is filed under {flow_id!r}"
-            )
-            out.append(Violation(ViolationCode.DUPLICATE_ID, flow_id, message))
+    for flow in graph.flows.values():
         if not _names(schema.flow_edge_types, flow.edge_type):
             out.append(
                 Violation(
@@ -187,7 +180,10 @@ def _check_references(
                 )
             )
             continue
-        if _resolves(graph, "flow", flow, out):
+        dangling = _unknown_endpoints(graph.entities, "flow", flow)
+        if dangling:
+            out.extend(Violation(ViolationCode.DANGLING_REF, flow.id, m) for m in dangling)
+        else:
             flows.append(flow)
         if not _names(graph.packages, flow.package):
             out.append(
@@ -212,6 +208,11 @@ def items_not_text(package_id: str) -> MalformedGraphError:
     """The error a writer raises when a package's items are not a list it
     can write."""
     return MalformedGraphError(f"package {package_id!r} items must be text")
+
+
+def name_not_text(name) -> MalformedGraphError:
+    """The error a writer raises when the scenario name is not text."""
+    return MalformedGraphError(f"scenario name {name!r} is not text")
 
 
 def check_references(graph: InstanceGraph) -> None:

@@ -134,17 +134,35 @@ def hand_set(rng: random.Random, graph) -> str:
     return f"flows {renamed} renumbered"
 
 
-def hand_set_graphs(seed: int, count: int):
+def rekey(rng: random.Random, graph) -> str:
+    """Make one change to graph that hand_set does not, and say what it
+    was: a record of any kind filed under another key (moved, or kept under
+    both), or a scenario name that is not text."""
+    names = [name for name in _TABLES if getattr(graph, name)]
+    if rng.random() < 0.2:
+        graph.name = rng.choice((7, None, ["x"]))
+        return f"name = {graph.name!r}"
+    name = rng.choice(names)
+    table = getattr(graph, name)
+    ids = sorted(table)
+    old = rng.choice(ids)
+    key = rng.choice(("k", 3, *(other for other in ids if other != old)))
+    record = table.pop(old) if rng.random() < 0.5 else table[old]
+    table[key] = record
+    return f"{name}[{old!r}] filed under {key!r}"
+
+
+def hand_set_graphs(seed: int, count: int, change=hand_set):
     """count seeded hand-set graphs, each a bundled scenario or a
-    build_random_graph graph with one hand_set change. Yields the change,
-    the graph it was made to and the changed copy."""
+    build_random_graph graph with one change (hand_set, unless given).
+    Yields what changed, the graph it was made to and the changed copy."""
     rng = random.Random(seed)
     bases = [load_scenario("uber"), load_scenario("speeding")]
     bases += [build_random_graph(seed * 1000 + i) for i in range(8)]
     for _ in range(count):
         base = rng.choice(bases)
         graph = copy_graph(base)
-        yield hand_set(rng, graph), base, graph
+        yield change(rng, graph), base, graph
 
 
 def sample_pairs(graph, seed: int, limit: int = 8):

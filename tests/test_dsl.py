@@ -1,9 +1,11 @@
 """Scenario text format: parsing, diagnostics, canonical serialization."""
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from vdse.graph import (
     new_scenario,
 )
 from vdse.schema import EntityType
-from vdse.scenarios import scenario_text
+from vdse.scenarios import load_scenario, scenario_text
 
 MINIMAL = (
     'scenario "t"\n'
@@ -458,6 +460,23 @@ def test_serialize_reports_the_first_defect_in_check_order(defects, message):
         with pytest.raises(MalformedGraphError) as exc:
             serialize(graph)
         assert str(exc.value) == message
+
+
+# The canonical text of the bundled scenarios, and a sha256 over the
+# canonical texts of build_random_graph seeds 0-99 in seed order. Round trips
+# and idempotence hold for any deterministic order; these fix the order.
+CANONICAL = Path(__file__).parent / "canonical"
+SEEDED_CANONICAL_SHA256 = "ffae3a9855ab9f4ade29e37aefc044fc7f8d6381945a22f4389a0cda6bcb280a"
+
+
+def test_serialize_writes_the_pinned_canonical_text():
+    for name in ("uber", "speeding"):
+        pinned = (CANONICAL / f"{name}.vdse").read_text(encoding="utf-8")
+        assert serialize(load_scenario(name)) == pinned, name
+    digest = hashlib.sha256()
+    for seed in range(100):
+        digest.update(serialize(build_random_graph(seed)).encode())
+    assert digest.hexdigest() == SEEDED_CANONICAL_SHA256
 
 
 @pytest.mark.parametrize("name", ["uber", "speeding"])

@@ -15,7 +15,14 @@ from vdse.export import (
     report_to_json,
 )
 from vdse.dsl import serialize
-from vdse.graph import DataPackage, FlowInstance, SemanticRelationInstance, new_scenario
+from vdse.graph import (
+    DataPackage,
+    EntityInstance,
+    FlowInstance,
+    SemanticRelationInstance,
+    new_scenario,
+)
+from vdse.schema import EntityType
 from vdse.validate import validate
 
 
@@ -257,3 +264,81 @@ def test_writers_refuse_attributes_that_are_not_a_map(case):
     with pytest.raises(MalformedGraphError) as exc:
         writer(graph)
     assert str(exc.value) == message
+
+
+def _refile(section: str, item_id: str, key):
+    def change(graph):
+        table = getattr(graph, section)
+        table[key] = table.pop(item_id)
+
+    return change
+
+
+_SET_VALUE = "scenario cannot be written as JSON: Object of type set is not JSON serializable"
+
+# Hand-set keys, names and values, each with what serialize, graph_to_dot
+# and graph_to_json raise; None where the writer returns.
+HAND_SET_WRITES = {
+    "entity_under_an_int_key": (
+        _refile("entities", "a", 9),
+        ("entity 'a' is filed under 9",) * 3,
+    ),
+    "entity_id_not_text": (
+        lambda g: g.entities.update({3: EntityInstance(3, EntityType.PERSON)}),
+        ("entity id 3 is not text",) * 3,
+    ),
+    "package_under_an_int_key": (
+        _refile("packages", "d", 9),
+        ("package 'd' is filed under 9",) * 3,
+    ),
+    "relation_under_an_int_key": (
+        _refile("relations", "r", 9),
+        ("relation 'r' is filed under 9",) * 3,
+    ),
+    "relation_under_another_text_key": (
+        _refile("relations", "r", "k"),
+        ("relation 'r' is filed under 'k'",) * 3,
+    ),
+    "name_int": (
+        lambda g: setattr(g, "name", 5),
+        ("scenario name 5 is not text", "scenario name 5 is not text", None),
+    ),
+    "name_list": (
+        lambda g: setattr(g, "name", ["x"]),
+        ("scenario name ['x'] is not text", "scenario name ['x'] is not text", None),
+    ),
+    "name_none": (
+        lambda g: setattr(g, "name", None),
+        ("scenario name must be non-empty", "scenario name None is not text", None),
+    ),
+    "attribute_value_set": (
+        lambda g: g.entities["a"].attributes.update(tags={"x"}),
+        ("attribute value {'x'} is not expressible", None, _SET_VALUE),
+    ),
+    "description_set": (
+        lambda g: setattr(g.packages["d"], "description", {"x"}),
+        ("package 'd' description must be text", None, _SET_VALUE),
+    ),
+    "attribute_keys_mixed": (
+        lambda g: g.entities["a"].attributes.update({1: "one", "label": "a"}),
+        (
+            "attribute id 1 is not a serializable identifier",
+            None,
+            "entity 'a' attribute name 1 is not text",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HAND_SET_WRITES)
+def test_writers_are_total_on_hand_set_keys_names_and_values(case):
+    change, messages = HAND_SET_WRITES[case]
+    graph = tiny_graph().add_semantic_relation("r", "ownedBy", "b", "a")
+    change(graph)
+    for writer, message in zip((serialize, graph_to_dot, graph_to_json), messages):
+        if message is None:
+            writer(graph)
+            continue
+        with pytest.raises(MalformedGraphError) as exc:
+            writer(graph)
+        assert str(exc.value) == message, writer.__name__

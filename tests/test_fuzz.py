@@ -1,7 +1,7 @@
 """Queries, validate and the graph writers are total on hand-set graphs.
 
 Each graph carries a change that no builder call would make (see
-conftest.hand_set). On it, each public query returns or raises
+conftest.hand_set and conftest.rekey). On it, each public query returns or raises
 AnalysisError, and gives the same on the graph with each of its maps in
 reverse insertion order; validate never raises, gives the same report on both, and reports
 an error whenever a query raised; each writer returns or raises
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import copy_graph, hand_set_graph, hand_set_graphs
+from conftest import copy_graph, hand_set, hand_set_graph, hand_set_graphs, rekey
 from vdse import builtin_schema
 from vdse.analysis import brute_force_paths, enumerate_paths, exposure_report, reachable_from
 from vdse.dsl import serialize
@@ -127,6 +127,12 @@ NAMED = {
         ),
         None,
     ),
+    "attribute_value_is_a_set": (_set("entities", "a", "attributes", {"tags": {"x"}}), None),
+    "attribute_keys_of_mixed_types": (
+        _set("entities", "a", "attributes", {1: "one", "label": "a"}),
+        None,
+    ),
+    "package_description_is_a_set": (_set("packages", "P", "description", {"x"}), None),
     "two_plain_ids_that_are_not_identifiers": (
         _add_flows(
             FlowInstance("z z", "E5", "a", "b", "P"), FlowInstance("a-b", "E5", "c", "d", "P")
@@ -152,14 +158,27 @@ def test_named_hand_set_graphs_keep_the_contract(name):
 BATCHES, PER_BATCH = 8, 300
 
 
-@pytest.mark.parametrize("batch", range(BATCHES))
-def test_seeded_hand_set_graphs_keep_the_contract(batch):
+REKEYED_BATCHES = 2
+
+
+def assert_batch_total(seed: int, change) -> None:
     raised = 0
-    for change, base, graph in hand_set_graphs(batch, PER_BATCH):
+    for what, base, graph in hand_set_graphs(seed, PER_BATCH, change):
         try:
             outcomes = assert_total(base, graph)
         except Exception as failure:
-            raise AssertionError(change) from failure
+            raise AssertionError(what) from failure
         raised += not all(returned for returned, _ in outcomes)
     # Some changes make every query refuse the graph, and some leave them working.
     assert 0 < raised < PER_BATCH
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+def test_seeded_hand_set_graphs_keep_the_contract(batch):
+    assert_batch_total(batch, hand_set)
+
+
+@pytest.mark.parametrize("batch", range(REKEYED_BATCHES))
+def test_seeded_rekeyed_graphs_keep_the_contract(batch):
+    # Seeds of their own, so that the batches above keep their graphs.
+    assert_batch_total(BATCHES + batch, rekey)

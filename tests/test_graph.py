@@ -125,6 +125,19 @@ def test_add_package_sorts_derivations():
     assert graph.packages["c"].derives_from == ("a", "b")
 
 
+def test_add_package_sorts_derivations_of_any_hand_set_id():
+    # A package filed by hand under a key that is not text can still be
+    # derived from; the derivations are ordered as text, as when a flow
+    # offers the same package again.
+    graph = new_scenario("t").add_package(DataPackage("P"))
+    graph.packages[5] = DataPackage(5)
+    graph.add_package(DataPackage("q", derives_from=[5, "P"]))
+    assert graph.packages["q"].derives_from == (5, "P")
+    graph.add_entity("a", "P").add_entity("b", "V")
+    graph.add_flow("f", "E1", "a", "b", DataPackage("q", derives_from=["P", 5]))
+    assert graph.flows["f"].package == "q"
+
+
 def test_add_flow_registers_inline_package():
     graph = small_graph()
     graph.add_flow("f1", "E1", "driver", "car", DataPackage("DP1", "habits"))

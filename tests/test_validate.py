@@ -492,5 +492,7 @@ def test_validate_is_total_on_hand_set_ids(schema):
     assert [(v.code, v.subject) for v in report.violations] == [
         (ViolationCode.DANGLING_REF, "1"),
         (ViolationCode.DUPLICATE_ID, "1"),
+        (ViolationCode.DUPLICATE_ID, "d"),
         (ViolationCode.DANGLING_REF, "f3"),
     ]
+    assert report.violations[2].message == "package ['d'] is filed under 'd'"
