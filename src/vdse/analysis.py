@@ -21,9 +21,9 @@ walk meets the paths of each length already in flow-id order: it files
 them by length and joins the lengths shortest first, and no strict result
 is sorted afterwards. Lineage search walks an index of admissible
 successors built once per query, from the lineages of the carried
-packages only, and sorts its traces at the end; it recurses once per flow
-of a trace, and a search deeper than the interpreter's recursion limit
-raises AnalysisError.
+packages only; it files its traces by length and sorts each length's
+traces by flow ids. It recurses once per flow of a trace, and a search
+deeper than the interpreter's recursion limit raises AnalysisError.
 
 Queries are total on hand-set graphs that validate would reject: each
 first checks the flows in one pass (_flows), which raises AnalysisError on
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from vdse.errors import AnalysisError
 from vdse.graph import InstanceGraph, _names_all, _unknown_endpoints
-from vdse.schema import EntityType, type_code
+from vdse.schema import EntityType, _shown, type_code
 
 __all__ = [
     "DEFAULT_MAX_PATH_LEN",
@@ -110,11 +110,6 @@ def _check_query(graph: InstanceGraph, source: str, sink: str, max_len: int) -> 
         raise AnalysisError("max_len must be at least 1")
 
 
-def _sorted_paths(paths: list) -> list:
-    paths.sort(key=lambda p: (len(p.flow_ids), p.flow_ids))
-    return paths
-
-
 def _flows(graph: InstanceGraph) -> list:
     """The flows of graph, once each is filed under its own id, names
     declared entities and carries a text package, and the ids order (all
@@ -125,7 +120,7 @@ def _flows(graph: InstanceGraph) -> list:
         if key != flow.id:
             problems.append(f"flow {flow.id!r} is filed under {key!r}")
         if not isinstance(flow.package, str):
-            problems.append(f"flow {flow.id!r} carries {flow.package!r}, not a package id")
+            problems.append(f"flow {flow.id!r} carries {_shown(flow.package)}, not a package id")
     endpoints = [flow.source for flow in flows] + [flow.target for flow in flows]
     if not _names_all(graph.entities, endpoints):
         for flow in flows:
@@ -287,11 +282,12 @@ def _lineage_distances(flows: list, lineages: dict, sink: str, max_len: int) -> 
 
 
 def _walk(
-    found: list, used: set, sink: str, max_len: int,
+    by_length: list, used: set, sink: str, max_len: int,
     flow_ids: tuple, package_ids: tuple, following: tuple,
 ) -> None:
     """Extend a lineage trace by each successor entry that fits, filing
-    every trace that ends at sink. Recurses only when a further flow fits."""
+    every trace that ends at sink under its length. Recurses only when a
+    further flow fits."""
     spare = max_len - len(flow_ids)
     for successors in following:
         for distance, flow_id, package, target, next_following in successors:
@@ -301,15 +297,17 @@ def _walk(
                 continue
             trace_flows, trace_packages = flow_ids + (flow_id,), package_ids + (package,)
             if target == sink:
-                found.append(LineageTrace(trace_flows, trace_packages))
+                by_length[len(trace_flows)].append(LineageTrace(trace_flows, trace_packages))
             if spare > 1:
                 used.add(flow_id)
-                _walk(found, used, sink, max_len, trace_flows, trace_packages, next_following)
+                _walk(by_length, used, sink, max_len, trace_flows, trace_packages, next_following)
                 used.discard(flow_id)
 
 
 def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len: int) -> list:
-    """Every lineage trace from source to sink, sorted.
+    """Every lineage trace from source to sink, in (length, flow-id
+    sequence) order: the walk files each trace under its length, and each
+    length's traces are sorted by flow ids and joined shortest first.
 
     Successors are indexed once per query, over the flows that can still
     reach the sink. Per package p, one list holds the flows whose lineage
@@ -341,12 +339,18 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
         )
     for entries in (*leaving.values(), *derived_from.values(), *hops_only.values()):
         entries.sort(key=itemgetter(0))
-    found: list[LineageTrace] = []
+    # A trace uses each flow once, and only flows in distances, so none is
+    # longer than len(distances); by_length[n] holds the traces of n flows.
+    by_length: list[list] = [[] for _ in range(min(max_len, len(distances)) + 1)]
     try:
-        _walk(found, set(), sink, max_len, (), (), (leaving.get(source, ()),))
+        _walk(by_length, set(), sink, max_len, (), (), (leaving.get(source, ()),))
     except RecursionError:
         raise AnalysisError(f"search too deep for --max-len {max_len}") from None
-    return _sorted_paths(found)
+    found: list[LineageTrace] = []
+    for traces in by_length:
+        traces.sort(key=itemgetter(0))
+        found += traces
+    return found
 
 
 def enumerate_paths(
@@ -390,7 +394,8 @@ def brute_force_paths(
                 search(flow.target, flow_ids + (flow.id,), nodes + (flow.target,))
 
     search(source, (), (source,))
-    return _sorted_paths(results)
+    results.sort(key=lambda p: (len(p.flow_ids), p.flow_ids))
+    return results
 
 
 def reachable_from(graph: InstanceGraph, source: str) -> set:

@@ -43,7 +43,7 @@ from vdse.graph import (
     check_entity_attributes,
     new_scenario,
 )
-from vdse.schema import EntityType, INSTANTIABLE_TYPE_CODES, builtin_schema
+from vdse.schema import EntityType, INSTANTIABLE_TYPE_CODES, _shown, builtin_schema
 from vdse.validate import check_references, items_not_text, name_not_text, not_a_map
 
 __all__ = ["parse", "serialize"]
@@ -500,7 +500,7 @@ def _attrs(kind: str, id_: str, attrs: dict) -> str:
         elif isinstance(value, list) and value and all(isinstance(i, str) for i in value):
             value = "[" + ", ".join(_quote(i) for i in value) + "]"
         else:
-            raise MalformedGraphError(f"attribute value {value!r} is not expressible")
+            raise MalformedGraphError(f"attribute value {_shown(value)} is not expressible")
         items.append(f"{key} = {value}")
     return " {" + ", ".join(items) + "}"
 

@@ -17,6 +17,8 @@ path query results
 """
 from __future__ import annotations
 
+from itertools import groupby
+
 from vdse.analysis import ExposureReport, LineageTrace, Path
 from vdse.errors import MalformedGraphError
 from vdse.graph import InstanceGraph
@@ -224,15 +226,62 @@ def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = F
     return _dump(document, pretty)
 
 
+class _Texts(dict):
+    """The JSON text of each value looked up, encoded once. Only text and
+    tuples of text are kept: 1 == True, but JSON writes them apart."""
+
+    __slots__ = ("encode",)
+
+    def __init__(self, encode):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, value) -> str:
+        text = self.encode(value)
+        if type(value) is str or type(value) is tuple and all(type(v) is str for v in value):
+            self[value] = text
+        return text
+
+
+def _traces_text(traces: list, texts: _Texts) -> str:
+    """Lineage traces as comma-separated JSON objects, each one f-string of
+    memoized id and package-sequence texts. A run with a trace whose flow
+    ids are not a tuple, or hold a value that is not hashable, goes through
+    the encoder as the objects its traces stand for, so it is written, or
+    refused, as json.dumps of the documented shape would."""
+    try:
+        written = [
+            f'{{"flows":[{",".join(map(texts.__getitem__, flows))}],'
+            f'"packages":{texts[packages]}}}'
+            for flows, packages in traces
+            if type(flows) is tuple
+        ]
+        if len(written) == len(traces):
+            return ",".join(written)
+    except (TypeError, ValueError):
+        pass
+    return texts.encode(
+        [{"flows": t.flow_ids, "packages": t.package_ids} for t in traces]
+    )[1:-1]
+
+
 def paths_to_json(results: list, pretty: bool = False) -> str:
     """Render path query results: arrays of flow ids for strict paths,
-    {flows, packages} objects for lineage traces."""
-    document = []
-    for result in results:
-        if isinstance(result, Path):
-            document.append(result.flow_ids)
-        elif isinstance(result, LineageTrace):
-            document.append({"flows": result.flow_ids, "packages": result.package_ids})
-        else:
-            raise TypeError(f"unsupported result type {type(result).__name__}")
-    return _dump(document, pretty)
+    {flows, packages} objects for lineage traces.
+
+    Each run of results of one type is written on its own and the runs are
+    joined: strict paths by one encoder call, lineage traces by
+    _traces_text. The pretty form re-indents the compact text."""
+    import json
+
+    runs = [(kind, list(run)) for kind, run in groupby(results, type)]
+    for kind, _ in runs:
+        if not issubclass(kind, (Path, LineageTrace)):
+            raise TypeError(f"unsupported result type {kind.__name__}")
+    texts = _Texts(json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode)
+    text = "[" + ",".join(
+        texts.encode([p.flow_ids for p in run])[1:-1] if issubclass(kind, Path)
+        else _traces_text(run, texts)
+        for kind, run in runs
+    ) + "]"
+    return _dump(json.loads(text), True) if pretty else text

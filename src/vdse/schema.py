@@ -89,10 +89,19 @@ _DISPLAY_NAMES = {
 _BY_DISPLAY_NAME = {name: etype for etype, name in _DISPLAY_NAMES.items()}
 
 
+def _shown(value, text=repr) -> str:
+    """text(value), except that a set or frozenset lists its members sorted
+    by their repr, so that the result does not depend on the hash seed."""
+    if isinstance(value, (set, frozenset)) and value:
+        members = "{" + ", ".join(sorted(map(_shown, value))) + "}"
+        return members if type(value) is set else f"{type(value).__name__}({members})"
+    return text(value)
+
+
 def type_code(entity_type) -> str:
     """An entity's type as the writers render it: an EntityType's code, else
-    str() of whatever a hand-set graph holds."""
-    return entity_type.code if isinstance(entity_type, EntityType) else str(entity_type)
+    str() of whatever a hand-set graph holds (a set with sorted members)."""
+    return entity_type.code if isinstance(entity_type, EntityType) else _shown(entity_type, str)
 
 
 # DataPackage is part of the registry but is never instantiated as a free

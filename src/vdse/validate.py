@@ -19,7 +19,7 @@ from vdse.graph import (
     check_entity_attributes,
     strongly_connected_components,
 )
-from vdse.schema import EntityType, TypeGraph, _Record, builtin_schema
+from vdse.schema import EntityType, TypeGraph, _Record, _shown, builtin_schema
 
 __all__ = ["ViolationCode", "Violation", "ValidationReport", "validate"]
 
@@ -137,7 +137,7 @@ def _check_references(
                 Violation(
                     ViolationCode.DANGLING_REF,
                     package_id,
-                    f"package {package_id!r} derives from {package.derives_from!r}, "
+                    f"package {package_id!r} derives from {_shown(package.derives_from)}, "
                     "not a list of packages",
                 )
             )
@@ -160,7 +160,7 @@ def _check_references(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
                     relation.id,
-                    f"relation {relation.id!r} uses unknown relation {relation.relation!r}",
+                    f"relation {relation.id!r} uses unknown relation {_shown(relation.relation)}",
                 )
             )
             continue
@@ -176,7 +176,7 @@ def _check_references(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
                     flow.id,
-                    f"flow {flow.id!r} uses unknown edge type {flow.edge_type!r}",
+                    f"flow {flow.id!r} uses unknown edge type {_shown(flow.edge_type)}",
                 )
             )
             continue
@@ -190,7 +190,7 @@ def _check_references(
                 Violation(
                     ViolationCode.MISSING_PACKAGE,
                     flow.id,
-                    f"flow {flow.id!r} references unknown package {flow.package!r}",
+                    f"flow {flow.id!r} references unknown package {_shown(flow.package)}",
                 )
             )
     return derivations, relations, flows
@@ -247,7 +247,7 @@ def _check_entities(schema: TypeGraph, graph: InstanceGraph, out: list) -> None:
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
                     entity.id,
-                    f"entity {entity.id!r} has unknown type {entity.entity_type!r}",
+                    f"entity {entity.id!r} has unknown type {_shown(entity.entity_type)}",
                 )
             )
             continue

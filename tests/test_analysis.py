@@ -422,6 +422,23 @@ def test_lineage_matches_oracle_on_bundled(uber_graph, speeding_graph):
         assert_lineage_matches_oracle(graph, all_pairs(graph))
 
 
+def test_lineage_order_holds_past_the_longest_possible_trace(uber_graph, speeding_graph):
+    # No trace is longer than the flows a query can use, so a max_len far
+    # beyond that gives the same traces, and costs no list of max_len.
+    for graph in (uber_graph, speeding_graph):
+        every = len(graph.flows)
+        for source, sink in all_pairs(graph):
+            tracemalloc.start()
+            try:
+                huge = enumerate_paths(graph, source, sink, 10**6, mode="lineage")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            assert huge == enumerate_paths(graph, source, sink, every, mode="lineage")
+            assert huge == brute_force_lineage(graph, source, sink, every)
+
+
 @pytest.mark.parametrize("seed", range(200))
 def test_lineage_matches_oracle_on_seeded_graphs(seed):
     graph = build_random_graph(seed)

@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from vdse.analysis import enumerate_paths, exposure_report
+import vdse
+from vdse.analysis import LineageTrace, Path, enumerate_paths, exposure_report
 from vdse.errors import MalformedGraphError
 from vdse.export import (
     ExportOptions,
@@ -22,6 +26,7 @@ from vdse.graph import (
     SemanticRelationInstance,
     new_scenario,
 )
+from vdse.scenarios import load_scenario
 from vdse.schema import EntityType
 from vdse.validate import validate
 
@@ -114,6 +119,85 @@ def test_paths_to_json_shapes(uber_graph):
     assert paths_to_json([]) == "[]"
 
 
+def paths_document_json(results: list, pretty: bool = False) -> str:
+    """Path results as one json.dumps of the documented shape: the text
+    paths_to_json must write, byte for byte, or the error it must raise."""
+    document = []
+    for result in results:
+        if isinstance(result, Path):
+            document.append(result.flow_ids)
+        elif isinstance(result, LineageTrace):
+            document.append({"flows": result.flow_ids, "packages": result.package_ids})
+        else:
+            raise TypeError(f"unsupported result type {type(result).__name__}")
+    if pretty:
+        return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(document, separators=(",", ":"), ensure_ascii=False)
+
+
+class SubPath(Path):
+    pass
+
+
+def bundled_results(mode: str) -> list:
+    graph = load_scenario("uber")
+    pairs = (("driver", "uber"), ("passenger1", "uber"), ("driver", "dashcam_cloud"))
+    return [r for a, b in pairs for r in enumerate_paths(graph, a, b, mode=mode)]
+
+
+PATHS_JSON_ROWS = {
+    "strict": lambda: bundled_results("strict"),
+    "lineage": lambda: bundled_results("lineage"),
+    "mixed": lambda: [
+        r for pair in zip(bundled_results("strict"), bundled_results("lineage")) for r in pair
+    ] + bundled_results("lineage")[:3],
+    "empty": lambda: [],
+    "integer_ids": lambda: [Path((1, 2), ("a", "b", "c")), LineageTrace((1, 2), ("p", "q"))],
+    # 1 == True, but JSON writes them apart: a memo keyed by value must not
+    # hand one the other's text.
+    "true_next_to_one": lambda: [
+        LineageTrace((True, 1), (True, 1)),
+        LineageTrace((1, True), (1, True)),
+        LineageTrace(("f",), (1,)),
+        LineageTrace(("g",), (True,)),
+    ],
+    "non_ascii_and_control_characters": lambda: [
+        LineageTrace(("flöw", "流", "a\nb", "\x01\x1f", '"q"\\', "\u2028"), ("päck",) * 6),
+        Path(("é\t",), ("a", "b")),
+    ],
+    "path_subclass": lambda: [
+        SubPath(("f",), ("a", "b")), Path(("g",), ("a", "b")), SubPath(("h",), ("a", "b"))
+    ],
+    "list_valued_id": lambda: [
+        LineageTrace(("f", ["g", "h"]), ("p", "q")), LineageTrace(("f",), ["p"])
+    ],
+    "tuple_valued_id": lambda: [LineageTrace((("p", "q"),), ("p", "q"))],
+    "flow_ids_not_a_tuple": lambda: [
+        LineageTrace("fg", ("p",)), LineageTrace(["f"], ("p",)), LineageTrace(("f",), "p")
+    ],
+    "extra_field": lambda: [tuple.__new__(LineageTrace, (("f",), ("p",), "extra"))],
+    "unencodable_id": lambda: [LineageTrace(("f",), ("p",)), LineageTrace((object(),), ("p",))],
+    "non_record": lambda: [Path(("f",), ("a", "b")), "f"],
+    "non_record_after_unencodable_id": lambda: [LineageTrace((object(),), ("p",)), 5],
+}
+
+
+@pytest.mark.parametrize("pretty", (False, True))
+@pytest.mark.parametrize("row", sorted(PATHS_JSON_ROWS))
+def test_paths_to_json_writes_one_dumps_of_the_document(row, pretty):
+    results = PATHS_JSON_ROWS[row]()
+    try:
+        want = paths_document_json(results, pretty)
+    except (TypeError, ValueError) as error:
+        with pytest.raises(type(error)) as exc:
+            paths_to_json(results, pretty)
+        assert str(exc.value) == str(error)
+    else:
+        got = paths_to_json(results, pretty)
+        assert json.loads(got) == json.loads(want)
+        assert got.encode("utf-8") == want.encode("utf-8")
+
+
 def test_dot_output_pinned_lines(uber_graph):
     dot = graph_to_dot(uber_graph)
     assert dot.splitlines()[0] == 'digraph "uber_dashcam" {'
@@ -170,6 +254,69 @@ def test_exports_are_deterministic(uber_graph, speeding_graph):
     for graph in (uber_graph, speeding_graph):
         assert graph_to_dot(graph) == graph_to_dot(graph)
         assert graph_to_json(graph) == graph_to_json(graph)
+
+
+SET_VALUES_SCRIPT = """
+from vdse.analysis import enumerate_paths
+from vdse.dsl import serialize
+from vdse.errors import AnalysisError, MalformedGraphError
+from vdse.export import graph_to_dot, graph_to_json
+from vdse.graph import FlowInstance
+from vdse.scenarios import load_scenario
+from vdse.schema import builtin_schema
+from vdse.validate import validate
+
+def messages(graph):
+    return [v.message for v in validate(builtin_schema(), graph).violations]
+
+typed = load_scenario("speeding")
+typed.entities["driver"].entity_type = {"P", "DA", "V"}
+print(graph_to_dot(typed), graph_to_json(typed), messages(typed))
+derived = load_scenario("speeding")
+derived.packages["DP1_1"].derives_from = frozenset({"x", "y", "z"})
+print(messages(derived))
+carried = load_scenario("speeding")
+f = carried.flows["e1_1"]
+carried.flows["e1_1"] = FlowInstance(f.id, f.edge_type, f.source, f.target, frozenset("xyz"))
+carried.flows["e6_1"].edge_type = frozenset({"E1", "E2", "E3"})
+carried.relations["r1"].relation = frozenset({"occupy", "ownedBy"})
+print(messages(carried))
+try:
+    enumerate_paths(carried, "driver", "insurer")
+except AnalysisError as error:
+    print(error)
+tagged = load_scenario("speeding")
+tagged.entities["driver"].attributes["tags"] = {"a", "b", "c"}
+try:
+    serialize(tagged)
+except MalformedGraphError as error:
+    print(error)
+"""
+
+
+def test_set_values_are_written_alike_under_every_hash_seed():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(vdse.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env["PYTHONHASHSEED"] = seed
+        run = subprocess.run(
+            [sys.executable, "-c", SET_VALUES_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert '"driver" [label="driver : {\'DA\', \'P\', \'V\'}"];' in outputs[0]
+    assert '"type":"{\'DA\', \'P\', \'V\'}"' in outputs[0]
+    assert "has unknown type {'DA', 'P', 'V'}" in outputs[0]
+    assert "derives from frozenset({'x', 'y', 'z'}), not a list" in outputs[0]
+    assert "attribute value {'a', 'b', 'c'} is not expressible" in outputs[0]
+    assert "references unknown package frozenset({'x', 'y', 'z'})" in outputs[0]
+    assert "carries frozenset({'x', 'y', 'z'}), not a package id" in outputs[0]
+    assert "unknown edge type frozenset({'E1', 'E2', 'E3'})" in outputs[0]
+    assert "unknown relation frozenset({'occupy', 'ownedBy'})" in outputs[0]
 
 
 REFERENCE_DEFECTS = {
