@@ -15,15 +15,18 @@ insertion order.
 A query to a sink first runs one reverse breadth-first search from the
 sink, and the walk never takes a step after which the sink cannot be
 reached within max_len flows; each search stops once it runs out of
-graph, however large max_len is. Strict search is one iterative walk over
-an index of flows by source, each entity's flows sorted by id, so the
-walk meets the paths of each length already in flow-id order: it files
-them by length and joins the lengths shortest first, and no strict result
-is sorted afterwards. Lineage search walks an index of admissible
-successors built once per query, from the lineages of the carried
-packages only; it files its traces by length and sorts each length's
-traces by flow ids. It recurses once per flow of a trace, and a search
-deeper than the interpreter's recursion limit raises AnalysisError.
+graph, however large max_len is. Strict search goes one length at a time
+over an index of flows by source, each entity's flows sorted by id: the
+paths of n + 1 flows are those of n flows, in flow-id-sequence order, each
+extended by its endpoint's flows in id order, so they come out in order
+too. Each length is filed under its endpoints as it is made, shortest
+first, and no strict result is sorted afterwards. Besides its results, a
+query to a sink holds only the frontier: the partial paths of one length.
+Lineage search walks an index of admissible successors built once per
+query, from the lineages of the carried packages only; it files its traces
+by length and sorts each length's traces by flow ids. It recurses once per
+flow of a trace, and a search deeper than the interpreter's recursion limit
+raises AnalysisError.
 
 Queries are total on hand-set graphs that validate would reject: each
 first checks the flows in one pass (_flows), which raises AnalysisError on
@@ -32,6 +35,7 @@ a non-text package, and on ids not all text or all integers.
 """
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -61,6 +65,11 @@ class Path(NamedTuple):
 
     flow_ids: tuple
     node_ids: tuple
+
+
+# Path(flow_ids, node_ids) without the Python frame of the record's own
+# __new__: _new(Path, (flow_ids, node_ids)).
+_new = tuple.__new__
 
 
 class LineageTrace(NamedTuple):
@@ -118,17 +127,19 @@ def _flows(graph: InstanceGraph) -> list:
     problems = []
     for key, flow in graph.flows.items():
         if key != flow.id:
-            problems.append(f"flow {flow.id!r} is filed under {key!r}")
+            problems.append(f"flow {_shown(flow.id)} is filed under {_shown(key)}")
         if not isinstance(flow.package, str):
-            problems.append(f"flow {flow.id!r} carries {_shown(flow.package)}, not a package id")
+            problems.append(
+                f"flow {_shown(flow.id)} carries {_shown(flow.package)}, not a package id"
+            )
     endpoints = [flow.source for flow in flows] + [flow.target for flow in flows]
     if not _names_all(graph.entities, endpoints):
         for flow in flows:
             problems += _unknown_endpoints(graph.entities, "flow", flow)
     odd = [flow.id for flow in flows if not isinstance(flow.id, str)]
     if odd and (len(odd) < len(flows) or not all(isinstance(i, int) for i in odd)):
-        first = min(odd, key=repr)
-        problems.append(f"flow id {first!r} is not text, and not every flow id is an integer")
+        first = min(map(_shown, odd))
+        problems.append(f"flow id {first} is not text, and not every flow id is an integer")
     if problems:
         raise AnalysisError(min(problems))
     return flows
@@ -160,12 +171,16 @@ def _strict_search(flows: list, source: str, max_len: int, sink: str | None = No
     endpoint, each endpoint's paths in (length, flow-id sequence) order.
     Given a sink, only the paths ending there; none is extended past it, and
     no step goes to an entity that cannot reach the sink within max_len
-    flows. Iterative, so no recursion limit caps max_len.
+    flows.
 
-    Each entity's successors are sorted by flow id, so the depth-first
-    preorder meets flow sequences in lexicographic order: the paths of one
-    length to one endpoint arrive in order. They are filed by length and
-    joined shortest first."""
+    One comprehension per length extends each path of the level, the paths
+    of n flows in flow-id-sequence order, by its endpoint's successors in
+    flow-id order, so the paths of n + 1 flows come out in that order too.
+    Each level is filed as it is made, shortest first, and nothing is
+    sorted afterwards. Every path of an exposure query is a result; a sink
+    query also holds the partial paths of one length, its frontier. The
+    search ends at the first empty level, so no recursion limit caps
+    max_len and a max_len beyond the graph costs nothing."""
     adjacency: dict[str, list] = {}
     for flow in flows:
         adjacency.setdefault(flow.source, []).append((flow.id, flow.target))
@@ -173,35 +188,39 @@ def _strict_search(flows: list, source: str, max_len: int, sink: str | None = No
         successors.sort()
     if source not in adjacency:
         return {}
-    hops = None if sink is None else _hops_to(flows, sink, max_len - 1)
-    # A simple path's flows leave distinct entities, so none is longer than
-    # len(adjacency); by_length[n] files the paths of n flows by endpoint.
-    by_length: list[dict] = [{} for _ in range(min(max_len, len(adjacency)) + 1)]
-    stack = [(iter(adjacency[source]), (), (source,))]
-    while stack:
-        successors, flow_ids, nodes = stack[-1]
-        # A step makes a path of depth flows; spare more may follow it.
-        depth = len(nodes)
-        spare, filed = max_len - depth, by_length[depth]
-        for flow_id, target in successors:
-            if target in nodes or hops is not None and hops.get(target, max_len) > spare:
-                continue
-            ends = sink is None or target == sink
-            deeper = spare > 0 and target != sink and target in adjacency
-            if ends or deeper:
-                path_flows, path_nodes = flow_ids + (flow_id,), nodes + (target,)
-                if ends:
-                    filed.setdefault(target, []).append(Path(path_flows, path_nodes))
-                if deeper:
-                    stack.append((iter(adjacency[target]), path_flows, path_nodes))
-                    break
-        else:
-            stack.pop()
-    found: dict[str, list] = {}
-    for filed in by_length:
-        for endpoint, paths in filed.items():
-            found.setdefault(endpoint, []).extend(paths)
-    return found
+    level = [((), (source,))]
+    if sink is None:
+        found: dict[str, list] = {}
+        for _ in range(max_len):
+            level = [
+                _new(Path, (flow_ids + (flow_id,), nodes + (target,)))
+                for flow_ids, nodes in level
+                for flow_id, target in adjacency.get(nodes[-1], ())
+                if target not in nodes
+            ]
+            if not level:
+                break
+            for path in level:
+                found.setdefault(path[1][-1], []).append(path)
+        return found
+    # Every entity within reach of the sink, but the sink, leaves by a flow;
+    # a path that reaches the sink ends there.
+    hops = _hops_to(flows, sink, max_len - 1)
+    adjacency[sink] = ()
+    ended: list[Path] = []
+    # The level made with spare holds paths of max_len - spare flows, and
+    # spare more may follow: each step must reach the sink within spare.
+    for spare in range(max_len - 1, -1, -1):
+        level = [
+            (flow_ids + (flow_id,), nodes + (target,))
+            for flow_ids, nodes in level
+            for flow_id, target in adjacency[nodes[-1]]
+            if target not in nodes and hops.get(target, max_len) <= spare
+        ]
+        if not level:
+            break
+        ended += [_new(Path, path) for path in level if path[1][-1] == sink]
+    return {sink: ended} if ended else {}
 
 
 def _lineages(packages: dict, flows: list) -> dict:
@@ -435,7 +454,7 @@ def exposure_report(
     aggregation: list[AggregationPoint] = []
     for sink_id in sorted(found):
         paths = found[sink_id]
-        flow_ids = set().union(*(path.flow_ids for path in paths))
+        flow_ids = set(chain.from_iterable(map(itemgetter(0), paths)))
         packages = sorted({graph.flows[fid].package for fid in flow_ids})
         sinks.append(
             SinkExposure(

@@ -226,6 +226,21 @@ def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = F
     return _dump(document, pretty)
 
 
+class _Pairs(dict):
+    """A JSON object as read back, every member kept: the encoder writes
+    what items() returns, so two keys that JSON writes alike ({1: "a",
+    "1": "b"} becomes "1" twice) are both written again."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
 class _Texts(dict):
     """The JSON text of each value looked up, encoded once. Only text and
     tuples of text are kept: 1 == True, but JSON writes them apart."""
@@ -271,7 +286,8 @@ def paths_to_json(results: list, pretty: bool = False) -> str:
 
     Each run of results of one type is written on its own and the runs are
     joined: strict paths by one encoder call, lineage traces by
-    _traces_text. The pretty form re-indents the compact text."""
+    _traces_text. The pretty form re-indents the compact text, keeping
+    every member of every object."""
     import json
 
     runs = [(kind, list(run)) for kind, run in groupby(results, type)]
@@ -284,4 +300,4 @@ def paths_to_json(results: list, pretty: bool = False) -> str:
         else _traces_text(run, texts)
         for kind, run in runs
     ) + "]"
-    return _dump(json.loads(text), True) if pretty else text
+    return _dump(json.loads(text, object_pairs_hook=_Pairs), True) if pretty else text

@@ -98,9 +98,10 @@ def _order(violation: Violation) -> tuple:
 
 def _sorted(violations: list) -> list:
     """The violations in report order. A subject that is not text, such as a
-    hand-set flow id 1, is given as its repr, so subjects always compare."""
+    hand-set flow id 1, is given as its repr (a set's members sorted), so
+    subjects always compare and do not depend on the hash seed."""
     texts = [
-        v if isinstance(v.subject, str) else v._replace(subject=repr(v.subject))
+        v if isinstance(v.subject, str) else v._replace(subject=_shown(v.subject))
         for v in violations
     ]
     return sorted(texts, key=_order)
@@ -126,8 +127,8 @@ def _check_references(
             if key != item.id or not isinstance(key, str):
                 # Two keys can hold one id, and only a text id can be written.
                 message = (
-                    f"{kind} id {key!r} is not text" if key == item.id
-                    else f"{kind} {item.id!r} is filed under {key!r}"
+                    f"{kind} id {_shown(key)} is not text" if key == item.id
+                    else f"{kind} {_shown(item.id)} is filed under {_shown(key)}"
                 )
                 out.append(Violation(ViolationCode.DUPLICATE_ID, key, message))
     derivations = {}
@@ -137,7 +138,7 @@ def _check_references(
                 Violation(
                     ViolationCode.DANGLING_REF,
                     package_id,
-                    f"package {package_id!r} derives from {_shown(package.derives_from)}, "
+                    f"package {_shown(package_id)} derives from {_shown(package.derives_from)}, "
                     "not a list of packages",
                 )
             )
@@ -150,7 +151,8 @@ def _check_references(
                     Violation(
                         ViolationCode.DANGLING_REF,
                         package_id,
-                        f"package {package_id!r} derives from unknown package {ancestor!r}",
+                        f"package {_shown(package_id)} derives from unknown package "
+                        f"{_shown(ancestor)}",
                     )
                 )
     relations = []

@@ -172,6 +172,8 @@ PATHS_JSON_ROWS = {
         LineageTrace(("f", ["g", "h"]), ("p", "q")), LineageTrace(("f",), ["p"])
     ],
     "tuple_valued_id": lambda: [LineageTrace((("p", "q"),), ("p", "q"))],
+    # Two keys JSON writes alike: a re-indent must not merge them.
+    "dict_id_with_keys_written_alike": lambda: [LineageTrace(({1: "a", "1": "b"},), ("p",))],
     "flow_ids_not_a_tuple": lambda: [
         LineageTrace("fg", ("p",)), LineageTrace(["f"], ("p",)), LineageTrace(("f",), "p")
     ],
@@ -196,6 +198,16 @@ def test_paths_to_json_writes_one_dumps_of_the_document(row, pretty):
         got = paths_to_json(results, pretty)
         assert json.loads(got) == json.loads(want)
         assert got.encode("utf-8") == want.encode("utf-8")
+
+
+def test_pretty_paths_json_keeps_every_key():
+    results = [LineageTrace(({1: "a", "1": "b"},), ("p",))]
+    compact, pretty = paths_to_json(results), paths_to_json(results, pretty=True)
+    members = json.loads(compact, object_pairs_hook=list)
+    assert json.loads(pretty, object_pairs_hook=list) == members
+    assert members == [
+        [("flows", [[("1", "a"), ("1", "b")]]), ("packages", ["p"])]
+    ]
 
 
 def test_dot_output_pinned_lines(uber_graph):
@@ -294,7 +306,9 @@ except MalformedGraphError as error:
 """
 
 
-def test_set_values_are_written_alike_under_every_hash_seed():
+def under_hash_seeds(script: str) -> list:
+    """The stdout of script run in a fresh interpreter under PYTHONHASHSEED
+    1, 2 and 3."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(vdse.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -302,11 +316,16 @@ def test_set_values_are_written_alike_under_every_hash_seed():
     for seed in ("1", "2", "3"):
         env["PYTHONHASHSEED"] = seed
         run = subprocess.run(
-            [sys.executable, "-c", SET_VALUES_SCRIPT],
+            [sys.executable, "-c", script],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
+    return outputs
+
+
+def test_set_values_are_written_alike_under_every_hash_seed():
+    outputs = under_hash_seeds(SET_VALUES_SCRIPT)
     assert outputs[0] == outputs[1] == outputs[2]
     assert '"driver" [label="driver : {\'DA\', \'P\', \'V\'}"];' in outputs[0]
     assert '"type":"{\'DA\', \'P\', \'V\'}"' in outputs[0]
@@ -317,6 +336,50 @@ def test_set_values_are_written_alike_under_every_hash_seed():
     assert "carries frozenset({'x', 'y', 'z'}), not a package id" in outputs[0]
     assert "unknown edge type frozenset({'E1', 'E2', 'E3'})" in outputs[0]
     assert "unknown relation frozenset({'occupy', 'ownedBy'})" in outputs[0]
+
+
+FROZENSET_IDS_SCRIPT = """
+from vdse.analysis import enumerate_paths
+from vdse.errors import AnalysisError
+from vdse.scenarios import load_scenario
+from vdse.schema import builtin_schema
+from vdse.validate import validate
+
+KEY = frozenset({"a", "b", "c"})
+
+def report(graph):
+    try:
+        enumerate_paths(graph, "driver", "insurer")
+    except AnalysisError as error:
+        print(error)
+    for v in validate(builtin_schema(), graph).violations:
+        print(v.code.value, v.subject, v.message)
+
+own = load_scenario("speeding")
+own.flows[KEY] = own.flows.pop("e1_1")
+own.flows[KEY].id = KEY
+report(own)
+filed = load_scenario("speeding")
+filed.flows[KEY] = filed.flows.pop("e1_1")
+report(filed)
+renamed = load_scenario("speeding")
+renamed.flows["e1_1"].id = KEY
+report(renamed)
+derived = load_scenario("speeding")
+derived.packages["DP1_1"].derives_from = (KEY,)
+report(derived)
+"""
+
+
+def test_frozenset_ids_are_written_alike_under_every_hash_seed():
+    outputs = under_hash_seeds(FROZENSET_IDS_SCRIPT)
+    assert outputs[0] == outputs[1] == outputs[2]
+    key = "frozenset({'a', 'b', 'c'})"
+    assert f"flow id {key} is not text, and not every flow id is an integer" in outputs[0]
+    assert f"DUPLICATE_ID {key} flow id {key} is not text" in outputs[0]
+    assert f"flow 'e1_1' is filed under {key}" in outputs[0]
+    assert f"flow {key} is filed under 'e1_1'" in outputs[0]
+    assert f"package 'DP1_1' derives from unknown package {key}" in outputs[0]
 
 
 REFERENCE_DEFECTS = {
