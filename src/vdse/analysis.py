@@ -12,21 +12,28 @@ results by (length, lexicographic flow-id sequence). Semantic relations
 are never traversed. Results only depend on graph content, not on
 insertion order.
 
-A query to a sink first runs one reverse breadth-first search from the
-sink, and the walk never takes a step after which the sink cannot be
-reached within max_len flows; each search stops once it runs out of
-graph, however large max_len is. Strict search goes one length at a time
-over an index of flows by source, each entity's flows sorted by id: the
-paths of n + 1 flows are those of n flows, in flow-id-sequence order, each
-extended by its endpoint's flows in id order, so they come out in order
-too. Each length is filed under its endpoints as it is made, shortest
-first, and no strict result is sorted afterwards. Besides its results, a
-query to a sink holds only the frontier: the partial paths of one length.
-Lineage search walks an index of admissible successors built once per
-query, from the lineages of the carried packages only; it files its traces
-by length and sorts each length's traces by flow ids. It recurses once per
-flow of a trace, and a search deeper than the interpreter's recursion limit
-raises AnalysisError.
+A query to a sink first measures how far the sink is, and the walk never
+takes a step after which the sink cannot be reached within max_len
+flows. Strict search measures it with one breadth-first search (_hops)
+back from the sink over the flows into each entity, up to max_len - 1
+flows; reachable_from runs the same search forward from its source, up
+to the number of entities with flows out, which no distance exceeds.
+Lineage search measures it back over flows instead; that search ignores
+that a trace uses each flow once, so its distance is a lower bound. Each
+search stops once it runs out of graph, however large max_len is.
+
+Strict search goes one length at a time over an index of flows by
+source, each entity's flows sorted by id: the paths of n + 1 flows are
+those of n flows, in flow-id-sequence order, each extended by its
+endpoint's flows in id order, so they come out in order too. Each length
+is filed under its endpoints as it is made, shortest first, and no
+strict result is sorted afterwards. Besides its results, a query to a
+sink holds only the frontier: the partial paths of one length. Lineage
+search walks an index of admissible successors built once per query,
+from the lineages of the carried packages only; it files its traces by
+length and sorts each length's traces by flow ids. It recurses once per
+flow of a trace, and a search deeper than the interpreter's recursion
+limit raises AnalysisError.
 
 Queries are total on hand-set graphs that validate would reject: each
 first checks the flows in one pass (_flows), which raises AnalysisError on
@@ -145,23 +152,21 @@ def _flows(graph: InstanceGraph) -> list:
     return flows
 
 
-def _hops_to(flows: list, sink: str, limit: int) -> dict:
-    """The fewest flows from each entity to sink, for the entities that
-    reach it within limit flows: one reverse breadth-first search."""
-    sources_into: dict[str, list] = {}
-    for flow in flows:
-        sources_into.setdefault(flow.target, []).append(flow.source)
-    hops = {sink: 0}
-    frontier = [sink]
+def _hops(index: dict, start, limit: int) -> dict:
+    """The fewest steps from start to each node it reaches within limit
+    steps over index, which maps a node to its neighbours: one
+    breadth-first search, which ends once it runs out of graph."""
+    hops = {start: 0}
+    frontier = [start]
     for distance in range(1, limit + 1):
         if not frontier:
             break
         reached = []
         for node in frontier:
-            for source in sources_into.get(node, ()):
-                if source not in hops:
-                    hops[source] = distance
-                    reached.append(source)
+            for neighbour in index.get(node, ()):
+                if neighbour not in hops:
+                    hops[neighbour] = distance
+                    reached.append(neighbour)
         frontier = reached
     return hops
 
@@ -205,7 +210,10 @@ def _strict_search(flows: list, source: str, max_len: int, sink: str | None = No
         return found
     # Every entity within reach of the sink, but the sink, leaves by a flow;
     # a path that reaches the sink ends there.
-    hops = _hops_to(flows, sink, max_len - 1)
+    sources_into: dict[str, list] = {}
+    for flow in flows:
+        sources_into.setdefault(flow.target, []).append(flow.source)
+    hops = _hops(sources_into, sink, max_len - 1)
     adjacency[sink] = ()
     ended: list[Path] = []
     # The level made with spare holds paths of max_len - spare flows, and
@@ -422,19 +430,11 @@ def reachable_from(graph: InstanceGraph, source: str) -> set:
     excluding the source itself."""
     flows = _flows(graph)
     _require_entity(graph, source)
-    adjacency: dict[str, set] = {}
+    targets_of: dict[str, list] = {}
     for flow in flows:
-        adjacency.setdefault(flow.source, set()).add(flow.target)
-    seen: set[str] = set()
-    frontier = [source]
-    while frontier:
-        node = frontier.pop()
-        for target in adjacency.get(node, ()):
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
-    seen.discard(source)
-    return seen
+        targets_of.setdefault(flow.source, []).append(flow.target)
+    # No entity is more steps away than there are entities with flows out.
+    return set(_hops(targets_of, source, len(targets_of))) - {source}
 
 
 def exposure_report(

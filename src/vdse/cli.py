@@ -83,15 +83,11 @@ def _cmd_validate(args, stdout, stderr) -> int:
     if args.json:
         print(report_to_json(report), file=stdout)
     else:
-        for violation in report.errors:
+        for violation in report.violations:  # errors sort first
             print(
-                f"error {violation.code.value} {violation.subject}: {violation.message}",
-                file=stdout,
-            )
-        for violation in report.warnings:
-            print(
-                f"warning {violation.code.value} {violation.subject}: {violation.message}",
-                file=stderr,
+                f"{violation.severity} {violation.code.value} {violation.subject}: "
+                f"{violation.message}",
+                file=stdout if violation.severity == "error" else stderr,
             )
         if report.violations:
             print(

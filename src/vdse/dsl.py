@@ -11,15 +11,15 @@ executed from one whole-line regex match. Every other line, and any line
 the fast path declines, goes through the tokenizer and a token cursor,
 which is the only code that reports a ParseError. Both paths build the
 same graph from any line the fast path accepts, and both hand each
-statement to the graph's private insert for its record kind. The grammar
-has already proved what the public InstanceGraph methods would check on a
-caller's input: the ids match IDENT, the type code is instantiable, and
-each attribute map is fresh, well-shaped and free of repeated keys. The
-insert keeps the checks that only the graph can make: duplicate ids and
-flow pairs, dangling entities and packages, self-loops, edge types and
-relation names, and the meaning of reserved attributes. One handler in
-the cursor reports an insert's GraphError as a ParseError at the
-statement's id.
+statement to the graph's private insert for its record kind, a flow
+statement with its `->` or `<->` arrow. The grammar has already proved
+what the public InstanceGraph methods would check on a caller's input:
+the ids match IDENT, the type code is instantiable, and each attribute
+map is fresh, well-shaped and free of repeated keys. The insert keeps
+the checks that only the graph can make: duplicate ids and flow pairs,
+dangling entities and packages, self-loops, edge types and relation
+names, and the meaning of reserved attributes. One handler in the cursor
+reports an insert's GraphError as a ParseError at the statement's id.
 
 `serialize` emits the canonical form: sections in a fixed order, each
 sorted by id, attribute keys sorted, and paired `.fwd`/`.rev` flows
@@ -291,8 +291,9 @@ def _parse_flow(stmt: _Statement, graph: InstanceGraph) -> None:
     if package.value not in graph.packages:
         raise stmt.error(f"undeclared package {package.value!r}", package)
     stmt.done()
-    insert = graph._insert_flow if arrow.value == "->" else graph._insert_bidirectional_flow
-    insert(id_token.value, edge_token.value, source.value, target.value, package.value)
+    graph._insert_flow(
+        id_token.value, edge_token.value, source.value, arrow.value, target.value, package.value
+    )
 
 
 def _parse_line(text: str, lineno: int, graph: InstanceGraph | None) -> InstanceGraph | None:
@@ -382,44 +383,39 @@ def _attr_map(text: str | None) -> dict | None:
     return attrs
 
 
-def _fast_entity(graph: InstanceGraph, id_, code, attrs) -> bool:
+def _fast_entity(graph: InstanceGraph, id_, code, attrs) -> InstanceGraph | bool:
     attrs = _attr_map(attrs)
     etype = _ENTITY_TYPES.get(code)
     if attrs is None or etype is None:
         return False
-    graph._insert_entity(id_, etype, attrs)
-    return True
+    return graph._insert_entity(id_, etype, attrs)
 
 
-def _fast_package(graph: InstanceGraph, id_, description, items, derives) -> bool:
+def _fast_package(graph: InstanceGraph, id_, description, items, derives) -> InstanceGraph:
     description = _unquote(description) if description else ""
     items = _strings(items) if items else []
     derives = derives.split(", ") if derives else ()
-    graph._insert_package(id_, description, items, derives)
-    return True
+    return graph._insert_package(id_, description, items, derives)
 
 
-def _fast_relation(graph: InstanceGraph, id_, name, source, target, attrs) -> bool:
+def _fast_relation(
+    graph: InstanceGraph, id_, name, source, target, attrs
+) -> InstanceGraph | bool:
     attrs = _attr_map(attrs)
     if attrs is None:
         return False
-    graph._insert_relation(id_, name, source, target, attrs)
-    return True
-
-
-def _fast_flow(graph: InstanceGraph, id_, edge, source, arrow, target, package) -> bool:
-    insert = graph._insert_flow if arrow == "->" else graph._insert_bidirectional_flow
-    insert(id_, edge, source, target, package)
-    return True
+    return graph._insert_relation(id_, name, source, target, attrs)
 
 
 # Each statement keyword with its line pattern, its fast executor and its
-# cursor parser.
+# cursor parser. A fast executor returns False when the line needs the
+# cursor, else the graph that its insert returns. A flow line's groups are
+# the insert's own arguments.
 _STATEMENTS = {
     "entity": (_ENTITY_RE, _fast_entity, _parse_entity),
     "package": (_PACKAGE_RE, _fast_package, _parse_package),
     "relation": (_RELATION_RE, _fast_relation, _parse_relation),
-    "flow": (_FLOW_RE, _fast_flow, _parse_flow),
+    "flow": (_FLOW_RE, InstanceGraph._insert_flow, _parse_flow),
 }
 
 
@@ -434,7 +430,7 @@ def _execute_fast(text: str, graph: InstanceGraph) -> bool:
     if match is None:
         return False
     try:
-        return execute(graph, *match.groups())
+        return execute(graph, *match.groups()) is not False
     except GraphError:
         return False
 
@@ -585,7 +581,9 @@ def serialize(graph: InstanceGraph) -> str:
         _check_lexicon(entity_id, "entity")
         etype = entity.entity_type
         if not isinstance(etype, EntityType) or etype.code not in INSTANTIABLE_TYPE_CODES:
-            raise MalformedGraphError(f"entity {entity_id!r} has unserializable type {etype!r}")
+            raise MalformedGraphError(
+                f"entity {entity_id!r} has unserializable type {_shown(etype)}"
+            )
         attrs = _attrs("entity", entity_id, entity.attributes)
         if attrs:
             problems = check_entity_attributes(schema, etype, entity.attributes)

@@ -226,21 +226,6 @@ def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = F
     return _dump(document, pretty)
 
 
-class _Pairs(dict):
-    """A JSON object as read back, every member kept: the encoder writes
-    what items() returns, so two keys that JSON writes alike ({1: "a",
-    "1": "b"} becomes "1" twice) are both written again."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: list):
-        super().__init__(pairs)
-        self.pairs = pairs
-
-    def items(self):
-        return self.pairs
-
-
 class _Texts(dict):
     """The JSON text of each value looked up, encoded once. Only text and
     tuples of text are kept: 1 == True, but JSON writes them apart."""
@@ -284,20 +269,29 @@ def paths_to_json(results: list, pretty: bool = False) -> str:
     """Render path query results: arrays of flow ids for strict paths,
     {flows, packages} objects for lineage traces.
 
-    Each run of results of one type is written on its own and the runs are
-    joined: strict paths by one encoder call, lineage traces by
-    _traces_text. The pretty form re-indents the compact text, keeping
-    every member of every object."""
+    The pretty form is one _dump of the documented list. In the compact
+    form, each run of results of one type is written on its own and the
+    runs are joined: strict paths by one encoder call, lineage traces by
+    _traces_text."""
     import json
 
     runs = [(kind, list(run)) for kind, run in groupby(results, type)]
     for kind, _ in runs:
         if not issubclass(kind, (Path, LineageTrace)):
             raise TypeError(f"unsupported result type {kind.__name__}")
+    if pretty:
+        return _dump(
+            [
+                result.flow_ids if issubclass(kind, Path)
+                else {"flows": result.flow_ids, "packages": result.package_ids}
+                for kind, run in runs
+                for result in run
+            ],
+            True,
+        )
     texts = _Texts(json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode)
-    text = "[" + ",".join(
+    return "[" + ",".join(
         texts.encode([p.flow_ids for p in run])[1:-1] if issubclass(kind, Path)
         else _traces_text(run, texts)
         for kind, run in runs
     ) + "]"
-    return _dump(json.loads(text, object_pairs_hook=_Pairs), True) if pretty else text

@@ -7,21 +7,21 @@ raised GraphError leaves the graph exactly as it was. A graph that is no
 longer being mutated is safe to share across threads.
 
 Each record kind has one private insert (`_insert_entity`,
-`_insert_package`, `_insert_relation`, `_insert_flow`,
-`_insert_bidirectional_flow`). It makes the checks that a parsed statement
-does not prove by its grammar: duplicate ids, a plain flow id against a
-`.fwd`/`.rev` pair, dangling entities and packages, self-loops, unknown
-edge types and relation names, the DP type, and what reserved attributes
-mean. It stores the maps and lists it is given. The public `add_*`
-methods add the checks on what only a caller can get wrong: the id,
-the entity type (a code, a display name or a member), and the shape of
-attribute maps and package content. Those last checks run inside the
-insert, when `from_caller` is set, at the point where they have always
-run, so a call with two defects raises the same error either way; a
-caller's maps and lists are then copied. A reference that is not hashable,
-such as a list, names nothing, as in `validate`. `dsl.parse` calls the inserts
-directly: its grammar has proved the ids and built fresh, well-shaped
-maps.
+`_insert_package`, `_insert_relation`, and `_insert_flow`, which takes a
+statement's arrow and inserts a `<->` as its `.fwd`/`.rev` pair). It
+makes the checks that a parsed statement does not prove by its grammar:
+duplicate ids, a plain flow id against a `.fwd`/`.rev` pair, dangling
+entities and packages, self-loops, unknown edge types and relation
+names, the DP type, and what reserved attributes mean. It stores the
+maps and lists it is given. The public `add_*` methods add the checks on
+what only a caller can get wrong: the id, the entity type (a code, a
+display name or a member), and the shape of attribute maps and package
+content. Those last checks run inside the insert, when `from_caller` is
+set, at the point where they have always run, so a call with two defects
+raises the same error either way; a caller's maps and lists are then
+copied. A reference that is not hashable, such as a list, names nothing,
+as in `validate`. `dsl.parse` calls the inserts directly: its grammar
+has proved the ids and built fresh, well-shaped maps.
 """
 from __future__ import annotations
 
@@ -36,11 +36,9 @@ from vdse.errors import (
     SelfLoopError,
     UnknownTypeError,
 )
-from vdse.schema import EntityType, TypeGraph, _Record, builtin_schema
+from vdse.schema import EntityType, TypeGraph, _Record, _shown, builtin_schema
 
 __all__ = [
-    "AttrValue",
-    "Attrs",
     "EntityInstance",
     "DataPackage",
     "SemanticRelationInstance",
@@ -52,9 +50,6 @@ __all__ = [
     "IDENT",
     "IDENT_RE",
 ]
-
-AttrValue = str | bool | list[str]
-Attrs = dict[str, AttrValue]
 
 IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 IDENT_RE = re.compile(IDENT + r"\Z")
@@ -148,7 +143,7 @@ def _unknown_endpoints(entities: dict, kind: str, item) -> tuple:
     except TypeError:
         pass
     return tuple(
-        f"{kind} {item.id!r} references unknown entity {endpoint!r}"
+        f"{kind} {_shown(item.id)} references unknown entity {_shown(endpoint)}"
         for endpoint in (item.source, item.target)
         if not _names(entities, endpoint)
     )
@@ -331,7 +326,7 @@ class InstanceGraph(_Record):
             return package
         if not isinstance(package, DataPackage):
             raise DanglingReferenceError(
-                f"flow {flow_id!r} references unknown package {package!r}"
+                f"flow {flow_id!r} references unknown package {_shown(package)}"
             )
         if not _names(self.packages, package.id):
             self.add_package(package)
@@ -348,16 +343,6 @@ class InstanceGraph(_Record):
 
     # -- flows ------------------------------------------------------------
 
-    def _check_flow(self, flow: FlowInstance) -> None:
-        builtin_schema().flow_edge_type(flow.edge_type)
-        if flow.id in self.flows:
-            raise DuplicateIdError(f"flow id {flow.id!r} already declared")
-        dangling = _unknown_endpoints(self.entities, "flow", flow)
-        if dangling:
-            raise DanglingReferenceError(dangling[0])
-        if flow.source == flow.target:
-            raise SelfLoopError(f"flow {flow.id!r} connects {flow.source!r} to itself")
-
     def add_flow(
         self,
         id_: str,
@@ -367,18 +352,7 @@ class InstanceGraph(_Record):
         package: "DataPackage | str",
     ) -> "InstanceGraph":
         _check_identifier(id_, "flow")
-        return self._insert_flow(id_, edge_type, source, target, package)
-
-    def _insert_flow(
-        self, id_: str, edge_type: str, source: str, target: str, package: "DataPackage | str"
-    ) -> "InstanceGraph":
-        if f"{id_}.fwd" in self.flows or f"{id_}.rev" in self.flows:
-            raise DuplicateIdError(f"flow id {id_!r} already declared as a bidirectional pair")
-        flow = FlowInstance(id_, edge_type, source, target, package)
-        self._check_flow(flow)
-        flow.package = self._resolve_package(package, id_)
-        self.flows[id_] = flow
-        return self
+        return self._insert_flow(id_, edge_type, source, "->", target, package)
 
     def add_bidirectional_flow(
         self,
@@ -393,20 +367,43 @@ class InstanceGraph(_Record):
         and add_flow refuses `<id>` once the pair does, so that the pair
         always serializes as one `<->` statement."""
         _check_identifier(id_, "flow")
-        return self._insert_bidirectional_flow(id_, edge_type, source, target, package)
+        return self._insert_flow(id_, edge_type, source, "<->", target, package)
 
-    def _insert_bidirectional_flow(
-        self, id_: str, edge_type: str, source: str, target: str, package: "DataPackage | str"
+    def _insert_flow(
+        self,
+        id_: str,
+        edge_type: str,
+        source: str,
+        arrow: str,
+        target: str,
+        package: "DataPackage | str",
     ) -> "InstanceGraph":
-        if id_ in self.flows:
-            raise DuplicateIdError(f"flow id {id_!r} already declared")
-        fwd = FlowInstance(f"{id_}.fwd", edge_type, source, target, package)
-        rev = FlowInstance(f"{id_}.rev", edge_type, target, source, package)
-        self._check_flow(fwd)
-        self._check_flow(rev)
-        fwd.package = rev.package = self._resolve_package(package, id_)
-        self.flows[fwd.id] = fwd
-        self.flows[rev.id] = rev
+        """Insert the flow of a `->` statement, or the `.fwd`/`.rev` pair of
+        a `<->` one, checking each record in turn."""
+        if arrow == "->":
+            if f"{id_}.fwd" in self.flows or f"{id_}.rev" in self.flows:
+                raise DuplicateIdError(f"flow id {id_!r} already declared as a bidirectional pair")
+            flows = (FlowInstance(id_, edge_type, source, target, package),)
+        else:
+            if id_ in self.flows:
+                raise DuplicateIdError(f"flow id {id_!r} already declared")
+            flows = (
+                FlowInstance(f"{id_}.fwd", edge_type, source, target, package),
+                FlowInstance(f"{id_}.rev", edge_type, target, source, package),
+            )
+        builtin_schema().flow_edge_type(edge_type)
+        for flow in flows:
+            if flow.id in self.flows:
+                raise DuplicateIdError(f"flow id {flow.id!r} already declared")
+            dangling = _unknown_endpoints(self.entities, "flow", flow)
+            if dangling:
+                raise DanglingReferenceError(dangling[0])
+            if flow.source == flow.target:
+                raise SelfLoopError(f"flow {flow.id!r} connects {flow.source!r} to itself")
+        package = self._resolve_package(package, id_)
+        for flow in flows:
+            flow.package = package
+            self.flows[flow.id] = flow
         return self
 
     # -- semantic relations -------------------------------------------------

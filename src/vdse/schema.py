@@ -204,10 +204,6 @@ class TypeGraph(_Record):
         return False
 
 
-def _pairs(*pairs: tuple[EntityType, EntityType]) -> tuple[tuple[EntityType, EntityType], ...]:
-    return tuple(pairs)
-
-
 _E = EntityType
 
 _SUBCLASS_PARENT: dict[EntityType, EntityType] = {
@@ -219,17 +215,15 @@ _SUBCLASS_PARENT: dict[EntityType, EntityType] = {
 
 _SEMANTIC_RELATIONS: dict[str, SemanticRelationType] = {
     "occupy": SemanticRelationType(
-        "occupy",
-        _pairs((_E.PERSON, _E.VEHICLE)),
-        required_attributes=frozenset({"role"}),
+        "occupy", ((_E.PERSON, _E.VEHICLE),), required_attributes=frozenset({"role"})
     ),
     "isPartOf": SemanticRelationType(
         "isPartOf",
-        _pairs((_E.VEHICLE_COMPONENT, _E.VEHICLE), (_E.VEHICLE_COMPONENT, _E.VEHICLE_COMPONENT)),
+        ((_E.VEHICLE_COMPONENT, _E.VEHICLE), (_E.VEHICLE_COMPONENT, _E.VEHICLE_COMPONENT)),
     ),
     "ownedBy": SemanticRelationType(
         "ownedBy",
-        _pairs(
+        (
             (_E.DIGITAL_ASSET, _E.ORGANISATION),
             (_E.ADDITIONAL_VEHICLE_SENSOR, _E.PERSON),
             (_E.ADDITIONAL_VEHICLE_SENSOR, _E.ORGANISATION),
@@ -238,17 +232,13 @@ _SEMANTIC_RELATIONS: dict[str, SemanticRelationType] = {
         ),
     ),
     "equippedWith": SemanticRelationType(
-        "equippedWith", _pairs((_E.VEHICLE, _E.ADDITIONAL_VEHICLE_SENSOR))
+        "equippedWith", ((_E.VEHICLE, _E.ADDITIONAL_VEHICLE_SENSOR),)
     ),
-    "communicate": SemanticRelationType(
-        "communicate", _pairs((_E.DIGITAL_ASSET, _E.DIGITAL_ASSET))
-    ),
+    "communicate": SemanticRelationType("communicate", ((_E.DIGITAL_ASSET, _E.DIGITAL_ASSET),)),
     "provideService": SemanticRelationType(
-        "provideService", _pairs((_E.ORGANISATION, _E.VEHICLE))
+        "provideService", ((_E.ORGANISATION, _E.VEHICLE),)
     ),
-    "partnerWith": SemanticRelationType(
-        "partnerWith", _pairs((_E.ORGANISATION, _E.ORGANISATION))
-    ),
+    "partnerWith": SemanticRelationType("partnerWith", ((_E.ORGANISATION, _E.ORGANISATION),)),
 }
 
 

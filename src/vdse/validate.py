@@ -82,14 +82,12 @@ class ValidationReport(_Record):
         return not self.errors
 
 
-def _cycles(edges: dict) -> list[list[str]]:
-    """The components of a digraph that lie on a directed cycle: two or
-    more members, or one with an edge to itself."""
-    return [
-        component
-        for component in strongly_connected_components(edges)
-        if len(component) > 1 or component[0] in edges.get(component[0], ())
-    ]
+def _report_cycles(edges: dict, code: ViolationCode, label: str, out: list) -> None:
+    """Report each component of a digraph that lies on a directed cycle:
+    two or more members, or one with an edge to itself."""
+    for group in strongly_connected_components(edges):
+        if len(group) > 1 or group[0] in edges.get(group[0], ()):
+            out.append(Violation(code, group[0], f"{label} cycle: " + " -> ".join(group)))
 
 
 def _order(violation: Violation) -> tuple:
@@ -162,7 +160,8 @@ def _check_references(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
                     relation.id,
-                    f"relation {relation.id!r} uses unknown relation {_shown(relation.relation)}",
+                    f"relation {_shown(relation.id)} uses unknown relation "
+                    f"{_shown(relation.relation)}",
                 )
             )
             continue
@@ -178,7 +177,7 @@ def _check_references(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
                     flow.id,
-                    f"flow {flow.id!r} uses unknown edge type {_shown(flow.edge_type)}",
+                    f"flow {_shown(flow.id)} uses unknown edge type {_shown(flow.edge_type)}",
                 )
             )
             continue
@@ -192,7 +191,7 @@ def _check_references(
                 Violation(
                     ViolationCode.MISSING_PACKAGE,
                     flow.id,
-                    f"flow {flow.id!r} references unknown package {_shown(flow.package)}",
+                    f"flow {_shown(flow.id)} references unknown package {_shown(flow.package)}",
                 )
             )
     return derivations, relations, flows
@@ -209,12 +208,12 @@ def not_a_map(owner: str, attributes) -> MalformedGraphError:
 def items_not_text(package_id: str) -> MalformedGraphError:
     """The error a writer raises when a package's items are not a list it
     can write."""
-    return MalformedGraphError(f"package {package_id!r} items must be text")
+    return MalformedGraphError(f"package {_shown(package_id)} items must be text")
 
 
 def name_not_text(name) -> MalformedGraphError:
     """The error a writer raises when the scenario name is not text."""
-    return MalformedGraphError(f"scenario name {name!r} is not text")
+    return MalformedGraphError(f"scenario name {_shown(name)} is not text")
 
 
 def check_references(graph: InstanceGraph) -> None:
@@ -249,7 +248,7 @@ def _check_entities(schema: TypeGraph, graph: InstanceGraph, out: list) -> None:
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
                     entity.id,
-                    f"entity {entity.id!r} has unknown type {_shown(entity.entity_type)}",
+                    f"entity {_shown(entity.id)} has unknown type {_shown(entity.entity_type)}",
                 )
             )
             continue
@@ -258,25 +257,13 @@ def _check_entities(schema: TypeGraph, graph: InstanceGraph, out: list) -> None:
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
                     entity.id,
-                    f"entity {entity.id!r} is typed DP; packages attach to flows",
+                    f"entity {_shown(entity.id)} is typed DP; packages attach to flows",
                 )
             )
             continue
         if is_map and entity.attributes:
             for problem in check_entity_attributes(schema, entity.entity_type, entity.attributes):
                 out.append(Violation(ViolationCode.ATTRIBUTE_MISUSE, entity.id, problem))
-
-
-def _check_packages(derivations: dict, out: list) -> None:
-    # Only resolved derivations can close a cycle.
-    for group in _cycles(derivations):
-        out.append(
-            Violation(
-                ViolationCode.DERIVES_CYCLE,
-                group[0],
-                "package derivation cycle: " + " -> ".join(group),
-            )
-        )
 
 
 def _check_relations(relations: list, out: list) -> None:
@@ -286,29 +273,18 @@ def _check_relations(relations: list, out: list) -> None:
         if relation.relation == "occupy":
             role = relation.attributes.get("role") if is_map else None
             if role not in _OCCUPY_ROLES:
-                detail = "has no 'role'" if role is None else f"has invalid role {role!r}"
+                detail = "has no 'role'" if role is None else f"has invalid role {_shown(role)}"
                 out.append(
                     Violation(
                         ViolationCode.ROLE_MISSING,
                         relation.id,
-                        f"occupy relation {relation.id!r} {detail}; "
+                        f"occupy relation {_shown(relation.id)} {detail}; "
                         "expected \"driver\" or \"passenger\"",
                     )
                 )
         if relation.relation == "isPartOf":
             part_of_edges.setdefault(relation.source, set()).add(relation.target)
-    for group in _cycles(part_of_edges):
-        out.append(
-            Violation(
-                ViolationCode.PART_OF_CYCLE,
-                group[0],
-                "isPartOf cycle: " + " -> ".join(group),
-            )
-        )
-
-
-def _owner_pairs(relations: list) -> set[tuple[str, str]]:
-    return {(r.source, r.target) for r in relations if r.relation == "ownedBy"}
+    _report_cycles(part_of_edges, ViolationCode.PART_OF_CYCLE, "isPartOf", out)
 
 
 def _flow_verdict(schema: TypeGraph, edge_type: str, src_type, dst_type) -> tuple | None:
@@ -336,7 +312,7 @@ def _flow_verdict(schema: TypeGraph, edge_type: str, src_type, dst_type) -> tupl
 def _check_flows(
     schema: TypeGraph, graph: InstanceGraph, relations: list, flows: list, out: list
 ) -> None:
-    owned_by = _owner_pairs(relations)
+    owned_by = {(r.source, r.target) for r in relations if r.relation == "ownedBy"}
     # Conformance depends only on the edge type and the endpoint types, and
     # a scenario has few such shapes: decide each once.
     verdicts: dict[tuple, tuple | None] = {}
@@ -346,7 +322,7 @@ def _check_flows(
                 Violation(
                     ViolationCode.SELF_LOOP,
                     flow.id,
-                    f"flow {flow.id!r} connects {flow.source!r} to itself",
+                    f"flow {_shown(flow.id)} connects {_shown(flow.source)} to itself",
                 )
             )
             continue
@@ -366,8 +342,8 @@ def _check_flows(
                 Violation(
                     ViolationCode.OWNERSHIP_LINT,
                     flow.id,
-                    f"flow {flow.id!r} runs from owner {flow.source!r} to owned entity "
-                    f"{flow.target!r}; data is expected to flow toward the owner",
+                    f"flow {_shown(flow.id)} runs from owner {_shown(flow.source)} to owned "
+                    f"entity {_shown(flow.target)}; data is expected to flow toward the owner",
                 )
             )
 
@@ -381,7 +357,8 @@ def validate(schema: TypeGraph, graph: InstanceGraph) -> ValidationReport:
     violations: list[Violation] = []
     _check_entities(schema, graph, violations)
     derivations, relations, flows = _check_references(schema, graph, violations)
-    _check_packages(derivations, violations)
+    # Only resolved derivations can close a cycle.
+    _report_cycles(derivations, ViolationCode.DERIVES_CYCLE, "package derivation", violations)
     _check_relations(relations, violations)
     _check_flows(schema, graph, relations, flows, violations)
     return ValidationReport(scenario=graph.name, violations=_sorted(violations))

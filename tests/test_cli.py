@@ -5,13 +5,16 @@ import argparse
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import vdse
+from test_dsl import round_trip_mutants, token_mutants
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
 from vdse.cli import _build_parser, run
 from vdse.dsl import parse, serialize
@@ -477,6 +480,46 @@ def test_json_flag_matches_export_documents(uber_file):
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+MAX_LENS = ("1", "3", "0", "-1", "abc")
+
+
+def test_every_subcommand_keeps_the_exit_contract_on_mutated_scenarios(tmp_path):
+    # A fixed sample of mutants of both bundled scenarios through every
+    # subcommand: each run exits 0-4 and prints no traceback. An exception
+    # that run does not handle fails the test where it is raised.
+    rng = random.Random(16)
+    codes = Counter()
+    for name in ("uber", "speeding"):
+        document = scenario_text(name)
+        graph = load_scenario(name)
+        ids = sorted(graph.entities)
+        persons = [i for i in ids if graph.entities[i].entity_type.code == "P"]
+        mutants = [*round_trip_mutants(rng, document, 40), *token_mutants(rng, document, 40)]
+        for n, text in enumerate(mutants):
+            path = tmp_path / f"{name}_{n}.vdse"
+            path.write_text(text, encoding="utf-8")
+            file, max_len = str(path), MAX_LENS[n % len(MAX_LENS)]
+            source, sink = rng.sample(ids, 2)
+            person = rng.choice(persons)
+            for argv in (
+                ["validate", file],
+                ["validate", file, "--json"],
+                ["paths", file, "--from", source, "--to", sink, "--max-len", max_len],
+                ["paths", file, "--from", source, "--to", sink, "--max-len", max_len,
+                 "--mode", "lineage", "--json"],
+                ["exposure", file, "--person", person, "--max-len", max_len],
+                ["exposure", file, "--person", person, "--max-len", max_len, "--json"],
+                ["export", file, "--highlight", f"{source}:{sink}"],
+                ["export", file, "--format", "json", "--show-packages"],
+                ["schema", "--format", ("text", "dot")[n % 2]],
+                ["fmt", file],  # last: it rewrites the file
+            ):
+                code, _, stderr = invoke(argv)
+                assert 0 <= code <= 4 and "Traceback" not in stderr, (argv, stderr)
+                codes[code] += 1
+    assert {0, 1, 2, 3} <= set(codes), codes
 
 
 def test_readme_scenario_file_example_parses_and_validates():

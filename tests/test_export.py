@@ -382,6 +382,50 @@ def test_frozenset_ids_are_written_alike_under_every_hash_seed():
     assert f"package 'DP1_1' derives from unknown package {key}" in outputs[0]
 
 
+HAND_SET_MESSAGES_SCRIPT = """
+from vdse.dsl import serialize
+from vdse.errors import GraphError, MalformedGraphError
+from vdse.graph import EntityInstance, FlowInstance, SemanticRelationInstance
+from vdse.scenarios import load_scenario
+from vdse.schema import EntityType, builtin_schema
+from vdse.validate import validate
+
+KEY = frozenset({"p", "q", "r"})
+
+for target, package in ((KEY, "DP1_1"), ("car", KEY)):
+    try:
+        load_scenario("speeding").add_flow("x", "E1", "driver", target, package)
+    except GraphError as error:
+        print(error)
+typed = load_scenario("speeding")
+typed.entities["driver"].entity_type = KEY
+try:
+    serialize(typed)
+except MalformedGraphError as error:
+    print(error)
+keyed = load_scenario("speeding")
+keyed.entities[KEY] = EntityInstance(KEY, EntityType.DATA_PACKAGE)
+keyed.relations[KEY] = SemanticRelationInstance(KEY, "occupy", "driver", "car")
+keyed.flows[KEY] = FlowInstance(KEY, "E1", "driver", "driver", "DP1_1")
+keyed.flows["y"] = FlowInstance("y", "E1", "driver", frozenset("stu"), "DP1_1")
+for v in validate(builtin_schema(), keyed).violations:
+    print(v.code.value, v.subject, v.message)
+"""
+
+
+def test_hand_set_values_in_messages_are_written_alike_under_every_hash_seed():
+    outputs = under_hash_seeds(HAND_SET_MESSAGES_SCRIPT)
+    assert outputs[0] == outputs[1] == outputs[2]
+    key = "frozenset({'p', 'q', 'r'})"
+    assert f"flow 'x' references unknown entity {key}" in outputs[0]
+    assert f"flow 'x' references unknown package {key}" in outputs[0]
+    assert f"entity 'driver' has unserializable type {key}" in outputs[0]
+    assert f"entity {key} is typed DP" in outputs[0]
+    assert f"occupy relation {key} has no 'role'" in outputs[0]
+    assert f"flow {key} connects 'driver' to itself" in outputs[0]
+    assert "flow 'y' references unknown entity frozenset({'s', 't', 'u'})" in outputs[0]
+
+
 REFERENCE_DEFECTS = {
     "dangling_derivation": ("packages", DataPackage("q", derives_from=("phantom",))),
     "unknown_relation": ("relations", SemanticRelationInstance("r", "nope", "a", "b")),
