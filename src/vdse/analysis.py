@@ -114,14 +114,14 @@ class ExposureReport(NamedTuple):
 
 def _require_entity(graph: InstanceGraph, entity_id: str) -> None:
     if entity_id not in graph.entities:
-        raise AnalysisError(f"unknown entity {entity_id!r}")
+        raise AnalysisError(f"unknown entity {_shown(entity_id)}")
 
 
 def _check_query(graph: InstanceGraph, source: str, sink: str, max_len: int) -> None:
     _require_entity(graph, source)
     _require_entity(graph, sink)
     if source == sink:
-        raise AnalysisError(f"source and sink are both {source!r}; they must differ")
+        raise AnalysisError(f"source and sink are both {_shown(source)}; they must differ")
     if max_len < 1:
         raise AnalysisError("max_len must be at least 1")
 
@@ -373,6 +373,11 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
         _walk(by_length, set(), sink, max_len, (), (), (leaving.get(source, ()),))
     except RecursionError:
         raise AnalysisError(f"search too deep for --max-len {max_len}") from None
+    finally:
+        # Entries hold successor lists that hold entries: empty the lists,
+        # so that the index is freed without the cyclic collector.
+        for entries in (*derived_from.values(), *hops_only.values()):
+            entries.clear()
     found: list[LineageTrace] = []
     for traces in by_length:
         traces.sort(key=itemgetter(0))
@@ -395,7 +400,7 @@ def enumerate_paths(
         return _strict_search(flows, source, max_len, sink).get(sink, [])
     if mode == "lineage":
         return _lineage_traces(graph.packages, flows, source, sink, max_len)
-    raise AnalysisError(f"unknown mode {mode!r}")
+    raise AnalysisError(f"unknown mode {_shown(mode)}")
 
 
 def brute_force_paths(
@@ -446,7 +451,7 @@ def exposure_report(
     flows = _flows(graph)
     _require_entity(graph, person)
     if graph.entities[person].entity_type is not EntityType.PERSON:
-        raise AnalysisError(f"{person!r} is not a Person entity")
+        raise AnalysisError(f"{_shown(person)} is not a Person entity")
     if max_len < 1:
         raise AnalysisError("max_len must be at least 1")
     found = _strict_search(flows, person, max_len)

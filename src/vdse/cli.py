@@ -26,7 +26,7 @@ EXIT_USAGE = 3
 EXIT_IO = 4
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -225,9 +225,6 @@ def run(argv, stdout=None, stderr=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, stdout, stderr)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=stderr)
-        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=stderr)
         return EXIT_PARSE

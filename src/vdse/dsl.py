@@ -9,8 +9,13 @@ declared before use; the first error aborts with its position.
 A statement line in the single-space form that `serialize` emits is
 executed from one whole-line regex match. Every other line, and any line
 the fast path declines, goes through the tokenizer and a token cursor,
-which is the only code that reports a ParseError. Both paths build the
-same graph from any line the fast path accepts, and both hand each
+which is the only code that reports a ParseError. Two cursor rules give
+most of its messages. `expect` takes the next token, of one kind and
+perhaps one of some values, or reports "expected X, got Y" at it. `known`
+looks a taken token up in a table (statement keywords, type codes,
+relation names, edge types, declared entities and packages), or reports
+the problem at it. Both paths build the same graph from any line the
+fast path accepts, and both hand each
 statement to the graph's private insert for its record kind, a flow
 statement with its `->` or `<->` arrow. The grammar has already proved
 what the public InstanceGraph methods would check on a caller's input:
@@ -108,7 +113,9 @@ def _tokenize(text: str, lineno: int) -> list[_Token]:
 
 
 class _Statement:
-    """Cursor over one line's tokens with position-carrying errors."""
+    """Cursor over one line's tokens with position-carrying errors. Two
+    rules diagnose a line: expect takes a token of a kind, and known looks
+    a taken token up in a table."""
 
     def __init__(self, tokens: list[_Token], text: str, lineno: int):
         self.tokens = tokens
@@ -123,35 +130,34 @@ class _Statement:
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, expected: str) -> _Token:
+    def at(self, kind: str, value: str | None = None) -> bool:
+        token = self.peek()
+        return token is not None and token.kind == kind and value in (None, token.value)
+
+    def expect(self, expected: str, kind: str, values: tuple = ()) -> _Token:
+        """Take the next token, which must be of kind and, when values are
+        given, one of them; else raise `expected {expected}`."""
         token = self.peek()
         if token is None:
             raise self.error(f"expected {expected}")
+        if token.kind != kind or values and token.value not in values:
+            raise self.error(f"expected {expected}, got {token.value!r}", token)
         self.pos += 1
         return token
 
+    def known(self, token: _Token, table, problem: str) -> _Token:
+        """token, whose value must be a key of table; else raise the problem."""
+        if token.value not in table:
+            raise self.error(f"{problem} {token.value!r}", token)
+        return token
+
     def punct(self, value: str) -> _Token:
-        token = self.take(f"'{value}'")
-        if token.kind != "punct" or token.value != value:
-            raise self.error(f"expected '{value}', got {token.value!r}", token)
-        return token
+        return self.expect(f"'{value}'", "punct", (value,))
 
-    def word(self, expected: str = "identifier") -> _Token:
-        token = self.take(expected)
-        if token.kind != "word":
-            raise self.error(f"expected {expected}, got {token.value!r}", token)
-        return token
-
-    def ident(self, expected: str = "identifier") -> _Token:
-        token = self.word(expected)
+    def ident(self, expected: str) -> _Token:
+        token = self.expect(expected, "word")
         if not IDENT_RE.match(token.value):
             raise self.error(f"invalid identifier {token.value!r}", token)
-        return token
-
-    def string(self, expected: str = "string") -> _Token:
-        token = self.take(expected)
-        if token.kind != "string":
-            raise self.error(f"expected {expected}, got {token.value!r}", token)
         return token
 
     def done(self) -> None:
@@ -159,35 +165,25 @@ class _Statement:
         if token is not None:
             raise self.error(f"unexpected trailing {token.value!r}", token)
 
-    def at_word(self, value: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == "word" and token.value == value
-
-    def at_punct(self, value: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == "punct" and token.value == value
-
 
 def _more(stmt: _Statement, closer: str) -> bool:
     """Take a ',' or the closer of a list; true when another item follows."""
-    token = stmt.take(f"',' or '{closer}'")
-    if token.kind != "punct" or token.value not in (",", closer):
-        raise stmt.error(f"expected ',' or '{closer}', got {token.value!r}", token)
-    return token.value == ","
+    return stmt.expect(f"',' or '{closer}'", "punct", (",", closer)).value == ","
 
 
 def _parse_strings(stmt: _Statement) -> list:
-    """The strings of a list whose '[' has been taken, up to its ']'."""
-    values = [stmt.string().value]
+    """The strings of a list, from its '[' to its ']'."""
+    stmt.punct("[")
+    values = [stmt.expect("string", "string").value]
     while _more(stmt, "]"):
-        values.append(stmt.string().value)
+        values.append(stmt.expect("string", "string").value)
     return values
 
 
 def _parse_attrs(stmt: _Statement) -> dict:
     attrs: dict = {}
     stmt.punct("{")
-    if stmt.at_punct("}"):
+    if stmt.at("punct", "}"):
         stmt.punct("}")
         return attrs
     while True:
@@ -195,15 +191,13 @@ def _parse_attrs(stmt: _Statement) -> dict:
         if key.value in attrs:
             raise stmt.error(f"duplicate attribute {key.value!r}", key)
         stmt.punct("=")
-        token = stmt.take("attribute value")
-        if token.kind == "string":
-            attrs[key.value] = token.value
-        elif token.kind == "word" and token.value in ("true", "false"):
-            attrs[key.value] = token.value == "true"
-        elif token.kind == "punct" and token.value == "[":
+        if stmt.at("string"):
+            attrs[key.value] = stmt.expect("string", "string").value
+        elif stmt.at("punct", "["):
             attrs[key.value] = _parse_strings(stmt)
         else:
-            raise stmt.error(f"expected attribute value, got {token.value!r}", token)
+            flag = stmt.expect("attribute value", "word", ("true", "false"))
+            attrs[key.value] = flag.value == "true"
         if not _more(stmt, "}"):
             return attrs
 
@@ -212,51 +206,38 @@ def _parse_endpoints(stmt: _Statement, graph: InstanceGraph, arrows: tuple) -> t
     """The source, arrow and target tokens of `source arrow target`, where
     the arrow is one of arrows and both ends are declared entities."""
     source = stmt.ident("source entity id")
-    expected = " or ".join(f"'{arrow}'" for arrow in arrows)
-    arrow = stmt.take(expected)
-    if arrow.kind != "punct" or arrow.value not in arrows:
-        raise stmt.error(f"expected {expected}, got {arrow.value!r}", arrow)
+    arrow = stmt.expect(" or ".join(f"'{arrow}'" for arrow in arrows), "punct", arrows)
     target = stmt.ident("target entity id")
     for endpoint in (source, target):
-        if endpoint.value not in graph.entities:
-            raise stmt.error(f"unknown entity {endpoint.value!r}", endpoint)
+        stmt.known(endpoint, graph.entities, "unknown entity")
     return source, arrow, target
 
 
 def _parse_entity(stmt: _Statement, graph: InstanceGraph) -> None:
     id_token = stmt.ident("entity id")
     stmt.punct(":")
-    type_token = stmt.word("entity type code")
-    etype = _ENTITY_TYPES.get(type_token.value)
-    if etype is None:
-        raise stmt.error(f"unknown entity type code {type_token.value!r}", type_token)
-    attrs = _parse_attrs(stmt) if stmt.at_punct("{") else {}
+    code = stmt.expect("entity type code", "word")
+    stmt.known(code, _ENTITY_TYPES, "unknown entity type code")
+    attrs = _parse_attrs(stmt) if stmt.at("punct", "{") else {}
     stmt.done()
-    graph._insert_entity(id_token.value, etype, attrs)
+    graph._insert_entity(id_token.value, _ENTITY_TYPES[code.value], attrs)
 
 
 def _parse_package(stmt: _Statement, graph: InstanceGraph) -> None:
     id_token = stmt.ident("package id")
-    description = ""
-    token = stmt.peek()
-    if token and token.kind == "string":
-        description = stmt.string().value
+    description = stmt.expect("string", "string").value if stmt.at("string") else ""
     items: list = []
-    if stmt.at_word("items"):
-        stmt.word()
-        stmt.punct("[")
+    if stmt.at("word", "items"):
+        stmt.expect("'items'", "word")
         items = _parse_strings(stmt)
     derives: list[str] = []
-    if stmt.at_word("derives"):
-        stmt.word()
+    if stmt.at("word", "derives"):
+        stmt.expect("'derives'", "word")
         while True:
             ancestor = stmt.ident("package id")
-            if ancestor.value not in graph.packages:
-                raise stmt.error(
-                    f"derives from undeclared package {ancestor.value!r}", ancestor
-                )
+            stmt.known(ancestor, graph.packages, "derives from undeclared package")
             derives.append(ancestor.value)
-            if not stmt.at_punct(","):
+            if not stmt.at("punct", ","):
                 break
             stmt.punct(",")
     stmt.done()
@@ -266,33 +247,27 @@ def _parse_package(stmt: _Statement, graph: InstanceGraph) -> None:
 def _parse_relation(stmt: _Statement, graph: InstanceGraph) -> None:
     id_token = stmt.ident("relation id")
     stmt.punct(":")
-    name_token = stmt.word("relation name")
-    if name_token.value not in builtin_schema().semantic_relations:
-        raise stmt.error(f"unknown semantic relation {name_token.value!r}", name_token)
+    name = stmt.expect("relation name", "word")
+    stmt.known(name, builtin_schema().semantic_relations, "unknown semantic relation")
     source, _, target = _parse_endpoints(stmt, graph, ("->",))
-    attrs = _parse_attrs(stmt) if stmt.at_punct("{") else {}
+    attrs = _parse_attrs(stmt) if stmt.at("punct", "{") else {}
     stmt.done()
-    graph._insert_relation(id_token.value, name_token.value, source.value, target.value, attrs)
+    graph._insert_relation(id_token.value, name.value, source.value, target.value, attrs)
 
 
 def _parse_flow(stmt: _Statement, graph: InstanceGraph) -> None:
     id_token = stmt.ident("flow id")
     stmt.punct(":")
-    edge_token = stmt.word("flow edge type code")
-    if edge_token.value not in builtin_schema().flow_edge_types:
-        raise stmt.error(f"unknown flow edge type {edge_token.value!r}", edge_token)
+    edge = stmt.expect("flow edge type code", "word")
+    stmt.known(edge, builtin_schema().flow_edge_types, "unknown flow edge type")
     source, arrow, target = _parse_endpoints(stmt, graph, ("->", "<->"))
     if source.value == target.value:
         raise stmt.error(f"flow connects {source.value!r} to itself", target)
-    keyword = stmt.word("'package'")
-    if keyword.value != "package":
-        raise stmt.error(f"expected 'package', got {keyword.value!r}", keyword)
-    package = stmt.ident("package id")
-    if package.value not in graph.packages:
-        raise stmt.error(f"undeclared package {package.value!r}", package)
+    stmt.expect("'package'", "word", ("package",))
+    package = stmt.known(stmt.ident("package id"), graph.packages, "undeclared package")
     stmt.done()
     graph._insert_flow(
-        id_token.value, edge_token.value, source.value, arrow.value, target.value, package.value
+        id_token.value, edge.value, source.value, arrow.value, target.value, package.value
     )
 
 
@@ -304,21 +279,18 @@ def _parse_line(text: str, lineno: int, graph: InstanceGraph | None) -> Instance
     if not tokens:
         return graph
     stmt = _Statement(tokens, text, lineno)
-    head = stmt.word("statement keyword")
+    head = stmt.expect("statement keyword", "word")
     if graph is None:
         if head.value != "scenario":
             raise stmt.error("expected 'scenario' header", head)
-        name = stmt.string("scenario name")
+        name = stmt.expect("scenario name", "string")
         stmt.done()
         if not name.value:
             raise stmt.error("scenario name must be non-empty", name)
         return new_scenario(name.value)
     if head.value == "scenario":
         raise stmt.error("duplicate 'scenario' header", head)
-    statement = _STATEMENTS.get(head.value)
-    if statement is None:
-        raise stmt.error(f"unknown statement {head.value!r}", head)
-    *_, parse_statement = statement
+    *_, parse_statement = _STATEMENTS[stmt.known(head, _STATEMENTS, "unknown statement").value]
     try:
         parse_statement(stmt, graph)
     except GraphError as exc:

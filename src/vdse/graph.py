@@ -151,7 +151,7 @@ def _unknown_endpoints(entities: dict, kind: str, item) -> tuple:
 
 def _check_identifier(id_: str, kind: str) -> None:
     if not isinstance(id_, str) or not IDENT_RE.match(id_):
-        raise IdentifierError(f"invalid {kind} id {id_!r}")
+        raise IdentifierError(f"invalid {kind} id {_shown(id_)}")
 
 
 def _check_attr_shape(key: str, value) -> None:
@@ -229,7 +229,7 @@ def _caller_items(id_: str, description, items, derives_from) -> list:
         raise AttributeMisuseError("package items must be text")
     if not isinstance(derives_from, (tuple, list)):
         raise DanglingReferenceError(
-            f"package {id_!r} derives from {derives_from!r}, not a list of packages"
+            f"package {id_!r} derives from {_shown(derives_from)}, not a list of packages"
         )
     return list(items)
 
@@ -312,10 +312,12 @@ class InstanceGraph(_Record):
         seen: set[str] = set()
         for ancestor in derives_from:
             if _names(seen, ancestor):
-                raise PackageConflictError(f"package {id_!r} lists derivation {ancestor!r} twice")
+                raise PackageConflictError(
+                    f"package {id_!r} lists derivation {_shown(ancestor)} twice"
+                )
             if not _names(self.packages, ancestor):
                 raise DanglingReferenceError(
-                    f"package {id_!r} derives from unknown package {ancestor!r}"
+                    f"package {id_!r} derives from unknown package {_shown(ancestor)}"
                 )
             seen.add(ancestor)
         self.packages[id_] = DataPackage(id_, description, items, _derivations(derives_from))
@@ -399,7 +401,7 @@ class InstanceGraph(_Record):
             if dangling:
                 raise DanglingReferenceError(dangling[0])
             if flow.source == flow.target:
-                raise SelfLoopError(f"flow {flow.id!r} connects {flow.source!r} to itself")
+                raise SelfLoopError(f"flow {flow.id!r} connects {_shown(flow.source)} to itself")
         package = self._resolve_package(package, id_)
         for flow in flows:
             flow.package = package
@@ -432,7 +434,7 @@ class InstanceGraph(_Record):
         from_caller: bool = False,
     ) -> "InstanceGraph":
         if not _names(builtin_schema().semantic_relations, relation):
-            raise UnknownTypeError(f"unknown semantic relation {relation!r}")
+            raise UnknownTypeError(f"unknown semantic relation {_shown(relation)}")
         if id_ in self.relations:
             raise DuplicateIdError(f"relation id {id_!r} already declared")
         record = SemanticRelationInstance(id_, relation, source, target, attrs)
@@ -457,11 +459,16 @@ def new_scenario(name: str) -> InstanceGraph:
     return InstanceGraph(name=name)
 
 
+def _member_order(node) -> tuple:
+    return not isinstance(node, str), _shown(node, str)
+
+
 def strongly_connected_components(edges: dict) -> list[list]:
     """The strongly connected components of the digraph that maps each node
     to its successors; a node named only as a successor counts too. Tarjan's
-    algorithm, iterative and linear. Each component is sorted and comes after
-    every component it reaches."""
+    algorithm, iterative and linear. Each component lists its text members
+    sorted, then the others in the order of their _shown text, and comes
+    after every component it reaches."""
     index: dict = {}
     low: dict = {}  # exactly the nodes on the stack
     stack: list = []
@@ -492,5 +499,5 @@ def strongly_connected_components(edges: dict) -> list[list]:
                     while not component or component[-1] != node:
                         component.append(stack.pop())
                         del low[component[-1]]
-                    components.append(sorted(component))
+                    components.append(sorted(component, key=_member_order))
     return components

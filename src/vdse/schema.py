@@ -54,7 +54,7 @@ class EntityType(str, Enum):
         try:
             return cls(code)
         except ValueError:
-            raise UnknownTypeError(f"unknown entity type code {code!r}") from None
+            raise UnknownTypeError(f"unknown entity type code {_shown(code)}") from None
 
     @classmethod
     def coerce(cls, value: "EntityType | str") -> "EntityType":
@@ -66,7 +66,7 @@ class EntityType(str, Enum):
             if by_name is not None:
                 return by_name
             return cls.from_code(value)
-        raise UnknownTypeError(f"unknown entity type {value!r}")
+        raise UnknownTypeError(f"unknown entity type {_shown(value)}")
 
 
 _DISPLAY_NAMES = {
@@ -181,7 +181,7 @@ class TypeGraph(_Record):
         try:
             return self.flow_edge_types[edge_type_id]
         except (KeyError, TypeError):  # a value that is not hashable names nothing
-            raise UnknownTypeError(f"unknown flow edge type {edge_type_id!r}") from None
+            raise UnknownTypeError(f"unknown flow edge type {_shown(edge_type_id)}") from None
 
     def flow_conforms(
         self,

@@ -87,7 +87,8 @@ def _report_cycles(edges: dict, code: ViolationCode, label: str, out: list) -> N
     two or more members, or one with an edge to itself."""
     for group in strongly_connected_components(edges):
         if len(group) > 1 or group[0] in edges.get(group[0], ()):
-            out.append(Violation(code, group[0], f"{label} cycle: " + " -> ".join(group)))
+            members = " -> ".join(_shown(member, str) for member in group)
+            out.append(Violation(code, group[0], f"{label} cycle: {members}"))
 
 
 def _order(violation: Violation) -> tuple:

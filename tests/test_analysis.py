@@ -329,6 +329,19 @@ def test_lineage_memory_stays_small_on_a_long_uncarried_derivation_chain():
     assert peak < 1.3e6
 
 
+@pytest.mark.parametrize("mode", ["strict", "lineage"])
+def test_queries_leave_no_cyclic_garbage(uber_graph, mode):
+    # A lineage query's successor index is cyclic while the walk runs; the
+    # query breaks the cycles, so that nothing waits for the collector.
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_paths(uber_graph, "driver", "uber", 10, mode=mode)) > 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_too_deep_lineage_search_raises_analysis_error():
     graph = new_scenario("chain").add_package(DataPackage("DP"))
     for i in range(1500):

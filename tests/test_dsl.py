@@ -32,6 +32,9 @@ MINIMAL = (
     'package DP1_1 "driving data"\n'
     "flow e1_1: E1 driver -> car package DP1_1\n"
 )
+# Four lines that declare entities a and b and package p; the error rows
+# below put one statement after them, on line 5, and pin its whole message.
+DECLARED = 'scenario "t"\nentity a: P\nentity b: DA\npackage p\n'
 
 
 def test_parse_minimal_scenario():
@@ -136,6 +139,80 @@ def test_parse_package_clauses():
         ),
         ('scenario "a"\nentity x: P extra\n', 2, 13, "unexpected trailing"),
         ('scenario ""\n', 1, 10, "scenario name"),
+        ('"a"\n', 1, 1, "expected statement keyword, got 'a'"),
+        ("scenario\n", 1, 9, "expected scenario name"),
+        ("scenario a\n", 1, 10, "expected scenario name, got 'a'"),
+        ('scenario "a" "b"\n', 1, 14, "unexpected trailing 'b'"),
+        *[
+            (DECLARED + statement + "\n", 5, column, message)
+            for statement, column, message in [
+                ('"x" y', 1, "expected statement keyword, got 'x'"),
+                ("frobnicate x", 1, "unknown statement 'frobnicate'"),
+                ("entity", 7, "expected entity id"),
+                ('entity "c"', 8, "expected entity id, got 'c'"),
+                ("entity é: P", 8, "invalid identifier 'é'"),
+                ("entity c", 9, "expected ':'"),
+                ("entity c P", 10, "expected ':', got 'P'"),
+                ("entity c:", 10, "expected entity type code"),
+                ('entity c: "P"', 11, "expected entity type code, got 'P'"),
+                ("entity c: DP", 11, "unknown entity type code 'DP'"),
+                ("entity c: P {", 14, "expected attribute name"),
+                ('entity c: P {"x"', 14, "expected attribute name, got 'x'"),
+                ('entity c: P {ü = "x"}', 14, "invalid identifier 'ü'"),
+                ("entity c: P {label", 19, "expected '='"),
+                ('entity c: P {label "x"}', 20, "expected '=', got 'x'"),
+                ("entity c: P {label =", 21, "expected attribute value"),
+                ("entity c: P {label = x}", 22, "expected attribute value, got 'x'"),
+                ('entity c: P {label = "x"', 25, "expected ',' or '}'"),
+                ('entity c: P {label = "x" x}', 26, "expected ',' or '}', got 'x'"),
+                ("entity c: P {tags = [", 22, "expected string"),
+                ("entity c: P {tags = [x]}", 22, "expected string, got 'x'"),
+                ('entity c: P {tags = ["x"', 25, "expected ',' or ']'"),
+                ('entity c: P {tags = ["x" "y"]}', 26, "expected ',' or ']', got 'y'"),
+                ("package", 8, "expected package id"),
+                ('package "q"', 9, "expected package id, got 'q'"),
+                ("package q items", 16, "expected '['"),
+                ('package q items "x"', 17, "expected '[', got 'x'"),
+                ("package q derives", 18, "expected package id"),
+                ('package q derives "p"', 19, "expected package id, got 'p'"),
+                ("package q derives p,", 21, "expected package id"),
+                ("package q derives z", 19, "derives from undeclared package 'z'"),
+                ("package q derives p z", 21, "unexpected trailing 'z'"),
+                ("relation", 9, "expected relation id"),
+                ("relation r", 11, "expected ':'"),
+                ("relation r:", 12, "expected relation name"),
+                ('relation r: "x"', 13, "expected relation name, got 'x'"),
+                ("relation r: drives", 13, "unknown semantic relation 'drives'"),
+                ("relation r: ownedBy", 20, "expected source entity id"),
+                ('relation r: ownedBy "a"', 21, "expected source entity id, got 'a'"),
+                ("relation r: ownedBy b", 22, "expected '->'"),
+                ("relation r: ownedBy b <-> a", 23, "expected '->', got '<->'"),
+                ("relation r: ownedBy b ->", 25, "expected target entity id"),
+                ('relation r: ownedBy b -> "a"', 26, "expected target entity id, got 'a'"),
+                ("relation r: ownedBy z -> a", 21, "unknown entity 'z'"),
+                ("relation r: ownedBy b -> z", 26, "unknown entity 'z'"),
+                ("flow", 5, "expected flow id"),
+                ("flow f", 7, "expected ':'"),
+                ("flow f:", 8, "expected flow edge type code"),
+                ('flow f: "E2"', 9, "expected flow edge type code, got 'E2'"),
+                ("flow f: E99", 9, "unknown flow edge type 'E99'"),
+                ("flow f: E2", 11, "expected source entity id"),
+                ('flow f: E2 "a"', 12, "expected source entity id, got 'a'"),
+                ("flow f: E2 a", 13, "expected '->' or '<->'"),
+                ("flow f: E2 a = b package p", 14, "expected '->' or '<->', got '='"),
+                ("flow f: E2 a ->", 16, "expected target entity id"),
+                ('flow f: E2 a -> "b"', 17, "expected target entity id, got 'b'"),
+                ("flow f: E2 z -> b", 12, "unknown entity 'z'"),
+                ("flow f: E2 a -> z", 17, "unknown entity 'z'"),
+                ("flow f: E2 a -> b", 18, "expected 'package'"),
+                ("flow f: E2 a -> b pkg p", 19, "expected 'package', got 'pkg'"),
+                ('flow f: E2 a -> b "package" p', 19, "expected 'package', got 'package'"),
+                ("flow f: E2 a -> b package", 26, "expected package id"),
+                ('flow f: E2 a -> b package "p"', 27, "expected package id, got 'p'"),
+                ("flow f: E2 a -> b package q", 27, "undeclared package 'q'"),
+                ("flow f: E2 a -> b package p x", 29, "unexpected trailing 'x'"),
+            ]
+        ],
     ],
 )
 def test_parse_error_positions(text, line, column, fragment):

@@ -384,13 +384,37 @@ def test_frozenset_ids_are_written_alike_under_every_hash_seed():
 
 HAND_SET_MESSAGES_SCRIPT = """
 from vdse.dsl import serialize
-from vdse.errors import GraphError, MalformedGraphError
-from vdse.graph import EntityInstance, FlowInstance, SemanticRelationInstance
+from vdse.analysis import enumerate_paths, exposure_report
+from vdse.errors import AnalysisError, GraphError, MalformedGraphError
+from vdse.graph import DataPackage, EntityInstance, FlowInstance, SemanticRelationInstance
 from vdse.scenarios import load_scenario
 from vdse.schema import EntityType, builtin_schema
 from vdse.validate import validate
 
 KEY = frozenset({"p", "q", "r"})
+
+looped = load_scenario("speeding")
+looped.entities[KEY] = EntityInstance(KEY, EntityType.coerce("DA"))
+looped.packages[KEY] = DataPackage(KEY)
+for call in (
+    lambda: builtin_schema().flow_edge_type(KEY),
+    lambda: EntityType.coerce(KEY),
+    lambda: looped.add_flow("x", "E5", KEY, KEY, "DP1_1"),
+    lambda: looped.add_semantic_relation("r", KEY, "driver", "car"),
+    lambda: looped.add_package(DataPackage("x", derives_from=KEY)),
+    lambda: looped.add_package(DataPackage("x", derives_from=(KEY, KEY))),
+    lambda: load_scenario("speeding").add_package(DataPackage("x", derives_from=(KEY,))),
+    lambda: load_scenario("speeding").add_entity(KEY, "P"),
+    lambda: EntityType.from_code(KEY),
+    lambda: enumerate_paths(load_scenario("speeding"), KEY, "driver"),
+    lambda: enumerate_paths(looped, KEY, KEY),
+    lambda: enumerate_paths(looped, "driver", "car", mode=KEY),
+    lambda: exposure_report(looped, KEY),
+):
+    try:
+        call()
+    except (AnalysisError, GraphError) as error:
+        print(error)
 
 for target, package in ((KEY, "DP1_1"), ("car", KEY)):
     try:
@@ -424,6 +448,19 @@ def test_hand_set_values_in_messages_are_written_alike_under_every_hash_seed():
     assert f"occupy relation {key} has no 'role'" in outputs[0]
     assert f"flow {key} connects 'driver' to itself" in outputs[0]
     assert "flow 'y' references unknown entity frozenset({'s', 't', 'u'})" in outputs[0]
+    assert f"unknown flow edge type {key}" in outputs[0]
+    assert f"unknown entity type {key}" in outputs[0]
+    assert f"flow 'x' connects {key} to itself" in outputs[0]
+    assert f"unknown semantic relation {key}" in outputs[0]
+    assert f"package 'x' derives from {key}, not a list of packages" in outputs[0]
+    assert f"package 'x' lists derivation {key} twice" in outputs[0]
+    assert f"package 'x' derives from unknown package {key}" in outputs[0]
+    assert f"invalid entity id {key}" in outputs[0]
+    assert f"unknown entity type code {key}" in outputs[0]
+    assert f"unknown entity {key}" in outputs[0].splitlines()
+    assert f"source and sink are both {key}; they must differ" in outputs[0]
+    assert f"unknown mode {key}" in outputs[0]
+    assert f"{key} is not a Person entity" in outputs[0]
 
 
 REFERENCE_DEFECTS = {

@@ -17,7 +17,7 @@ from vdse.analysis import brute_force_paths, enumerate_paths, exposure_report, r
 from vdse.dsl import serialize
 from vdse.errors import AnalysisError, MalformedGraphError
 from vdse.export import graph_to_dot, graph_to_json
-from vdse.graph import FlowInstance
+from vdse.graph import DataPackage, EntityInstance, FlowInstance, SemanticRelationInstance
 from vdse.schema import EntityType
 from vdse.validate import validate
 
@@ -76,12 +76,19 @@ def _set(table: str, key, field: str, value):
     return change
 
 
-def _add_flows(*flows):
-    return lambda graph: graph.flows.update((flow.id, flow) for flow in flows)
-
-
 def _refile(flow_id, key):
     return lambda graph: graph.flows.update({key: graph.flows.pop(flow_id)})
+
+
+def _add(table: str, *records):
+    return lambda graph: getattr(graph, table).update((record.id, record) for record in records)
+
+
+def _part_of_cycle(graph):
+    """Vehicle components 7 and 8, each part of the other."""
+    for node, whole in ((7, 8), (8, 7)):
+        graph.entities[node] = EntityInstance(node, EntityType.VEHICLE_COMPONENT)
+        graph.relations[node] = SemanticRelationInstance(node, "isPartOf", node, whole)
 
 
 def _renumber(graph):
@@ -104,7 +111,9 @@ NAMED = {
         "flow 'k2' is filed under 'f2'",
     ),
     "mixed_flow_ids_in_lineage": (
-        _add_flows(FlowInstance(1, "E2", "p", "a", "P"), FlowInstance(2, "E5", "a", "b", "Q")),
+        _add(
+            "flows", FlowInstance(1, "E2", "p", "a", "P"), FlowInstance(2, "E5", "a", "b", "Q")
+        ),
         "flow id 1 is not text, and not every flow id is an integer",
     ),
     "flow_filed_under_an_int_key": (
@@ -112,7 +121,8 @@ NAMED = {
         "flow 'f3' is filed under 3",
     ),
     "dangling_flows_with_int_and_text_ids": (
-        _add_flows(
+        _add(
+            "flows",
             FlowInstance(1, "E5", "a", "ghost", "P"), FlowInstance("f4", "E5", "b", "ghost", "P")
         ),
         "flow 'f4' references unknown entity 'ghost'",
@@ -122,7 +132,8 @@ NAMED = {
     "package_items_int": (_set("packages", "P", "items", 7), None),
     "integer_flow_ids": (_renumber, None),
     "two_unpaired_halves": (
-        _add_flows(
+        _add(
+            "flows",
             FlowInstance("x.fwd", "E5", "a", "b", "P"), FlowInstance("y.fwd", "E5", "c", "d", "P")
         ),
         None,
@@ -133,8 +144,18 @@ NAMED = {
         None,
     ),
     "package_description_is_a_set": (_set("packages", "P", "description", {"x"}), None),
+    "derivation_cycle_through_int_package_ids": (
+        _add("packages", DataPackage(1, derives_from=(2,)), DataPackage(2, derives_from=(1,))),
+        None,
+    ),
+    "derivation_cycle_through_an_int_and_a_text_package_id": (
+        _add("packages", DataPackage(1, derives_from=("P",)), DataPackage("P", derives_from=(1,))),
+        None,
+    ),
+    "part_of_cycle_through_int_entity_ids": (_part_of_cycle, None),
     "two_plain_ids_that_are_not_identifiers": (
-        _add_flows(
+        _add(
+            "flows",
             FlowInstance("z z", "E5", "a", "b", "P"), FlowInstance("a-b", "E5", "c", "d", "P")
         ),
         None,
