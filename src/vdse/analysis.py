@@ -47,7 +47,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from vdse.errors import AnalysisError
-from vdse.graph import InstanceGraph, _names_all, _unknown_endpoints
+from vdse.graph import InstanceGraph, _names, _names_all, _unknown_endpoints
 from vdse.schema import EntityType, _shown, type_code
 
 __all__ = [
@@ -75,7 +75,7 @@ class Path(NamedTuple):
 
 
 # Path(flow_ids, node_ids) without the Python frame of the record's own
-# __new__: _new(Path, (flow_ids, node_ids)).
+# __new__: _new(Path, (flow_ids, node_ids)); LineageTrace likewise.
 _new = tuple.__new__
 
 
@@ -113,7 +113,7 @@ class ExposureReport(NamedTuple):
 
 
 def _require_entity(graph: InstanceGraph, entity_id: str) -> None:
-    if entity_id not in graph.entities:
+    if not _names(graph.entities, entity_id):
         raise AnalysisError(f"unknown entity {_shown(entity_id)}")
 
 
@@ -324,7 +324,8 @@ def _walk(
                 continue
             trace_flows, trace_packages = flow_ids + (flow_id,), package_ids + (package,)
             if target == sink:
-                by_length[len(trace_flows)].append(LineageTrace(trace_flows, trace_packages))
+                trace = _new(LineageTrace, (trace_flows, trace_packages))
+                by_length[len(trace_flows)].append(trace)
             if spare > 1:
                 used.add(flow_id)
                 _walk(by_length, used, sink, max_len, trace_flows, trace_packages, next_following)

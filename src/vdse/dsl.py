@@ -444,7 +444,7 @@ def _quote(text: str) -> str:
 
 def _check_lexicon(id_: str, kind: str) -> None:
     if not isinstance(id_, str) or not IDENT_RE.match(id_):
-        raise MalformedGraphError(f"{kind} id {id_!r} is not a serializable identifier")
+        raise MalformedGraphError(f"{kind} id {_shown(id_)} is not a serializable identifier")
 
 
 def _attrs(kind: str, id_: str, attrs: dict) -> str:

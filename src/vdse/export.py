@@ -14,6 +14,18 @@ instance graph
      "relations": [...], "flows": [...]}
 path query results
     strict: [[flow ids...], ...]   lineage: [{"flows": [...], "packages": [...]}, ...]
+
+Compact instance-graph JSON is written as text, with no dict per record:
+each record is one f-string of JSON texts, and each string is encoded once
+per call (_Texts). That covers the plain shapes: every field is text,
+attributes are a dict from str keys to text, true/false or a list of text,
+and package items are a list or tuple of text. On the first value outside
+them (None, a number, a set, a key that is a str subclass, attributes that
+are not a dict, items that are a string, ...) the whole graph goes
+through the document path instead: one dict of the documented shape, built
+in full and then dumped, so the errors, and the order they come in, are
+the ones json.dumps of that document gives. The pretty form always takes
+that path.
 """
 from __future__ import annotations
 
@@ -22,7 +34,7 @@ from itertools import groupby
 from vdse.analysis import ExposureReport, LineageTrace, Path
 from vdse.errors import MalformedGraphError
 from vdse.graph import InstanceGraph
-from vdse.schema import _Record, _gvquote, type_code
+from vdse.schema import EntityType, _Record, _gvquote, _shown, type_code
 from vdse.validate import (
     ValidationReport,
     check_references,
@@ -79,11 +91,15 @@ def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> 
     highlighted: set[str] = {
         flow_id for path in options.highlight_paths for flow_id in path.flow_ids
     }
+    # Every endpoint names an entity (check_references): each entity id is
+    # quoted once, here, and looked up for the edges.
+    quoted = {}
     nodes = []
     for entity_id in sorted(graph.entities):
         entity = graph.entities[entity_id]
         label = f"{entity_id} : {type_code(entity.entity_type)}"
-        nodes.append(f"{_gvquote(entity_id)} [label={_gvquote(label)}];")
+        quoted[entity_id] = node = _gvquote(entity_id)
+        nodes.append(f"{node} [label={_gvquote(label)}];")
     edges = []
     for relation_id in sorted(graph.relations):
         relation = graph.relations[relation_id]
@@ -94,7 +110,7 @@ def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> 
         if isinstance(role, str):
             label += f" (role={role})"
         edges.append(
-            f"{_gvquote(relation.source)} -> {_gvquote(relation.target)} "
+            f"{quoted[relation.source]} -> {quoted[relation.target]} "
             f"[label={_gvquote(label)}];"
         )
     for flow_id in sorted(graph.flows):
@@ -104,7 +120,7 @@ def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> 
             label += f" [{flow.package}]"
         style = ", color=red, penwidth=2.0" if flow_id in highlighted else ""
         edges.append(
-            f"{_gvquote(flow.source)} -> {_gvquote(flow.target)} "
+            f"{quoted[flow.source]} -> {quoted[flow.target]} "
             f"[label={_gvquote(label)}, style=dashed{style}];"
         )
     lines = [f"digraph {_gvquote(graph.name)} {{"]
@@ -130,7 +146,9 @@ def _sorted_attributes(kind: str, item) -> dict:
     keys = sorted(item.attributes, key=str)
     for key in keys:
         if not isinstance(key, str):
-            raise MalformedGraphError(f"{kind} {item.id!r} attribute name {key!r} is not text")
+            raise MalformedGraphError(
+                f"{kind} {item.id!r} attribute name {_shown(key)} is not text"
+            )
     return {k: item.attributes[k] for k in keys}
 
 
@@ -140,10 +158,12 @@ def _items(package_id: str, items) -> list:
     return list(items)
 
 
-def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
-    """Render a scenario as a stable JSON document, all sections sorted by id."""
-    check_references(graph)
-    document = {
+def _graph_document(graph: InstanceGraph) -> dict:
+    """The documented graph JSON shape as one dict, built record by record;
+    raises MalformedGraphError on attributes that are not a map, an
+    attribute name that is not text or package items that are not a list,
+    in document order."""
+    return {
         "scenario": graph.name,
         "entities": [
             {
@@ -183,6 +203,87 @@ def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
             for f in (graph.flows[i] for i in sorted(graph.flows))
         ],
     }
+
+
+def _strings_text(values, texts: "_Texts") -> str:
+    """A list or tuple of text as a compact JSON array; TypeError otherwise."""
+    if type(values) is not list and type(values) is not tuple:
+        raise TypeError("not a plain list")
+    return "[" + ",".join([texts[v] for v in values]) + "]"
+
+
+def _attributes_text(attributes, texts: "_Texts") -> str:
+    """An attribute map as a compact JSON object, keys sorted. Raises
+    TypeError on a map, a key or a value outside the plain shapes: a dict
+    of text keys, each to text, true/false or a list of text."""
+    if type(attributes) is not dict:
+        raise TypeError("not a plain map")
+    members = []
+    for key in sorted(attributes):
+        if type(key) is not str:
+            raise TypeError("not a text key")
+        value = attributes[key]
+        text = (
+            "true" if value is True
+            else "false" if value is False
+            else _strings_text(value, texts) if type(value) is list
+            else texts[value]
+        )
+        members.append(f"{texts[key]}:{text}")
+    return "{" + ",".join(members) + "}"
+
+
+def _graph_text(graph: InstanceGraph, texts: "_Texts") -> str:
+    """Compact graph JSON, each record one f-string of texts. texts encodes
+    text only, so the first value outside the plain shapes raises TypeError,
+    or KeyError for an entity type that is not an EntityType."""
+    t, encode = texts, texts.encode
+    types = {entity_type: t[entity_type.value] for entity_type in EntityType}
+    # Entity and package ids recur as endpoints, packages and derivations:
+    # their texts go into the memo in one pass. Relation and flow ids occur
+    # once each, and are encoded where they are written.
+    entity_ids, package_ids = sorted(graph.entities), sorted(graph.packages)
+    t.update(zip(entity_ids, map(encode, entity_ids)))
+    t.update(zip(package_ids, map(encode, package_ids)))
+    entities = ",".join([
+        f'{{"id":{t[e.id]},"type":{types[e.entity_type]},"attributes":'
+        f'{"{}" if e.attributes == {} else _attributes_text(e.attributes, t)}}}'
+        for e in map(graph.entities.__getitem__, entity_ids)
+    ])
+    packages = ",".join([
+        f'{{"id":{t[p.id]},"description":{t[p.description]},'
+        f'"items":{"[]" if p.items == [] else _strings_text(p.items, t)},'
+        f'"derives_from":[{",".join([t[a] for a in p.derives_from])}]}}'
+        for p in map(graph.packages.__getitem__, package_ids)
+    ])
+    relations = ",".join([
+        f'{{"id":{encode(r.id)},"relation":{t[r.relation]},"source":{t[r.source]},'
+        f'"target":{t[r.target]},"attributes":'
+        f'{"{}" if r.attributes == {} else _attributes_text(r.attributes, t)}}}'
+        for r in map(graph.relations.__getitem__, sorted(graph.relations))
+    ])
+    flows = ",".join([
+        f'{{"id":{encode(f.id)},"edge_type":{t[f.edge_type]},"source":{t[f.source]},'
+        f'"target":{t[f.target]},"package":{t[f.package]}}}'
+        for f in map(graph.flows.__getitem__, sorted(graph.flows))
+    ])
+    return (
+        f'{{"scenario":{t[graph.name]},"entities":[{entities}],"packages":[{packages}],'
+        f'"relations":[{relations}],"flows":[{flows}]}}'
+    )
+
+
+def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
+    """Render a scenario as a stable JSON document, all sections sorted by id."""
+    check_references(graph)
+    if not pretty:
+        from json.encoder import encode_basestring
+
+        try:
+            return _graph_text(graph, _Texts(encode_basestring))
+        except (TypeError, KeyError):
+            pass  # a value outside the plain shapes: the document decides
+    document = _graph_document(graph)
     try:
         return _dump(document, pretty)
     except (TypeError, ValueError) as error:  # a hand-set value json cannot encode

@@ -114,15 +114,25 @@ def _check_references(
     relation name or endpoint, a flow edge type, endpoint or package.
     Returns the derivations that resolve, by package, and the relations and
     the flows whose name or type and endpoints resolve; the other checks
-    inspect only those."""
+    inspect only those.
+
+    A clean record costs one inline test and no call: its key is its id
+    and is text; a package's derivations are a tuple or list of declared
+    packages; a relation's name and endpoints, or a flow's edge type,
+    endpoints and package, are known. A value that is not hashable fails
+    the test (its TypeError is caught). Only a record that fails it is
+    looked at again, by the reporting code after the test."""
+    entities, packages = graph.entities, graph.packages
     tables = (
-        ("entity", graph.entities),
-        ("package", graph.packages),
+        ("entity", entities),
+        ("package", packages),
         ("relation", graph.relations),
         ("flow", graph.flows),
     )
     for kind, table in tables:
         for key, item in table.items():
+            if key is item.id and type(key) is str:
+                continue
             if key != item.id or not isinstance(key, str):
                 # Two keys can hold one id, and only a text id can be written.
                 message = (
@@ -131,19 +141,31 @@ def _check_references(
                 )
                 out.append(Violation(ViolationCode.DUPLICATE_ID, key, message))
     derivations = {}
-    for package_id, package in graph.packages.items():
-        if not isinstance(package.derives_from, (tuple, list)):
+    for package_id, package in packages.items():
+        derives = package.derives_from
+        try:
+            if type(derives) is tuple or type(derives) is list:
+                for ancestor in derives:
+                    if ancestor not in packages:
+                        break
+                else:
+                    if derives:
+                        derivations[package_id] = [*derives]
+                    continue
+        except TypeError:
+            pass
+        if not isinstance(derives, (tuple, list)):
             out.append(
                 Violation(
                     ViolationCode.DANGLING_REF,
                     package_id,
-                    f"package {_shown(package_id)} derives from {_shown(package.derives_from)}, "
+                    f"package {_shown(package_id)} derives from {_shown(derives)}, "
                     "not a list of packages",
                 )
             )
             continue
-        for ancestor in package.derives_from:
-            if _names(graph.packages, ancestor):
+        for ancestor in derives:
+            if _names(packages, ancestor):
                 derivations.setdefault(package_id, []).append(ancestor)
             else:
                 out.append(
@@ -155,8 +177,19 @@ def _check_references(
                     )
                 )
     relations = []
+    relation_names = schema.semantic_relations
     for relation in graph.relations.values():
-        if not _names(schema.semantic_relations, relation.relation):
+        try:
+            if (
+                relation.relation in relation_names
+                and relation.source in entities
+                and relation.target in entities
+            ):
+                relations.append(relation)
+                continue
+        except TypeError:
+            pass
+        if not _names(relation_names, relation.relation):
             out.append(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
@@ -166,14 +199,26 @@ def _check_references(
                 )
             )
             continue
-        dangling = _unknown_endpoints(graph.entities, "relation", relation)
+        dangling = _unknown_endpoints(entities, "relation", relation)
         if dangling:
             out.extend(Violation(ViolationCode.DANGLING_REF, relation.id, m) for m in dangling)
         else:
             relations.append(relation)
     flows = []
+    edge_types = schema.flow_edge_types
     for flow in graph.flows.values():
-        if not _names(schema.flow_edge_types, flow.edge_type):
+        try:
+            if (
+                flow.edge_type in edge_types
+                and flow.source in entities
+                and flow.target in entities
+                and flow.package in packages
+            ):
+                flows.append(flow)
+                continue
+        except TypeError:
+            pass
+        if not _names(edge_types, flow.edge_type):
             out.append(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
@@ -182,12 +227,12 @@ def _check_references(
                 )
             )
             continue
-        dangling = _unknown_endpoints(graph.entities, "flow", flow)
+        dangling = _unknown_endpoints(entities, "flow", flow)
         if dangling:
             out.extend(Violation(ViolationCode.DANGLING_REF, flow.id, m) for m in dangling)
         else:
             flows.append(flow)
-        if not _names(graph.packages, flow.package):
+        if not _names(packages, flow.package):
             out.append(
                 Violation(
                     ViolationCode.MISSING_PACKAGE,

@@ -227,6 +227,33 @@ def test_query_errors(uber_graph):
         enumerate_paths(uber_graph, "driver", "uber", mode="psychic")
 
 
+# Query arguments that are not hashable, each with the AnalysisError that
+# names them: they name no entity, as an unknown id does.
+UNHASHABLE_ARGUMENTS = {
+    "strict_source": (
+        lambda g: enumerate_paths(g, ["driver"], "car"), "unknown entity ['driver']"
+    ),
+    "strict_sink": (lambda g: enumerate_paths(g, "driver", ["car"]), "unknown entity ['car']"),
+    "lineage_source": (
+        lambda g: enumerate_paths(g, ["driver"], "car", mode="lineage"),
+        "unknown entity ['driver']",
+    ),
+    "brute_force_source": (
+        lambda g: brute_force_paths(g, ["driver"], "car"), "unknown entity ['driver']"
+    ),
+    "exposure_person": (lambda g: exposure_report(g, ["driver"]), "unknown entity ['driver']"),
+    "reachable_source": (lambda g: reachable_from(g, {"a": 1}), "unknown entity {'a': 1}"),
+}
+
+
+@pytest.mark.parametrize("case", UNHASHABLE_ARGUMENTS)
+def test_unhashable_query_arguments_are_unknown_entities(speeding_graph, case):
+    query, message = UNHASHABLE_ARGUMENTS[case]
+    with pytest.raises(AnalysisError) as exc:
+        query(speeding_graph)
+    assert str(exc.value) == message
+
+
 # -- lineage mode ------------------------------------------------------------
 
 

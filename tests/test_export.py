@@ -1,14 +1,18 @@
 """DOT and JSON rendering: pinned shapes, determinism, option handling."""
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import vdse
+from conftest import build_random_graph, hand_set, hand_set_graphs, rekey
 from vdse.analysis import LineageTrace, Path, enumerate_paths, exposure_report
 from vdse.errors import MalformedGraphError
 from vdse.export import (
@@ -28,7 +32,7 @@ from vdse.graph import (
 )
 from vdse.scenarios import load_scenario
 from vdse.schema import EntityType
-from vdse.validate import validate
+from vdse.validate import check_references, validate
 
 
 def tiny_graph():
@@ -268,6 +272,236 @@ def test_exports_are_deterministic(uber_graph, speeding_graph):
         assert graph_to_json(graph) == graph_to_json(graph)
 
 
+# A sha256 over the compact and pretty graph JSON, the plain DOT and the DOT
+# with package labels of the bundled scenarios and build_random_graph seeds
+# 0-99, in that order. The writers may change how they work, not what they
+# write.
+WRITTEN_SHA256 = "8d25ca7b601b9bb9aca42755d34c2ecc3b8164f6c9ba6f755c8fae4ce74b04e4"
+
+
+def test_graph_writers_write_the_pinned_bytes():
+    graphs = [load_scenario("uber"), load_scenario("speeding")]
+    graphs += [build_random_graph(seed) for seed in range(100)]
+    labelled = ExportOptions(show_packages=True)
+    digest = hashlib.sha256()
+    for graph in graphs:
+        for text in (
+            graph_to_json(graph),
+            graph_to_json(graph, pretty=True),
+            graph_to_dot(graph),
+            graph_to_dot(graph, labelled),
+        ):
+            digest.update(text.encode())
+    assert digest.hexdigest() == WRITTEN_SHA256
+
+
+def graph_document_json(graph) -> str:
+    """Compact graph JSON as one json.dumps of the documented document,
+    built here from the records: the text graph_to_json must write, byte
+    for byte, or the MalformedGraphError it must raise. The reference check
+    comes first, then the attribute maps and item lists in document order,
+    then the encoder."""
+    check_references(graph)
+
+    def attributes(kind: str, item) -> dict:
+        if not isinstance(item.attributes, dict):
+            raise MalformedGraphError(
+                f"{kind} {item.id!r} attributes must be a map, "
+                f"not {type(item.attributes).__name__}"
+            )
+        keys = sorted(item.attributes, key=str)
+        for key in keys:
+            if not isinstance(key, str):
+                raise MalformedGraphError(f"{kind} {item.id!r} attribute name {key!r} is not text")
+        return {key: item.attributes[key] for key in keys}
+
+    def items(package) -> list:
+        if not isinstance(package.items, (tuple, list)):
+            raise MalformedGraphError(f"package {package.id!r} items must be text")
+        return list(package.items)
+
+    def type_of(entity) -> str:
+        etype = entity.entity_type
+        return etype.value if isinstance(etype, EntityType) else str(etype)
+
+    def rows(table: dict) -> list:
+        return [table[key] for key in sorted(table)]
+
+    document = {
+        "scenario": graph.name,
+        "entities": [
+            {"id": e.id, "type": type_of(e), "attributes": attributes("entity", e)}
+            for e in rows(graph.entities)
+        ],
+        "packages": [
+            {
+                "id": p.id,
+                "description": p.description,
+                "items": items(p),
+                "derives_from": list(p.derives_from),
+            }
+            for p in rows(graph.packages)
+        ],
+        "relations": [
+            {
+                "id": r.id,
+                "relation": r.relation,
+                "source": r.source,
+                "target": r.target,
+                "attributes": attributes("relation", r),
+            }
+            for r in rows(graph.relations)
+        ],
+        "flows": [
+            {
+                "id": f.id,
+                "edge_type": f.edge_type,
+                "source": f.source,
+                "target": f.target,
+                "package": f.package,
+            }
+            for f in rows(graph.flows)
+        ],
+    }
+    try:
+        return json.dumps(document, separators=(",", ":"), ensure_ascii=False)
+    except (TypeError, ValueError) as error:
+        raise MalformedGraphError(f"scenario cannot be written as JSON: {error}") from None
+
+
+def assert_json_is_the_document(graph, what="") -> None:
+    try:
+        want = graph_document_json(graph)
+    except MalformedGraphError as error:
+        with pytest.raises(MalformedGraphError) as exc:
+            graph_to_json(graph)
+        assert str(exc.value) == str(error), what
+    else:
+        assert graph_to_json(graph).encode() == want.encode(), what
+
+
+class Text(str):
+    """Text that is not a str: the writers see a subclass."""
+
+
+# Changes to tiny_graph plus relation r, each putting one value on either
+# side of what compact graph JSON writes directly: text, true/false and
+# lists of text.
+JSON_SHAPES = {
+    "plain": lambda g: None,
+    "attribute_values_of_every_plain_shape": lambda g: g.entities["a"].attributes.update(
+        label="x", tags=["p", "q"], flag=True, off=False, none=[]
+    ),
+    "relation_attributes": lambda g: g.relations["r"].attributes.update(role="owner"),
+    "non_ascii_and_control_characters": lambda g: g.entities["a"].attributes.update(
+        label='ä "流"\n\t\x01\\ ', tags=["é", "\x1f"]
+    ),
+    "name_none": lambda g: setattr(g, "name", None),
+    "name_int": lambda g: setattr(g, "name", 5),
+    "name_a_subclass": lambda g: setattr(g, "name", Text("x")),
+    "attribute_value_int": lambda g: g.entities["a"].attributes.update(n=1),
+    "attribute_value_float": lambda g: g.entities["a"].attributes.update(n=1.5),
+    "attribute_value_nan": lambda g: g.entities["a"].attributes.update(n=float("nan")),
+    "attribute_value_none": lambda g: g.entities["a"].attributes.update(n=None),
+    "attribute_value_tuple": lambda g: g.entities["a"].attributes.update(t=("x", "y")),
+    "attribute_value_nested_list": lambda g: g.entities["a"].attributes.update(t=[["x"]]),
+    "attribute_value_list_of_ints": lambda g: g.entities["a"].attributes.update(t=[1, 2]),
+    "attribute_value_map": lambda g: g.entities["a"].attributes.update(t={"k": "v"}),
+    "attribute_value_set": lambda g: g.entities["a"].attributes.update(t={"x"}),
+    "attribute_value_a_subclass": lambda g: g.entities["a"].attributes.update(t=Text("v")),
+    "attribute_key_a_subclass": lambda g: g.entities["a"].attributes.update({Text("k"): "v"}),
+    "attribute_key_int": lambda g: g.entities["a"].attributes.update({1: "v"}),
+    "attribute_key_a_frozenset": lambda g: g.entities["a"].attributes.update(
+        {frozenset("k"): "v"}
+    ),
+    "attribute_keys_mixed_after_a_value_that_cannot_be_written": lambda g: (
+        g.entities["a"].attributes.update(t={"x"}),
+        g.relations["r"].attributes.update({1: "v", "k": "v"}),
+    ),
+    "attributes_a_map_subclass": lambda g: setattr(
+        g.entities["a"], "attributes", type("Map", (dict,), {})(k="v")
+    ),
+    "attributes_none": lambda g: setattr(g.relations["r"], "attributes", None),
+    "entity_type_as_text": lambda g: setattr(g.entities["a"], "entity_type", "P"),
+    "entity_type_a_set": lambda g: setattr(g.entities["a"], "entity_type", {"P"}),
+    "entity_type_int": lambda g: setattr(g.entities["a"], "entity_type", 7),
+    "description_set": lambda g: setattr(g.packages["d"], "description", {"x"}),
+    "description_int": lambda g: setattr(g.packages["d"], "description", 3),
+    "items_a_tuple": lambda g: setattr(g.packages["d"], "items", ("i1", "i2")),
+    "items_of_ints": lambda g: setattr(g.packages["d"], "items", [1, 2]),
+    "items_none": lambda g: setattr(g.packages["d"], "items", None),
+    "derives_from_a_list": lambda g: (
+        g.add_package(DataPackage("e")), setattr(g.packages["d"], "derives_from", ["e"])
+    ),
+    "id_a_subclass": lambda g: setattr(g.entities["a"], "id", Text("a")),
+    "endpoint_a_subclass": lambda g: setattr(g.flows["f"], "source", Text("a")),
+    "edge_type_a_subclass": lambda g: setattr(g.flows["f"], "edge_type", Text("E1")),
+    "dangling_flow": lambda g: setattr(g.flows["f"], "target", "ghost"),
+}
+
+
+@pytest.mark.parametrize("shape", JSON_SHAPES)
+def test_graph_json_is_one_dumps_of_the_document_on_hand_set_shapes(shape):
+    graph = tiny_graph().add_semantic_relation("r", "ownedBy", "b", "a")
+    JSON_SHAPES[shape](graph)
+    assert_json_is_the_document(graph)
+
+
+def test_graph_json_is_one_dumps_of_the_document_on_generated_graphs():
+    for graph in [load_scenario("uber"), load_scenario("speeding")]:
+        assert_json_is_the_document(graph, graph.name)
+    for seed in range(200):
+        assert_json_is_the_document(build_random_graph(seed), seed)
+
+
+@pytest.mark.parametrize("batch", range(4))
+def test_graph_json_is_one_dumps_of_the_document_on_hand_set_graphs(batch):
+    change = hand_set if batch < 3 else rekey
+    for what, _, graph in hand_set_graphs(100 + batch, 300, change):
+        assert_json_is_the_document(graph, what)
+
+
+def renamed_copies(count: int):
+    """One graph holding count renamed copies of the bundled scenarios,
+    alternately uber and speeding, built through the graph API."""
+    graph = new_scenario("copies")
+    bases = (load_scenario("uber"), load_scenario("speeding"))
+    for k in range(count):
+        base, pre = bases[k % 2], f"c{k}_"
+        for e in base.entities.values():
+            graph.add_entity(pre + e.id, e.entity_type, e.attributes)
+        for p in base.packages.values():
+            derives = tuple(pre + a for a in p.derives_from)
+            graph.add_package(DataPackage(pre + p.id, p.description, p.items, derives))
+        for r in base.relations.values():
+            graph.add_semantic_relation(
+                pre + r.id, r.relation, pre + r.source, pre + r.target, r.attributes
+            )
+        for f in base.flows.values():
+            stem, _, half = f.id.partition(".")
+            if half != "rev":
+                add = graph.add_bidirectional_flow if half == "fwd" else graph.add_flow
+                add(pre + stem, f.edge_type, pre + f.source, pre + f.target, pre + f.package)
+    return graph
+
+
+def test_graph_json_memory_holds_the_text_not_a_document():
+    # Compact graph JSON of 100 bundled copies: written record by record,
+    # the call holds the texts, not a dict per record and then one dump.
+    # The peak measured 1.08 MB after a full collection, and 4.15 MB when
+    # the whole document was built first; the bound leaves 2x headroom.
+    graph = renamed_copies(100)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = graph_to_json(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == graph_document_json(graph)
+    assert peak < 2.1e6
+
+
 SET_VALUES_SCRIPT = """
 from vdse.analysis import enumerate_paths
 from vdse.dsl import serialize
@@ -386,6 +620,7 @@ HAND_SET_MESSAGES_SCRIPT = """
 from vdse.dsl import serialize
 from vdse.analysis import enumerate_paths, exposure_report
 from vdse.errors import AnalysisError, GraphError, MalformedGraphError
+from vdse.export import graph_to_json
 from vdse.graph import DataPackage, EntityInstance, FlowInstance, SemanticRelationInstance
 from vdse.scenarios import load_scenario
 from vdse.schema import EntityType, builtin_schema
@@ -427,6 +662,13 @@ try:
     serialize(typed)
 except MalformedGraphError as error:
     print(error)
+attributed = load_scenario("speeding")
+attributed.entities["driver"].attributes = {KEY: "x"}
+for writer in (graph_to_json, serialize):
+    try:
+        writer(attributed)
+    except MalformedGraphError as error:
+        print(error)
 keyed = load_scenario("speeding")
 keyed.entities[KEY] = EntityInstance(KEY, EntityType.DATA_PACKAGE)
 keyed.relations[KEY] = SemanticRelationInstance(KEY, "occupy", "driver", "car")
@@ -461,6 +703,8 @@ def test_hand_set_values_in_messages_are_written_alike_under_every_hash_seed():
     assert f"source and sink are both {key}; they must differ" in outputs[0]
     assert f"unknown mode {key}" in outputs[0]
     assert f"{key} is not a Person entity" in outputs[0]
+    assert f"entity 'driver' attribute name {key} is not text" in outputs[0]
+    assert f"attribute id {key} is not a serializable identifier" in outputs[0]
 
 
 REFERENCE_DEFECTS = {
