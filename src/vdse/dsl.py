@@ -23,16 +23,22 @@ the ids match IDENT, the type code is instantiable, and each attribute
 map is fresh, well-shaped and free of repeated keys. The insert keeps
 the checks that only the graph can make: duplicate ids and flow pairs,
 dangling entities and packages, self-loops, edge types and relation
-names, and the meaning of reserved attributes. One handler in the cursor
-reports an insert's GraphError as a ParseError at the statement's id.
+names, and the meaning of reserved attributes. On a clean statement the
+insert proves all of these with one inline test (the ids are free, the
+references are known, the endpoints differ, the reserved attributes fit
+the type); only a statement that fails it runs the checks one by one. One
+handler in the cursor reports an insert's GraphError as a ParseError at
+the statement's id.
 
 `serialize` emits the canonical form: sections in a fixed order, each
 sorted by id, attribute keys sorted, and paired `.fwd`/`.rev` flows
-re-sugared to a single `<->` statement. It checks each record where it
-writes it, and returns text only when every check passed. Every graph that
-parse returns, or that is built only through the InstanceGraph methods,
-passes those checks, and parsing its canonical form gives back an equal
-graph: parse(serialize(g)) == g.
+re-sugared to a single `<->` statement. It checks the ids of each section
+in one pass, and each record where it writes it; a section with an id that
+is not an identifier goes back to checking its ids record by record, so
+the first error is the one the sorted order reaches. It returns text only
+when every check passed. Every graph that parse returns, or that is built
+only through the InstanceGraph methods, passes those checks, and parsing
+its canonical form gives back an equal graph: parse(serialize(g)) == g.
 """
 from __future__ import annotations
 
@@ -55,6 +61,7 @@ __all__ = ["parse", "serialize"]
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _ENTITY_TYPES = {code: EntityType(code) for code in INSTANTIABLE_TYPE_CODES}
+_CODES = {etype: code for code, etype in _ENTITY_TYPES.items()}
 _ESCAPE_RE = re.compile(r"\\(.)")
 # A string without, and with, its closing quote; the tokenizer and the
 # statement patterns share them.
@@ -307,9 +314,11 @@ def _parse_line(text: str, lineno: int, graph: InstanceGraph | None) -> Instance
 # instantiable, and that the items of an attribute map are well formed and
 # no key repeats. The insert checks duplicate ids and flow pairs, dangling
 # references, relation names, edge types, self-loops and reserved
-# attributes, and a GraphError from it leaves the graph as it was. A line
-# that does not match, fails a check or is rejected goes to _parse_line,
-# which executes it or diagnoses it.
+# attributes, with one inline test on a clean statement, and a GraphError
+# from it leaves the graph as it was. A bare `package id` line skips the
+# unquoting of clauses it does not have. A line that does not match, fails
+# a check or is rejected goes to _parse_line, which executes it or
+# diagnoses it.
 
 _STRINGS = rf"{_STRING}(?:, {_STRING})*"
 # One item of an attribute map and the ", " before the next.
@@ -364,6 +373,8 @@ def _fast_entity(graph: InstanceGraph, id_, code, attrs) -> InstanceGraph | bool
 
 
 def _fast_package(graph: InstanceGraph, id_, description, items, derives) -> InstanceGraph:
+    if description is items is derives is None:  # a bare `package id`
+        return graph._insert_package(id_, "", [], ())
     description = _unquote(description) if description else ""
     items = _strings(items) if items else []
     derives = derives.split(", ") if derives else ()
@@ -415,8 +426,9 @@ def parse(source: str) -> InstanceGraph:
     """
     graph: InstanceGraph | None = None
     lines = source.split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw[:-1] if raw.endswith("\r") else raw
+    if "\r" in source:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    for lineno, text in enumerate(lines, start=1):
         if text and (graph is None or not _execute_fast(text, graph)):
             graph = _parse_line(text, lineno, graph)
     if graph is None:
@@ -449,10 +461,9 @@ def _check_lexicon(id_: str, kind: str) -> None:
 
 def _attrs(kind: str, id_: str, attrs: dict) -> str:
     """The ` {key = value, ...}` suffix that writes the attributes of record
-    id_, keys sorted; "" for an empty map. Raises MalformedGraphError on the
-    first key or value, in that order, that parse could not read back."""
-    if attrs == {}:
-        return ""
+    id_, keys sorted; the caller writes "" for an empty map. Raises
+    MalformedGraphError on the first key or value, in that order, that parse
+    could not read back."""
     if not isinstance(attrs, dict):
         raise not_a_map(f"{kind} {id_!r}", attrs)
     items = []
@@ -476,6 +487,11 @@ def _attrs(kind: str, id_: str, attrs: dict) -> str:
 def _package_order(graph: InstanceGraph) -> list[str]:
     """Lexicographic order, except that a package never precedes one it
     derives from (parse executes statements in file order)."""
+    if all(
+        ancestor < pid for pid, package in graph.packages.items()
+        for ancestor in package.derives_from
+    ):
+        return sorted(graph.packages)  # what the heap below would yield
     dependants: dict[str, list[str]] = {pid: [] for pid in graph.packages}
     indegree = {pid: 0 for pid in graph.packages}
     for pid, package in graph.packages.items():
@@ -516,12 +532,14 @@ def _flow_statements(graph: InstanceGraph) -> list[tuple]:
             f"flow id {min(collisions)!r} is used both directly and as a "
             "bidirectional pair; the serialized form would not round-trip"
         )
-    statements = []
-    for flow_id, flow in plain.items():
-        _check_lexicon(flow_id, "flow")
-        statements.append((flow_id, "->", flow))
+    if not all(map(IDENT_RE.match, plain)):
+        for flow_id in plain:
+            _check_lexicon(flow_id, "flow")
+    statements = [(flow_id, "->", flow) for flow_id, flow in plain.items()]
+    clean_ids = all(map(IDENT_RE.match, halves))
     for base, pair in halves.items():
-        _check_lexicon(base, "flow")
+        if not clean_ids:
+            _check_lexicon(base, "flow")
         fwd, rev = pair.get("fwd"), pair.get("rev")
         if (
             fwd is None
@@ -549,25 +567,31 @@ def serialize(graph: InstanceGraph) -> str:
     check_references(graph)
     schema = builtin_schema()
     entities = []
+    clean_ids = all(map(IDENT_RE.match, graph.entities))
     for entity_id, entity in sorted(graph.entities.items()):
-        _check_lexicon(entity_id, "entity")
+        if not clean_ids:
+            _check_lexicon(entity_id, "entity")
         etype = entity.entity_type
-        if not isinstance(etype, EntityType) or etype.code not in INSTANTIABLE_TYPE_CODES:
+        code = _CODES.get(etype) if isinstance(etype, EntityType) else None
+        if code is None:
             raise MalformedGraphError(
                 f"entity {entity_id!r} has unserializable type {_shown(etype)}"
             )
-        attrs = _attrs("entity", entity_id, entity.attributes)
-        if attrs:
-            problems = check_entity_attributes(schema, etype, entity.attributes)
+        attrs = entity.attributes
+        suffix = "" if attrs == {} else _attrs("entity", entity_id, attrs)
+        if suffix:
+            problems = check_entity_attributes(schema, etype, attrs)
             if problems:
                 raise MalformedGraphError(f"entity {entity_id!r}: " + "; ".join(problems))
-        entities.append(f"entity {entity_id}: {etype.code}{attrs}")
+        entities.append(f"entity {entity_id}: {code}{suffix}")
     packages = []
+    clean_ids = all(map(IDENT_RE.match, graph.packages))
     for package_id in _package_order(graph):
-        _check_lexicon(package_id, "package")
+        if not clean_ids:
+            _check_lexicon(package_id, "package")
         package = graph.packages[package_id]
         derives = package.derives_from
-        if len(set(derives)) < len(derives):
+        if len(derives) > 1 and len(set(derives)) < len(derives):
             twice = next(p for p in derives if derives.count(p) > 1)
             raise MalformedGraphError(f"package {package_id!r} lists derivation {twice!r} twice")
         if not isinstance(package.description, str):
@@ -585,12 +609,15 @@ def serialize(graph: InstanceGraph) -> str:
             line += " derives " + ", ".join(derives)
         packages.append(line)
     relations = []
+    clean_ids = all(map(IDENT_RE.match, graph.relations))
     for relation_id, relation in sorted(graph.relations.items()):
-        _check_lexicon(relation_id, "relation")
-        attrs = _attrs("relation", relation_id, relation.attributes)
+        if not clean_ids:
+            _check_lexicon(relation_id, "relation")
+        attrs = relation.attributes
+        suffix = "" if attrs == {} else _attrs("relation", relation_id, attrs)
         relations.append(
             f"relation {relation_id}: {relation.relation} {relation.source} -> "
-            f"{relation.target}{attrs}"
+            f"{relation.target}{suffix}"
         )
     flows = [
         f"flow {flow_id}: {flow.edge_type} {flow.source} {arrow} {flow.target} "

@@ -12,7 +12,13 @@ statement's arrow and inserts a `<->` as its `.fwd`/`.rev` pair). It
 makes the checks that a parsed statement does not prove by its grammar:
 duplicate ids, a plain flow id against a `.fwd`/`.rev` pair, dangling
 entities and packages, self-loops, unknown edge types and relation
-names, the DP type, and what reserved attributes mean. It stores the
+names, the DP type, and what reserved attributes mean. A clean record
+costs one inline test and no further call: a flow's or relation's ids are
+free and its references known, a package has no derivations to check,
+and an attribute map passes `check_entity_attributes`'s inline test. Only
+a record that fails it runs the checks one at a time, in their fixed
+order, so it raises the same first error either way. A value that is not
+hashable fails the test, through its TypeError. The insert stores the
 maps and lists it is given. The public `add_*` methods add the checks on
 what only a caller can get wrong: the id, the entity type (a code, a
 display name or a member), and the shape of attribute maps and package
@@ -57,6 +63,21 @@ IDENT_RE = re.compile(IDENT + r"\Z")
 # Reserved entity attribute names and where they are admissible.
 _LIST_ATTRS = ("static", "dynamic")
 _VEHICLE_TYPES = (EntityType.VEHICLE, EntityType.VEHICLE_COMPONENT)
+_BUILTIN = builtin_schema()
+_FLOW_EDGE_TYPES = _BUILTIN.flow_edge_types
+_SEMANTIC_RELATIONS = _BUILTIN.semantic_relations
+# For each entity type of the built-in schema, the reserved keys that the
+# inline test in check_entity_attributes leaves to the per-key code:
+# static and dynamic on every type (each item is checked where they are
+# admitted), and category where the type does not admit it.
+_PER_KEY = {
+    etype: frozenset(
+        _LIST_ATTRS
+        if _BUILTIN.is_subtype(etype, EntityType.ORGANISATION)
+        else (*_LIST_ATTRS, "category")
+    )
+    for etype in EntityType
+}
 
 
 class EntityInstance(_Record):
@@ -137,11 +158,6 @@ def _unknown_endpoints(entities: dict, kind: str, item) -> tuple:
     """The message for each endpoint of item, a relation or a flow, that
     names no entity in entities; () when both do. A value that is not
     hashable names nothing."""
-    try:
-        if item.source in entities and item.target in entities:
-            return ()
-    except TypeError:
-        pass
     return tuple(
         f"{kind} {_shown(item.id)} references unknown entity {_shown(endpoint)}"
         for endpoint in (item.source, item.target)
@@ -173,7 +189,23 @@ def _check_attr_shape(key: str, value) -> None:
 def check_entity_attributes(
     schema: TypeGraph, entity_type: EntityType, attributes: dict
 ) -> list[str]:
-    """Return reserved-attribute problems for an entity, empty when clean."""
+    """Return reserved-attribute problems for an entity, empty when clean.
+
+    Under the built-in schema a clean map costs one inline test: no key
+    that its type leaves to the per-key code, and text or a truth value
+    where the label, category and privacy_preserving must be one. Any
+    other map, type or schema goes through the per-key checks."""
+    if schema is _BUILTIN and type(attributes) is dict:
+        try:
+            if (
+                attributes.keys().isdisjoint(_PER_KEY[entity_type])
+                and isinstance(attributes.get("label", ""), str)
+                and isinstance(attributes.get("category", ""), str)
+                and isinstance(attributes.get("privacy_preserving", False), bool)
+            ):
+                return []
+        except (KeyError, TypeError):  # not a type of the table, or not hashable
+            pass
     problems: list[str] = []
     for key in _LIST_ATTRS:
         if key in attributes:
@@ -276,7 +308,7 @@ class InstanceGraph(_Record):
         if from_caller:
             attrs = _caller_attrs(attrs)
         if attrs:
-            problems = check_entity_attributes(builtin_schema(), etype, attrs)
+            problems = check_entity_attributes(_BUILTIN, etype, attrs)
             if problems:
                 raise AttributeMisuseError("; ".join(problems))
         self.entities[id_] = EntityInstance(id_, etype, attrs)
@@ -309,23 +341,27 @@ class InstanceGraph(_Record):
             raise DuplicateIdError(f"package id {id_!r} already declared")
         if from_caller:
             items = _caller_items(id_, description, items, derives_from)
-        seen: set[str] = set()
-        for ancestor in derives_from:
-            if _names(seen, ancestor):
-                raise PackageConflictError(
-                    f"package {id_!r} lists derivation {_shown(ancestor)} twice"
-                )
-            if not _names(self.packages, ancestor):
-                raise DanglingReferenceError(
-                    f"package {id_!r} derives from unknown package {_shown(ancestor)}"
-                )
-            seen.add(ancestor)
-        self.packages[id_] = DataPackage(id_, description, items, _derivations(derives_from))
+        derivations = ()
+        if derives_from:
+            seen: set[str] = set()
+            for ancestor in derives_from:
+                if _names(seen, ancestor):
+                    raise PackageConflictError(
+                        f"package {id_!r} lists derivation {_shown(ancestor)} twice"
+                    )
+                if not _names(self.packages, ancestor):
+                    raise DanglingReferenceError(
+                        f"package {id_!r} derives from unknown package {_shown(ancestor)}"
+                    )
+                seen.add(ancestor)
+            derivations = _derivations(derives_from)
+        self.packages[id_] = DataPackage(id_, description, items, derivations)
         return self
 
     def _resolve_package(self, package: "DataPackage | str", flow_id: str) -> str:
-        if isinstance(package, str) and package in self.packages:
-            return package
+        """The id of a flow's package when it is not a declared id: a new
+        DataPackage is added, and a declared one must match; anything
+        else names no package."""
         if not isinstance(package, DataPackage):
             raise DanglingReferenceError(
                 f"flow {flow_id!r} references unknown package {_shown(package)}"
@@ -381,31 +417,55 @@ class InstanceGraph(_Record):
         package: "DataPackage | str",
     ) -> "InstanceGraph":
         """Insert the flow of a `->` statement, or the `.fwd`/`.rev` pair of
-        a `<->` one, checking each record in turn."""
+        a `<->` one. A clean statement costs one inline test: the id and
+        its halves are free, the edge type is built in and the endpoints
+        are distinct entities. Any other runs the checks record by record,
+        and the first that fails raises. Then a package that is not a
+        declared id is resolved."""
+        flows = self.flows
         if arrow == "->":
-            if f"{id_}.fwd" in self.flows or f"{id_}.rev" in self.flows:
-                raise DuplicateIdError(f"flow id {id_!r} already declared as a bidirectional pair")
-            flows = (FlowInstance(id_, edge_type, source, target, package),)
+            records = (FlowInstance(id_, edge_type, source, target, package),)
         else:
-            if id_ in self.flows:
-                raise DuplicateIdError(f"flow id {id_!r} already declared")
-            flows = (
+            records = (
                 FlowInstance(f"{id_}.fwd", edge_type, source, target, package),
                 FlowInstance(f"{id_}.rev", edge_type, target, source, package),
             )
-        builtin_schema().flow_edge_type(edge_type)
-        for flow in flows:
-            if flow.id in self.flows:
-                raise DuplicateIdError(f"flow id {flow.id!r} already declared")
-            dangling = _unknown_endpoints(self.entities, "flow", flow)
-            if dangling:
-                raise DanglingReferenceError(dangling[0])
-            if flow.source == flow.target:
-                raise SelfLoopError(f"flow {flow.id!r} connects {_shown(flow.source)} to itself")
-        package = self._resolve_package(package, id_)
-        for flow in flows:
+        try:
+            clean = (
+                id_ not in flows
+                and f"{id_}.fwd" not in flows
+                and f"{id_}.rev" not in flows
+                and edge_type in _FLOW_EDGE_TYPES
+                and source in self.entities
+                and target in self.entities
+                and source != target
+            )
+        except TypeError:  # a value that is not hashable names nothing
+            clean = False
+        if not clean:
+            if arrow == "->":
+                if f"{id_}.fwd" in flows or f"{id_}.rev" in flows:
+                    raise DuplicateIdError(
+                        f"flow id {id_!r} already declared as a bidirectional pair"
+                    )
+            elif id_ in flows:
+                raise DuplicateIdError(f"flow id {id_!r} already declared")
+            _BUILTIN.flow_edge_type(edge_type)
+            for flow in records:
+                if flow.id in flows:
+                    raise DuplicateIdError(f"flow id {flow.id!r} already declared")
+                dangling = _unknown_endpoints(self.entities, "flow", flow)
+                if dangling:
+                    raise DanglingReferenceError(dangling[0])
+                if flow.source == flow.target:
+                    raise SelfLoopError(
+                        f"flow {flow.id!r} connects {_shown(flow.source)} to itself"
+                    )
+        if not (isinstance(package, str) and package in self.packages):
+            package = self._resolve_package(package, id_)
+        for flow in records:
             flow.package = package
-            self.flows[flow.id] = flow
+            flows[flow.id] = flow
         return self
 
     # -- semantic relations -------------------------------------------------
@@ -433,14 +493,24 @@ class InstanceGraph(_Record):
         *,
         from_caller: bool = False,
     ) -> "InstanceGraph":
-        if not _names(builtin_schema().semantic_relations, relation):
-            raise UnknownTypeError(f"unknown semantic relation {_shown(relation)}")
-        if id_ in self.relations:
-            raise DuplicateIdError(f"relation id {id_!r} already declared")
         record = SemanticRelationInstance(id_, relation, source, target, attrs)
-        dangling = _unknown_endpoints(self.entities, "relation", record)
-        if dangling:
-            raise DanglingReferenceError(dangling[0])
+        try:
+            clean = (
+                relation in _SEMANTIC_RELATIONS
+                and id_ not in self.relations
+                and source in self.entities
+                and target in self.entities
+            )
+        except TypeError:  # a value that is not hashable names nothing
+            clean = False
+        if not clean:
+            if not _names(_SEMANTIC_RELATIONS, relation):
+                raise UnknownTypeError(f"unknown semantic relation {_shown(relation)}")
+            if id_ in self.relations:
+                raise DuplicateIdError(f"relation id {id_!r} already declared")
+            dangling = _unknown_endpoints(self.entities, "relation", record)
+            if dangling:
+                raise DanglingReferenceError(dangling[0])
         if from_caller:
             record.attributes = _caller_attrs(attrs)
         self.relations[id_] = record

@@ -101,7 +101,9 @@ def _shown(value, text=repr) -> str:
 def type_code(entity_type) -> str:
     """An entity's type as the writers render it: an EntityType's code, else
     str() of whatever a hand-set graph holds (a set with sorted members)."""
-    return entity_type.code if isinstance(entity_type, EntityType) else _shown(entity_type, str)
+    if isinstance(entity_type, EntityType):
+        return entity_type._value_  # the code, without the property and enum descriptor
+    return _shown(entity_type, str)
 
 
 # DataPackage is part of the registry but is never instantiated as a free

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -435,6 +436,37 @@ def test_usage_error_exit_3(uber_file):
     assert code == 3
     code, out, err = invoke(["paths", uber_file, "--from", "driver"])
     assert code == 3
+
+
+# Every help text and one usage error per command, with `vdse --help`,
+# `vdse` alone and an unknown command. Help goes to sys.stdout, the rest to
+# run's streams.
+USAGE_ARGVS = [
+    [],
+    ["--help"],
+    ["nonsense"],
+    *([name, "--help"] for name in ("validate", "paths", "exposure", "export", "schema", "fmt")),
+    ["validate"],
+    ["paths", "s.vdse", "--from", "a"],
+    ["exposure", "s.vdse", "--max-len", "x", "--person", "a"],
+    ["export", "s.vdse", "--format", "svg"],
+    ["schema", "--bogus"],
+    ["fmt", "a.vdse", "b.vdse"],
+]
+USAGE_TRANSCRIPT = Path(__file__).parent / "canonical" / "cli_usage.txt"
+
+
+def test_help_and_usage_errors_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = []
+    for argv in USAGE_ARGVS:
+        code, out, err = invoke(argv)
+        printed = capsys.readouterr()
+        transcript.append(
+            f"$ vdse {' '.join(argv)}\nexit {code}\n"
+            f"--- stdout\n{printed.out}{out}--- stderr\n{printed.err}{err}"
+        )
+    assert "".join(transcript) == USAGE_TRANSCRIPT.read_text(encoding="utf-8")
 
 
 def test_io_error_exit_4(tmp_path):

@@ -860,9 +860,16 @@ def test_serialized_text_reaches_the_cursor_only_for_its_header(monkeypatch):
     monkeypatch.setattr(dsl, "_parse_line", counted)
     for graph in graphs:
         text = serialize(graph)
-        cursor_lines.clear()
-        assert parse(text) == graph
-        assert cursor_lines == [text.split("\n", 1)[0]]
+        lines = text.split("\n")
+        middle = len(lines) // 2
+        # The text as written, with CRLF line ends, and with one lone "\r"
+        # line in the middle, which is blank once its "\r" is dropped.
+        crlf = text.replace("\n", "\r\n")
+        lone = "\n".join(lines[:middle] + ["\r"] + lines[middle:])
+        for variant in (text, crlf, lone):
+            cursor_lines.clear()
+            assert parse(variant) == graph
+            assert cursor_lines == [lines[0]]
 
 
 def round_trip_mutants(rng: random.Random, document: str, count: int):
@@ -942,3 +949,38 @@ def test_every_parsed_document_round_trips():
     assert 0 < accepted < mutated
     assert token_mutated >= 5000
     assert 0 < token_accepted < token_mutated
+
+
+def parse_outcome(text: str) -> str:
+    """What parse makes of text: the canonical text of its graph, or the
+    message, line and column of its ParseError."""
+    try:
+        graph = parse(text)
+    except ParseError as exc:
+        return f"ParseError {exc.message!r} {exc.line} {exc.column}"
+    return serialize(graph)
+
+
+# A sha256 over parse_outcome of every mutant below, in order. It fixes the
+# diagnosis of each rejected mutant, which the round trip above does not.
+PARSE_OUTCOMES_SHA256 = "5284e066f25506490004cac76cd489ace6f8379f86511a22545a0ef1212b2c57"
+
+
+def test_parse_outcomes_of_mutants_are_pinned():
+    documents = [(scenario_text("uber"), 300), (scenario_text("speeding"), 300), (RICH, 300)]
+    documents += [(serialize(build_random_graph(seed)), 30) for seed in range(50)]
+    digest = hashlib.sha256()
+    mutants = rejected = 0
+    for number, (document, count) in enumerate(documents):
+        rng, token_rng = random.Random(100 + number), random.Random(200 + number)
+        for text in (
+            *round_trip_mutants(rng, document, count),
+            *token_mutants(token_rng, document, count // 2),
+        ):
+            outcome = parse_outcome(text)
+            digest.update(outcome.encode() + b"\0")
+            mutants += 1
+            rejected += outcome.startswith("ParseError ")
+    assert mutants == 3600
+    assert 0 < rejected < mutants
+    assert digest.hexdigest() == PARSE_OUTCOMES_SHA256

@@ -15,7 +15,7 @@ from vdse.errors import (
     UnknownTypeError,
 )
 from vdse.graph import DataPackage, check_entity_attributes, new_scenario
-from vdse.schema import EntityType, builtin_schema
+from vdse.schema import EntityType, TypeGraph, builtin_schema
 
 
 def small_graph():
@@ -89,6 +89,74 @@ def test_reserved_attribute_checks():
     assert problems and "O, G, or SP" in problems[0]
     problems = check_entity_attributes(schema, EntityType.VEHICLE, {"dynamic": "speed"})
     assert problems and "list of text" in problems[0]
+
+
+_VEHICLES = {EntityType.VEHICLE, EntityType.VEHICLE_COMPONENT}
+_ORGANISATIONS = {
+    EntityType.ORGANISATION, EntityType.GOVERNMENT_BODY, EntityType.SERVICE_PROVIDER
+}
+RESERVED_KEYS = ("static", "dynamic", "category", "privacy_preserving", "label")
+
+
+class Text(str):
+    pass
+
+
+# Text, a str subclass, both truth values, a number, nothing, a list of
+# text, an empty list, a list holding a non-text value, and a frozenset.
+VALUE_SHAPES = ("x", Text("x"), True, False, 1, None, ["a", "b"], [], ["a", 1], frozenset({"a"}))
+
+
+def reserved_attribute_oracle(entity_type, attributes) -> list:
+    """check_entity_attributes under the built-in schema, key by key, with
+    the subtypes of V and O written out."""
+    etype = EntityType.coerce(entity_type)
+    problems = []
+    for key in ("static", "dynamic"):
+        if key not in attributes:
+            continue
+        value = attributes[key]
+        if etype not in _VEHICLES:
+            problems.append(f"{key!r} is only allowed on V or VC entities")
+        elif not isinstance(value, list) or any(not isinstance(i, str) for i in value):
+            problems.append(f"{key!r} must be a list of text")
+    if "category" in attributes:
+        if etype not in _ORGANISATIONS:
+            problems.append("'category' is only allowed on O, G, or SP entities")
+        elif not isinstance(attributes["category"], str):
+            problems.append("'category' must be text")
+    if "privacy_preserving" in attributes:
+        if not isinstance(attributes["privacy_preserving"], bool):
+            problems.append("'privacy_preserving' must be a truth value")
+    if "label" in attributes and not isinstance(attributes["label"], str):
+        problems.append("'label' must be text")
+    return problems
+
+
+def test_reserved_attribute_checks_match_a_per_key_oracle():
+    builtin = builtin_schema()
+    fresh = TypeGraph(
+        frozenset(EntityType),
+        dict(builtin.subclass_parent),
+        dict(builtin.semantic_relations),
+        dict(builtin.flow_edge_types),
+    )
+    assert fresh == builtin and fresh is not builtin
+    maps = [{}, {"note": "x"}, {frozenset({"static"}): "x", "label": "y"}]
+    for shape in VALUE_SHAPES:
+        maps += [{key: shape} for key in RESERVED_KEYS]
+        maps += [{key: shape, "note": ["n"]} for key in RESERVED_KEYS]
+        maps.append(dict.fromkeys(RESERVED_KEYS, shape))
+    checked = 0
+    for etype in EntityType:
+        for entity_type in (etype, etype.value, etype.display_name):
+            for attributes in maps:
+                want = reserved_attribute_oracle(entity_type, attributes)
+                for schema in (builtin, fresh):
+                    got = check_entity_attributes(schema, entity_type, attributes)
+                    assert got == want, (entity_type, attributes)
+                    checked += 1
+    assert checked == 14 * 3 * 2 * (3 + 11 * len(VALUE_SHAPES))
 
 
 def test_empty_list_attribute_rejected():
