@@ -9,6 +9,8 @@ MalformedGraphError, and gives the same on both.
 """
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import copy_graph, hand_set, hand_set_graph, hand_set_graphs, rekey
@@ -203,3 +205,26 @@ def test_seeded_hand_set_graphs_keep_the_contract(batch):
 def test_seeded_rekeyed_graphs_keep_the_contract(batch):
     # Seeds of their own, so that the batches above keep their graphs.
     assert_batch_total(BATCHES + batch, rekey)
+
+
+# One sha256 over every outcome on four seeded batches, two of each kind of
+# change: each query's (reachable_from's set sorted), validate's report and
+# each writer's. It pins what the reference checks decide and say, on graphs
+# no builder call would make, whatever path the checks take to decide it.
+OUTCOME_DIGEST = "6101c577eb4fdf472abbe92f7b81c5dd690c2d082c4aec843c60c1cd7d8a75f4"
+
+
+def test_outcomes_on_seeded_hand_set_graphs_are_pinned():
+    digest = hashlib.sha256()
+    for seed, change in ((100, hand_set), (101, hand_set), (102, rekey), (103, rekey)):
+        for _, base, graph in hand_set_graphs(seed, PER_BATCH, change):
+            outcomes = [outcome(query, graph) for query in queries(base)]
+            outcomes = [
+                (returned, sorted(result, key=repr) if isinstance(result, set) else result)
+                for returned, result in outcomes
+            ]
+            outcomes.append(validate(SCHEMA, graph))
+            for writer in (serialize, graph_to_json, graph_to_dot):
+                outcomes.append(outcome(writer, graph, MalformedGraphError))
+            digest.update(repr(outcomes).encode())
+    assert digest.hexdigest() == OUTCOME_DIGEST
