@@ -47,7 +47,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from vdse.errors import AnalysisError
-from vdse.graph import InstanceGraph, _names, _names_all, _unknown_endpoints
+from vdse.graph import InstanceGraph, _names, _unknown_endpoints
 from vdse.schema import EntityType, _shown, type_code
 
 __all__ = [
@@ -130,8 +130,9 @@ def _flows(graph: InstanceGraph) -> list:
     """The flows of graph, once each is filed under its own id, names
     declared entities and carries a text package, and the ids order (all
     text or all integers); else AnalysisError naming the least problem."""
+    entities = graph.entities
     flows = list(graph.flows.values())
-    problems = []
+    problems, odd = [], []
     for key, flow in graph.flows.items():
         if key != flow.id:
             problems.append(f"flow {_shown(flow.id)} is filed under {_shown(key)}")
@@ -139,11 +140,14 @@ def _flows(graph: InstanceGraph) -> list:
             problems.append(
                 f"flow {_shown(flow.id)} carries {_shown(flow.package)}, not a package id"
             )
-    endpoints = [flow.source for flow in flows] + [flow.target for flow in flows]
-    if not _names_all(graph.entities, endpoints):
-        for flow in flows:
-            problems += _unknown_endpoints(graph.entities, "flow", flow)
-    odd = [flow.id for flow in flows if not isinstance(flow.id, str)]
+        try:
+            known = flow.source in entities and flow.target in entities
+        except TypeError:  # a value that is not hashable names nothing
+            known = False
+        if not known:
+            problems += _unknown_endpoints(entities, "flow", flow)
+        if not isinstance(flow.id, str):
+            odd.append(flow.id)
     if odd and (len(odd) < len(flows) or not all(isinstance(i, int) for i in odd)):
         first = min(map(_shown, odd))
         problems.append(f"flow id {first} is not text, and not every flow id is an integer")

@@ -35,47 +35,40 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser(commands=None) -> _Parser:
-    """The vdse parser. Every command is listed with its help, but only the
-    commands in commands (all of them when None) get their arguments:
-    argparse reads the arguments of just the command that argv names."""
+def _build_parser() -> _Parser:
     parser = _Parser(prog="vdse", description="Vehicle data-sharing scenario analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str) -> _Parser | None:
-        p = sub.add_parser(name, help=help)
-        return p if commands is None or name in commands else None
+    p = sub.add_parser("validate", help="check a scenario against the type graph")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
 
-    if p := command("validate", "check a scenario against the type graph"):
-        p.add_argument("file")
-        p.add_argument("--json", action="store_true")
+    p = sub.add_parser("paths", help="enumerate data-flow paths between two entities")
+    p.add_argument("file")
+    p.add_argument("--from", dest="source", required=True, metavar="ID")
+    p.add_argument("--to", dest="sink", required=True, metavar="ID")
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
+    p.add_argument("--mode", choices=("strict", "lineage"), default="strict")
+    p.add_argument("--json", action="store_true")
 
-    if p := command("paths", "enumerate data-flow paths between two entities"):
-        p.add_argument("file")
-        p.add_argument("--from", dest="source", required=True, metavar="ID")
-        p.add_argument("--to", dest="sink", required=True, metavar="ID")
-        p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
-        p.add_argument("--mode", choices=("strict", "lineage"), default="strict")
-        p.add_argument("--json", action="store_true")
+    p = sub.add_parser("exposure", help="report where a person's data can end up")
+    p.add_argument("file")
+    p.add_argument("--person", required=True, metavar="ID")
+    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
+    p.add_argument("--json", action="store_true")
 
-    if p := command("exposure", "report where a person's data can end up"):
-        p.add_argument("file")
-        p.add_argument("--person", required=True, metavar="ID")
-        p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
-        p.add_argument("--json", action="store_true")
+    p = sub.add_parser("export", help="render a scenario as DOT or JSON")
+    p.add_argument("file")
+    p.add_argument("--format", choices=("dot", "json"), default="dot")
+    p.add_argument("--show-packages", action="store_true")
+    p.add_argument("--highlight", metavar="FROM:TO")
+    p.add_argument("-o", "--output", metavar="FILE")
 
-    if p := command("export", "render a scenario as DOT or JSON"):
-        p.add_argument("file")
-        p.add_argument("--format", choices=("dot", "json"), default="dot")
-        p.add_argument("--show-packages", action="store_true")
-        p.add_argument("--highlight", metavar="FROM:TO")
-        p.add_argument("-o", "--output", metavar="FILE")
+    p = sub.add_parser("schema", help="print the built-in type graph")
+    p.add_argument("--format", choices=("text", "dot"), default="text")
 
-    if p := command("schema", "print the built-in type graph"):
-        p.add_argument("--format", choices=("text", "dot"), default="text")
-
-    if p := command("fmt", "rewrite a scenario file in canonical form"):
-        p.add_argument("file")
+    p = sub.add_parser("fmt", help="rewrite a scenario file in canonical form")
+    p.add_argument("file")
     return parser
 
 
@@ -228,8 +221,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     """Execute one CLI invocation and return its exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, stdout, stderr)

@@ -23,12 +23,8 @@ the ids match IDENT, the type code is instantiable, and each attribute
 map is fresh, well-shaped and free of repeated keys. The insert keeps
 the checks that only the graph can make: duplicate ids and flow pairs,
 dangling entities and packages, self-loops, edge types and relation
-names, and the meaning of reserved attributes. On a clean statement the
-insert proves all of these with one inline test (the ids are free, the
-references are known, the endpoints differ, the reserved attributes fit
-the type); only a statement that fails it runs the checks one by one. One
-handler in the cursor reports an insert's GraphError as a ParseError at
-the statement's id.
+names, and the meaning of reserved attributes. One handler in the cursor
+reports an insert's GraphError as a ParseError at the statement's id.
 
 `serialize` emits the canonical form: sections in a fixed order, each
 sorted by id, attribute keys sorted, and paired `.fwd`/`.rev` flows
@@ -314,11 +310,10 @@ def _parse_line(text: str, lineno: int, graph: InstanceGraph | None) -> Instance
 # instantiable, and that the items of an attribute map are well formed and
 # no key repeats. The insert checks duplicate ids and flow pairs, dangling
 # references, relation names, edge types, self-loops and reserved
-# attributes, with one inline test on a clean statement, and a GraphError
-# from it leaves the graph as it was. A bare `package id` line skips the
-# unquoting of clauses it does not have. A line that does not match, fails
-# a check or is rejected goes to _parse_line, which executes it or
-# diagnoses it.
+# attributes, and a GraphError from it leaves the graph as it was. A bare
+# `package id` line skips the unquoting of clauses it does not have. A
+# line that does not match, fails a check or is rejected goes to
+# _parse_line, which executes it or diagnoses it.
 
 _STRINGS = rf"{_STRING}(?:, {_STRING})*"
 # One item of an attribute map and the ", " before the next.

@@ -62,7 +62,7 @@ class ExportOptions(_Record):
         self, format: str = "dot", show_packages: bool = False, highlight_paths: tuple = ()
     ):
         if format not in ("dot", "json"):
-            raise ValueError(f"unknown export format {format!r}")
+            raise ValueError(f"unknown export format {_shown(format)}")
         if highlight_paths and format != "dot":
             raise ValueError("highlight_paths is only valid with the dot format")
         for name, value in zip(self.__slots__, (format, show_packages, highlight_paths)):

@@ -12,22 +12,17 @@ statement's arrow and inserts a `<->` as its `.fwd`/`.rev` pair). It
 makes the checks that a parsed statement does not prove by its grammar:
 duplicate ids, a plain flow id against a `.fwd`/`.rev` pair, dangling
 entities and packages, self-loops, unknown edge types and relation
-names, the DP type, and what reserved attributes mean. A clean record
-costs one inline test and no further call: a flow's or relation's ids are
-free and its references known, a package has no derivations to check,
-and an attribute map passes `check_entity_attributes`'s inline test. Only
-a record that fails it runs the checks one at a time, in their fixed
-order, so it raises the same first error either way. A value that is not
-hashable fails the test, through its TypeError. The insert stores the
-maps and lists it is given. The public `add_*` methods add the checks on
-what only a caller can get wrong: the id, the entity type (a code, a
-display name or a member), and the shape of attribute maps and package
-content. Those last checks run inside the insert, when `from_caller` is
-set, at the point where they have always run, so a call with two defects
-raises the same error either way; a caller's maps and lists are then
-copied. A reference that is not hashable, such as a list, names nothing,
-as in `validate`. `dsl.parse` calls the inserts directly: its grammar
-has proved the ids and built fresh, well-shaped maps.
+names, the DP type, and what reserved attributes mean, in a fixed order:
+the first check that fails raises. The insert stores the maps and lists
+it is given. The public `add_*` methods add the checks on what only a
+caller can get wrong: the id, the entity type (a code, a display name or
+a member), and the shape of attribute maps and package content. Those
+last checks run inside the insert, when `from_caller` is set, at the
+point where they have always run, so a call with two defects raises the
+same error either way; a caller's maps and lists are then copied. A
+reference that is not hashable, such as a list, names nothing, as in
+`validate`. `dsl.parse` calls the inserts directly: its grammar has
+proved the ids and built fresh, well-shaped maps.
 """
 from __future__ import annotations
 
@@ -64,20 +59,7 @@ IDENT_RE = re.compile(IDENT + r"\Z")
 _LIST_ATTRS = ("static", "dynamic")
 _VEHICLE_TYPES = (EntityType.VEHICLE, EntityType.VEHICLE_COMPONENT)
 _BUILTIN = builtin_schema()
-_FLOW_EDGE_TYPES = _BUILTIN.flow_edge_types
 _SEMANTIC_RELATIONS = _BUILTIN.semantic_relations
-# For each entity type of the built-in schema, the reserved keys that the
-# inline test in check_entity_attributes leaves to the per-key code:
-# static and dynamic on every type (each item is checked where they are
-# admitted), and category where the type does not admit it.
-_PER_KEY = {
-    etype: frozenset(
-        _LIST_ATTRS
-        if _BUILTIN.is_subtype(etype, EntityType.ORGANISATION)
-        else (*_LIST_ATTRS, "category")
-    )
-    for etype in EntityType
-}
 
 
 class EntityInstance(_Record):
@@ -146,14 +128,6 @@ def _names(table: dict, key) -> bool:
         return False
 
 
-def _names_all(table: dict, keys: list) -> bool:
-    """Whether each of keys is a key of table, as _names decides it."""
-    try:
-        return table.keys() >= set(keys)
-    except TypeError:
-        return False
-
-
 def _unknown_endpoints(entities: dict, kind: str, item) -> tuple:
     """The message for each endpoint of item, a relation or a flow, that
     names no entity in entities; () when both do. A value that is not
@@ -189,23 +163,7 @@ def _check_attr_shape(key: str, value) -> None:
 def check_entity_attributes(
     schema: TypeGraph, entity_type: EntityType, attributes: dict
 ) -> list[str]:
-    """Return reserved-attribute problems for an entity, empty when clean.
-
-    Under the built-in schema a clean map costs one inline test: no key
-    that its type leaves to the per-key code, and text or a truth value
-    where the label, category and privacy_preserving must be one. Any
-    other map, type or schema goes through the per-key checks."""
-    if schema is _BUILTIN and type(attributes) is dict:
-        try:
-            if (
-                attributes.keys().isdisjoint(_PER_KEY[entity_type])
-                and isinstance(attributes.get("label", ""), str)
-                and isinstance(attributes.get("category", ""), str)
-                and isinstance(attributes.get("privacy_preserving", False), bool)
-            ):
-                return []
-        except (KeyError, TypeError):  # not a type of the table, or not hashable
-            pass
+    """Return reserved-attribute problems for an entity, empty when clean."""
     problems: list[str] = []
     for key in _LIST_ATTRS:
         if key in attributes:
@@ -417,50 +375,38 @@ class InstanceGraph(_Record):
         package: "DataPackage | str",
     ) -> "InstanceGraph":
         """Insert the flow of a `->` statement, or the `.fwd`/`.rev` pair of
-        a `<->` one. A clean statement costs one inline test: the id and
-        its halves are free, the edge type is built in and the endpoints
-        are distinct entities. Any other runs the checks record by record,
-        and the first that fails raises. Then a package that is not a
-        declared id is resolved."""
+        a `<->` one, once the id is free for that arrow, the edge type is
+        built in, the first record's id is free, its endpoints are distinct
+        entities and the second record's id is free. Then a package that is
+        not a declared id is resolved."""
         flows = self.flows
         if arrow == "->":
             records = (FlowInstance(id_, edge_type, source, target, package),)
+            if f"{id_}.fwd" in flows or f"{id_}.rev" in flows:
+                raise DuplicateIdError(
+                    f"flow id {id_!r} already declared as a bidirectional pair"
+                )
         else:
             records = (
                 FlowInstance(f"{id_}.fwd", edge_type, source, target, package),
                 FlowInstance(f"{id_}.rev", edge_type, target, source, package),
             )
-        try:
-            clean = (
-                id_ not in flows
-                and f"{id_}.fwd" not in flows
-                and f"{id_}.rev" not in flows
-                and edge_type in _FLOW_EDGE_TYPES
-                and source in self.entities
-                and target in self.entities
-                and source != target
-            )
-        except TypeError:  # a value that is not hashable names nothing
-            clean = False
-        if not clean:
-            if arrow == "->":
-                if f"{id_}.fwd" in flows or f"{id_}.rev" in flows:
-                    raise DuplicateIdError(
-                        f"flow id {id_!r} already declared as a bidirectional pair"
-                    )
-            elif id_ in flows:
+            if id_ in flows:
                 raise DuplicateIdError(f"flow id {id_!r} already declared")
-            _BUILTIN.flow_edge_type(edge_type)
-            for flow in records:
-                if flow.id in flows:
-                    raise DuplicateIdError(f"flow id {flow.id!r} already declared")
-                dangling = _unknown_endpoints(self.entities, "flow", flow)
-                if dangling:
-                    raise DanglingReferenceError(dangling[0])
-                if flow.source == flow.target:
-                    raise SelfLoopError(
-                        f"flow {flow.id!r} connects {_shown(flow.source)} to itself"
-                    )
+        _BUILTIN.flow_edge_type(edge_type)
+        first = records[0]
+        if first.id in flows:
+            raise DuplicateIdError(f"flow id {first.id!r} already declared")
+        try:
+            known = source in self.entities and target in self.entities
+        except TypeError:  # a value that is not hashable names nothing
+            known = False
+        if not known:
+            raise DanglingReferenceError(_unknown_endpoints(self.entities, "flow", first)[0])
+        if source == target:
+            raise SelfLoopError(f"flow {first.id!r} connects {_shown(source)} to itself")
+        if arrow == "<->" and records[1].id in flows:
+            raise DuplicateIdError(f"flow id {records[1].id!r} already declared")
         if not (isinstance(package, str) and package in self.packages):
             package = self._resolve_package(package, id_)
         for flow in records:
@@ -494,23 +440,16 @@ class InstanceGraph(_Record):
         from_caller: bool = False,
     ) -> "InstanceGraph":
         record = SemanticRelationInstance(id_, relation, source, target, attrs)
+        if not _names(_SEMANTIC_RELATIONS, relation):
+            raise UnknownTypeError(f"unknown semantic relation {_shown(relation)}")
+        if id_ in self.relations:
+            raise DuplicateIdError(f"relation id {id_!r} already declared")
         try:
-            clean = (
-                relation in _SEMANTIC_RELATIONS
-                and id_ not in self.relations
-                and source in self.entities
-                and target in self.entities
-            )
+            known = source in self.entities and target in self.entities
         except TypeError:  # a value that is not hashable names nothing
-            clean = False
-        if not clean:
-            if not _names(_SEMANTIC_RELATIONS, relation):
-                raise UnknownTypeError(f"unknown semantic relation {_shown(relation)}")
-            if id_ in self.relations:
-                raise DuplicateIdError(f"relation id {id_!r} already declared")
-            dangling = _unknown_endpoints(self.entities, "relation", record)
-            if dangling:
-                raise DanglingReferenceError(dangling[0])
+            known = False
+        if not known:
+            raise DanglingReferenceError(_unknown_endpoints(self.entities, "relation", record)[0])
         if from_caller:
             record.attributes = _caller_attrs(attrs)
         self.relations[id_] = record

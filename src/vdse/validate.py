@@ -114,14 +114,7 @@ def _check_references(
     relation name or endpoint, a flow edge type, endpoint or package.
     Returns the derivations that resolve, by package, and the relations and
     the flows whose name or type and endpoints resolve; the other checks
-    inspect only those.
-
-    A clean record costs one inline test and no call: its key is its id
-    and is text; a package's derivations are a tuple or list of declared
-    packages; a relation's name and endpoints, or a flow's edge type,
-    endpoints and package, are known. A value that is not hashable fails
-    the test (its TypeError is caught). Only a record that fails it is
-    looked at again, by the reporting code after the test."""
+    inspect only those. A value that is not hashable names nothing."""
     entities, packages = graph.entities, graph.packages
     tables = (
         ("entity", entities),
@@ -131,8 +124,6 @@ def _check_references(
     )
     for kind, table in tables:
         for key, item in table.items():
-            if key is item.id and type(key) is str:
-                continue
             if key != item.id or not isinstance(key, str):
                 # Two keys can hold one id, and only a text id can be written.
                 message = (
@@ -143,17 +134,6 @@ def _check_references(
     derivations = {}
     for package_id, package in packages.items():
         derives = package.derives_from
-        try:
-            if type(derives) is tuple or type(derives) is list:
-                for ancestor in derives:
-                    if ancestor not in packages:
-                        break
-                else:
-                    if derives:
-                        derivations[package_id] = [*derives]
-                    continue
-        except TypeError:
-            pass
         if not isinstance(derives, (tuple, list)):
             out.append(
                 Violation(
@@ -180,16 +160,10 @@ def _check_references(
     relation_names = schema.semantic_relations
     for relation in graph.relations.values():
         try:
-            if (
-                relation.relation in relation_names
-                and relation.source in entities
-                and relation.target in entities
-            ):
-                relations.append(relation)
-                continue
+            known = relation.relation in relation_names
         except TypeError:
-            pass
-        if not _names(relation_names, relation.relation):
+            known = False
+        if not known:
             out.append(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
@@ -199,26 +173,23 @@ def _check_references(
                 )
             )
             continue
-        dangling = _unknown_endpoints(entities, "relation", relation)
-        if dangling:
-            out.extend(Violation(ViolationCode.DANGLING_REF, relation.id, m) for m in dangling)
-        else:
+        try:
+            known = relation.source in entities and relation.target in entities
+        except TypeError:
+            known = False
+        if known:
             relations.append(relation)
+        else:
+            dangling = _unknown_endpoints(entities, "relation", relation)
+            out.extend(Violation(ViolationCode.DANGLING_REF, relation.id, m) for m in dangling)
     flows = []
     edge_types = schema.flow_edge_types
     for flow in graph.flows.values():
         try:
-            if (
-                flow.edge_type in edge_types
-                and flow.source in entities
-                and flow.target in entities
-                and flow.package in packages
-            ):
-                flows.append(flow)
-                continue
+            known = flow.edge_type in edge_types
         except TypeError:
-            pass
-        if not _names(edge_types, flow.edge_type):
+            known = False
+        if not known:
             out.append(
                 Violation(
                     ViolationCode.UNKNOWN_TYPE,
@@ -227,12 +198,20 @@ def _check_references(
                 )
             )
             continue
-        dangling = _unknown_endpoints(entities, "flow", flow)
-        if dangling:
-            out.extend(Violation(ViolationCode.DANGLING_REF, flow.id, m) for m in dangling)
-        else:
+        try:
+            known = flow.source in entities and flow.target in entities
+        except TypeError:
+            known = False
+        if known:
             flows.append(flow)
-        if not _names(packages, flow.package):
+        else:
+            dangling = _unknown_endpoints(entities, "flow", flow)
+            out.extend(Violation(ViolationCode.DANGLING_REF, flow.id, m) for m in dangling)
+        try:
+            known = flow.package in packages
+        except TypeError:
+            known = False
+        if not known:
             out.append(
                 Violation(
                     ViolationCode.MISSING_PACKAGE,

@@ -479,6 +479,12 @@ WRITER_DEFECTS = {
     "collision": lambda g: g.flows.update(x=FlowInstance("x", "E3", "a", "b", "d")),
     "flow_id": lambda g: g.flows.update({"bad id": FlowInstance("bad id", "E3", "a", "b", "d")}),
     "unpaired": lambda g: g.flows.pop("x.rev"),
+    "pair_id": lambda g: g.flows.update(
+        {
+            "1x.fwd": FlowInstance("1x.fwd", "E3", "a", "b", "d"),
+            "1x.rev": FlowInstance("1x.rev", "E3", "b", "a", "d"),
+        }
+    ),
 }
 
 _BAD_ID = "is not a serializable identifier"
@@ -507,6 +513,8 @@ _RESERVED = "entity 'b': 'category' is only allowed on O, G, or SP entities"
             "the serialized form would not round-trip",
         ),
         (("flow_id", "unpaired"), f"flow id 'bad id' {_BAD_ID}"),
+        (("flow_id", "pair_id"), f"flow id 'bad id' {_BAD_ID}"),
+        (("pair_id", "unpaired"), f"flow id '1x' {_BAD_ID}"),
         (
             ("dangling_endpoint", "reserved_attribute"),
             "flow 'f' references unknown entity 'ghost'",

@@ -620,7 +620,7 @@ HAND_SET_MESSAGES_SCRIPT = """
 from vdse.dsl import serialize
 from vdse.analysis import enumerate_paths, exposure_report
 from vdse.errors import AnalysisError, GraphError, MalformedGraphError
-from vdse.export import graph_to_json
+from vdse.export import ExportOptions, graph_to_json
 from vdse.graph import DataPackage, EntityInstance, FlowInstance, SemanticRelationInstance
 from vdse.scenarios import load_scenario
 from vdse.schema import EntityType, builtin_schema
@@ -645,10 +645,11 @@ for call in (
     lambda: enumerate_paths(looped, KEY, KEY),
     lambda: enumerate_paths(looped, "driver", "car", mode=KEY),
     lambda: exposure_report(looped, KEY),
+    lambda: ExportOptions(format=frozenset({"dot", "json", "svg"})),
 ):
     try:
         call()
-    except (AnalysisError, GraphError) as error:
+    except (AnalysisError, GraphError, ValueError) as error:
         print(error)
 
 for target, package in ((KEY, "DP1_1"), ("car", KEY)):
@@ -698,6 +699,7 @@ def test_hand_set_values_in_messages_are_written_alike_under_every_hash_seed():
     assert f"package 'x' lists derivation {key} twice" in outputs[0]
     assert f"package 'x' derives from unknown package {key}" in outputs[0]
     assert f"invalid entity id {key}" in outputs[0]
+    assert "unknown export format frozenset({'dot', 'json', 'svg'})" in outputs[0]
     assert f"unknown entity type code {key}" in outputs[0]
     assert f"unknown entity {key}" in outputs[0].splitlines()
     assert f"source and sink are both {key}; they must differ" in outputs[0]

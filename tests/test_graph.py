@@ -14,7 +14,7 @@ from vdse.errors import (
     SelfLoopError,
     UnknownTypeError,
 )
-from vdse.graph import DataPackage, check_entity_attributes, new_scenario
+from vdse.graph import DataPackage, FlowInstance, check_entity_attributes, new_scenario
 from vdse.schema import EntityType, TypeGraph, builtin_schema
 
 
@@ -299,6 +299,17 @@ def test_plain_flow_and_pair_cannot_share_a_name():
     with pytest.raises(DuplicateIdError) as exc:
         graph.add_bidirectional_flow("x", "E3", "app", "car", "DP3")
     assert str(exc.value) == "flow id 'x' already declared"
+    assert snapshot(graph) == before
+
+    # A lone .rev half, set by hand: the .fwd half's checks come first.
+    graph = small_graph().add_package(DataPackage("DP3"))
+    graph.flows["x.rev"] = FlowInstance("x.rev", "E3", "car", "app", "DP3")
+    before = snapshot(graph)
+    with pytest.raises(DanglingReferenceError):
+        graph.add_bidirectional_flow("x", "E3", "app", "ghost", "DP3")
+    with pytest.raises(DuplicateIdError) as exc:
+        graph.add_bidirectional_flow("x", "E3", "app", "car", "DP3")
+    assert str(exc.value) == "flow id 'x.rev' already declared"
     assert snapshot(graph) == before
 
 

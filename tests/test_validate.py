@@ -129,6 +129,13 @@ def test_missing_package_injected(schema):
     graph.flows["f"] = FlowInstance("f", "E1", "a", "b", "ghost")
     report = validate(schema, graph)
     assert codes(report) == [ViolationCode.MISSING_PACKAGE]
+    # A dangling endpoint does not hide the package.
+    graph.flows["g"] = FlowInstance("g", "E1", "a", "ghost", "ghost")
+    assert codes(validate(schema, graph)) == [
+        ViolationCode.MISSING_PACKAGE,
+        ViolationCode.DANGLING_REF,
+        ViolationCode.MISSING_PACKAGE,
+    ]
 
 
 def test_self_loop_injected(schema):
