@@ -7,6 +7,7 @@ diagnostics and warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, LineageTrace, enumerate_paths, exposure_report
@@ -239,4 +240,16 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command in sys.argv and end the process with its exit code.
+
+    The `vdse` script and `python -m vdse` end the process here, and this
+    freezes the heap before exit. Code that runs a command inside a
+    longer-lived process calls run(argv, stdout, stderr), which leaves the
+    collector alone.
+    """
+    code = run(sys.argv[1:])
+    # Interpreter shutdown runs full collections over every object the
+    # imports made, only to free them as the process ends; the collector
+    # never examines a frozen object.
+    gc.freeze()
+    sys.exit(code)

@@ -38,7 +38,6 @@ its canonical form gives back an equal graph: parse(serialize(g)) == g.
 """
 from __future__ import annotations
 
-import heapq
 import re
 from typing import NamedTuple
 
@@ -487,6 +486,8 @@ def _package_order(graph: InstanceGraph) -> list[str]:
         for ancestor in package.derives_from
     ):
         return sorted(graph.packages)  # what the heap below would yield
+    import heapq  # only a package derived from one with a larger id needs it
+
     dependants: dict[str, list[str]] = {pid: [] for pid in graph.packages}
     indegree = {pid: 0 for pid in graph.packages}
     for pid, package in graph.packages.items():

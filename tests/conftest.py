@@ -152,6 +152,37 @@ def rekey(rng: random.Random, graph) -> str:
     return f"{name}[{old!r}] filed under {key!r}"
 
 
+def put_frozenset(rng: random.Random, graph) -> str:
+    """Put a frozenset of the graph's ids, which iterates in an order that
+    depends on the hash seed, where text belongs, and say where: one field
+    of one record, the id of one record and the key it is filed under, or
+    one attribute key or value of an entity or relation."""
+    ids = sorted(graph.entities) + sorted(graph.packages)
+    value = frozenset(rng.sample(ids, 3))
+    name = rng.choice([name for name in _TABLES if getattr(graph, name)])
+    table = getattr(graph, name)
+    key = rng.choice(sorted(table))
+    record = table[key] = type(table[key])(*table[key]._values())
+    kinds = ["field", "id"]
+    if hasattr(record, "attributes"):
+        kinds += ["attribute key", "attribute value"]
+    kind = rng.choice(kinds)
+    if kind == "field":
+        field = rng.choice(record.__slots__[1:])
+        setattr(record, field, value)
+        return f"{name}[{key!r}].{field} = {value!r}"
+    if kind == "id":
+        record.id = value
+        table[value] = table.pop(key)
+        return f"{name}[{key!r}] renamed {value!r}"
+    record.attributes = dict(record.attributes)
+    if kind == "attribute key":
+        record.attributes[value] = "x"
+    else:
+        record.attributes[rng.choice(sorted(record.attributes) or ["tier"])] = value
+    return f"{name}[{key!r}] {kind} {value!r}"
+
+
 def hand_set_graphs(seed: int, count: int, change=hand_set):
     """count seeded hand-set graphs, each a bundled scenario or a
     build_random_graph graph with one change (hand_set, unless given).

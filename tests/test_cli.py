@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import vdse
+from test_analysis import dense_mesh
 from test_dsl import round_trip_mutants, token_mutants
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
 from vdse.cli import _build_parser, run
@@ -399,19 +401,45 @@ def test_cold_import_of_the_cli_loads_no_heavy_modules():
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.decode().split())
     assert "vdse.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "json"}
+    assert not loaded & {"dataclasses", "heapq", "inspect", "json"}
 
 
-def test_python_m_vdse_schema_matches_run():
-    code, out, err = invoke(["schema"])
-    done = _python_m_vdse("schema")
-    assert (done.returncode, done.stdout) == (code, out.encode("utf-8"))
-
-
-def test_python_m_vdse_validate_exit_1(broken_file):
-    done = _python_m_vdse("validate", broken_file)
-    assert done.returncode == 1
-    assert b"error " in done.stdout
+def test_the_process_entry_ends_as_run_returns(tmp_path, uber_file, broken_file, monkeypatch, capsys):
+    # `python -m vdse` gives what run() gives in process, for each exit code
+    # and for more output than a pipe holds. main() freezes the heap before
+    # the process exits, and run() never does.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    mesh = tmp_path / "mesh.vdse"
+    mesh.write_text(serialize(dense_mesh(7)), encoding="utf-8")
+    unparsable = tmp_path / "bad.vdse"
+    unparsable.write_text('scenario "a"\nentity x: ZZ\n', encoding="utf-8")
+    argvs = [
+        ["schema"],
+        ["exposure", str(mesh), "--person", "p"],  # about 150 KB
+        ["validate", broken_file],
+        ["validate", str(unparsable)],
+        ["paths", uber_file, "--from", "driver", "--to", "driver"],
+        ["nonsense"],
+        ["validate", str(tmp_path / "missing.vdse")],
+    ]
+    frozen = gc.get_freeze_count()
+    given = []
+    for argv in argvs:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        given.append((code, out.encode(), err))
+        done = _python_m_vdse(*argv)
+        assert (done.returncode, done.stdout, done.stderr.decode()) == given[-1], argv
+    assert gc.get_freeze_count() == frozen
+    assert {code for code, _, _ in given} == {0, 1, 2, 3, 4}
+    assert len(given[1][1]) > 65536  # more than a Linux pipe buffer
+    hooked = _python(
+        "-c",
+        "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+        "from vdse.cli import main; main()",
+        "schema",
+    )
+    assert (hooked.returncode, hooked.stdout) == (0, given[0][1] + b"True\n")
 
 
 # -- exit codes and streams --------------------------------------------------------

@@ -542,10 +542,11 @@ except MalformedGraphError as error:
 
 def under_hash_seeds(script: str) -> list:
     """The stdout of script run in a fresh interpreter under PYTHONHASHSEED
-    1, 2 and 3."""
+    1, 2 and 3, with vdse and the test modules importable."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(vdse.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
     outputs = []
     for seed in ("1", "2", "3"):
         env["PYTHONHASHSEED"] = seed

@@ -5,7 +5,9 @@ conftest.hand_set and conftest.rekey). On it, each public query returns or raise
 AnalysisError, and gives the same on the graph with each of its maps in
 reverse insertion order; validate never raises, gives the same report on both, and reports
 an error whenever a query raised; each writer returns or raises
-MalformedGraphError, and gives the same on both.
+MalformedGraphError, and gives the same on both. With a frozenset where
+text belongs (conftest.put_frozenset), every outcome is the same under
+three hash seeds.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import hashlib
 import pytest
 
 from conftest import copy_graph, hand_set, hand_set_graph, hand_set_graphs, rekey
+from test_export import under_hash_seeds
 from vdse import builtin_schema
 from vdse.analysis import brute_force_paths, enumerate_paths, exposure_report, reachable_from
 from vdse.dsl import serialize
@@ -214,17 +217,40 @@ def test_seeded_rekeyed_graphs_keep_the_contract(batch):
 OUTCOME_DIGEST = "6101c577eb4fdf472abbe92f7b81c5dd690c2d082c4aec843c60c1cd7d8a75f4"
 
 
+def pinned_outcomes(base, graph) -> bytes:
+    """What the digest pins on graph, changed from base, written out."""
+    outcomes = [outcome(query, graph) for query in queries(base)]
+    outcomes = [
+        (returned, sorted(result, key=repr) if isinstance(result, set) else result)
+        for returned, result in outcomes
+    ]
+    outcomes.append(validate(SCHEMA, graph))
+    for writer in (serialize, graph_to_json, graph_to_dot):
+        outcomes.append(outcome(writer, graph, MalformedGraphError))
+    return repr(outcomes).encode()
+
+
 def test_outcomes_on_seeded_hand_set_graphs_are_pinned():
     digest = hashlib.sha256()
     for seed, change in ((100, hand_set), (101, hand_set), (102, rekey), (103, rekey)):
         for _, base, graph in hand_set_graphs(seed, PER_BATCH, change):
-            outcomes = [outcome(query, graph) for query in queries(base)]
-            outcomes = [
-                (returned, sorted(result, key=repr) if isinstance(result, set) else result)
-                for returned, result in outcomes
-            ]
-            outcomes.append(validate(SCHEMA, graph))
-            for writer in (serialize, graph_to_json, graph_to_dot):
-                outcomes.append(outcome(writer, graph, MalformedGraphError))
-            digest.update(repr(outcomes).encode())
+            digest.update(pinned_outcomes(base, graph))
     assert digest.hexdigest() == OUTCOME_DIGEST
+
+
+# The same outcomes, one sha per graph, on graphs with a frozenset where
+# text belongs, in a fresh interpreter under each of three hash seeds.
+FROZENSET_SWEEP = """
+import hashlib
+from conftest import hand_set_graphs, put_frozenset
+from test_fuzz import PER_BATCH, pinned_outcomes
+for seed in (300, 301, 302, 303):
+    for _, base, graph in hand_set_graphs(seed, PER_BATCH, put_frozenset):
+        print(hashlib.sha256(pinned_outcomes(base, graph)).hexdigest())
+"""
+
+
+def test_outcomes_on_frozenset_graphs_do_not_depend_on_the_hash_seed():
+    outputs = under_hash_seeds(FROZENSET_SWEEP)
+    assert len(outputs[0].split()) == 4 * PER_BATCH
+    assert outputs[0] == outputs[1] == outputs[2]
