@@ -15,17 +15,11 @@ instance graph
 path query results
     strict: [[flow ids...], ...]   lineage: [{"flows": [...], "packages": [...]}, ...]
 
-Compact instance-graph JSON is written as text, with no dict per record:
-each record is one f-string of JSON texts, and each string is encoded once
-per call (_Texts). That covers the plain shapes: every field is text,
-attributes are a dict from str keys to text, true/false or a list of text,
-and package items are a list or tuple of text. On the first value outside
-them (None, a number, a set, a key that is a str subclass, attributes that
-are not a dict, items that are a string, ...) the whole graph goes
-through the document path instead: one dict of the documented shape, built
-in full and then dumped, so the errors, and the order they come in, are
-the ones json.dumps of that document gives. The pretty form always takes
-that path.
+Instance-graph JSON has one writer, _graph_text: each record is one
+f-string of the JSON texts of its values (_Texts), written as json.dumps of
+the whole document would be, and refused alike: shape errors in document
+order, then the first value json cannot encode. The pretty form is that text
+read back and indented.
 """
 from __future__ import annotations
 
@@ -138,137 +132,104 @@ def _dump(document, pretty: bool) -> str:
     return json.dumps(document, separators=(",", ":"), ensure_ascii=False)
 
 
-def _sorted_attributes(kind: str, item) -> dict:
-    if not isinstance(item.attributes, dict):
-        raise not_a_map(f"{kind} {item.id!r}", item.attributes)
-    # key=str orders text keys as plain sorting does, and the others
-    # without raising, so that the least is reported.
-    keys = sorted(item.attributes, key=str)
-    for key in keys:
-        if not isinstance(key, str):
-            raise MalformedGraphError(
-                f"{kind} {item.id!r} attribute name {_shown(key)} is not text"
-            )
-    return {k: item.attributes[k] for k in keys}
+class _Members(dict):
+    """A JSON object read back by _object with two members of one name, as
+    json writes a hand-set {1: .., "1": ..}: json writes items(), both."""
+
+    def items(self):
+        return self.members
 
 
-def _items(package_id: str, items) -> list:
-    if not isinstance(items, (tuple, list)):
-        raise items_not_text(package_id)
-    return list(items)
+def _object(members: list) -> dict:
+    value = dict(members)
+    if len(value) < len(members):
+        value = _Members(members)
+        value.members = members
+    return value
 
 
-def _graph_document(graph: InstanceGraph) -> dict:
-    """The documented graph JSON shape as one dict, built record by record;
-    raises MalformedGraphError on attributes that are not a map, an
-    attribute name that is not text or package items that are not a list,
-    in document order."""
-    return {
-        "scenario": graph.name,
-        "entities": [
-            {
-                "id": e.id,
-                "type": type_code(e.entity_type),
-                "attributes": _sorted_attributes("entity", e),
-            }
-            for e in (graph.entities[i] for i in sorted(graph.entities))
-        ],
-        "packages": [
-            {
-                "id": p.id,
-                "description": p.description,
-                "items": _items(p.id, p.items),
-                "derives_from": list(p.derives_from),
-            }
-            for p in (graph.packages[i] for i in sorted(graph.packages))
-        ],
-        "relations": [
-            {
-                "id": r.id,
-                "relation": r.relation,
-                "source": r.source,
-                "target": r.target,
-                "attributes": _sorted_attributes("relation", r),
-            }
-            for r in (graph.relations[i] for i in sorted(graph.relations))
-        ],
-        "flows": [
-            {
-                "id": f.id,
-                "edge_type": f.edge_type,
-                "source": f.source,
-                "target": f.target,
-                "package": f.package,
-            }
-            for f in (graph.flows[i] for i in sorted(graph.flows))
-        ],
-    }
+def _indented(text: str, encoded: bool) -> str:
+    """Compact JSON text as json.dumps(..., indent=2) writes the value read
+    back, which holds no cycle; only an encoded value can repeat a name."""
+    import json
+
+    value = json.loads(text, object_pairs_hook=_object if encoded else None)
+    return json.dumps(value, indent=2, ensure_ascii=False, check_circular=False) + "\n"
 
 
-def _strings_text(values, texts: "_Texts") -> str:
-    """A list or tuple of text as a compact JSON array; TypeError otherwise."""
-    if type(values) is not list and type(values) is not tuple:
-        raise TypeError("not a plain list")
-    return "[" + ",".join([texts[v] for v in values]) + "]"
+def _strings_text(values, t: "_Texts") -> str:
+    """A list or tuple as a compact JSON array, each text item encoded once."""
+    try:
+        return "[" + ",".join(map(t.__getitem__, values)) + "]"
+    except TypeError:  # an item that is not hashable
+        return t.write(list(values))
 
 
-def _attributes_text(attributes, texts: "_Texts") -> str:
-    """An attribute map as a compact JSON object, keys sorted. Raises
-    TypeError on a map, a key or a value outside the plain shapes: a dict
-    of text keys, each to text, true/false or a list of text."""
-    if type(attributes) is not dict:
-        raise TypeError("not a plain map")
+def _map_text(kind: str, item, t: "_Texts") -> str:
+    """item's attributes as a compact JSON object, keys sorted. Raises
+    MalformedGraphError if they are not a map, or on the least name that is
+    not text: key=str sorts text as plain sorting does, and the rest without
+    raising."""
+    attributes = item.attributes
+    if not isinstance(attributes, dict):
+        raise not_a_map(f"{kind} {item.id!r}", attributes)
     members = []
-    for key in sorted(attributes):
-        if type(key) is not str:
-            raise TypeError("not a text key")
+    for key in sorted(attributes, key=str) if len(attributes) > 1 else attributes:
+        if not isinstance(key, str):
+            name = _shown(key)
+            raise MalformedGraphError(f"{kind} {item.id!r} attribute name {name} is not text")
         value = attributes[key]
-        text = (
-            "true" if value is True
-            else "false" if value is False
-            else _strings_text(value, texts) if type(value) is list
-            else texts[value]
-        )
-        members.append(f"{texts[key]}:{text}")
+        text = _strings_text(value, t) if type(value) is list else t.write(value)
+        members.append(f"{t[key]}:{text}")
     return "{" + ",".join(members) + "}"
 
 
-def _graph_text(graph: InstanceGraph, texts: "_Texts") -> str:
-    """Compact graph JSON, each record one f-string of texts. texts encodes
-    text only, so the first value outside the plain shapes raises TypeError,
-    or KeyError for an entity type that is not an EntityType."""
-    t, encode = texts, texts.encode
+def _items_text(package, t: "_Texts") -> str:
+    """A package's items as a compact JSON array, if a list or a tuple."""
+    if not isinstance(package.items, (tuple, list)):
+        raise items_not_text(package.id)
+    return _strings_text(package.items, t)
+
+
+def _graph_text(graph: InstanceGraph, t: "_Texts") -> str:
+    """Compact graph JSON, each record one f-string of texts. Raises the
+    shape errors, MalformedGraphError, in document order; the first value
+    json cannot encode is left in t.error."""
+    quote, text = t.quote, t.__getitem__
     types = {entity_type: t[entity_type.value] for entity_type in EntityType}
     # Entity and package ids recur as endpoints, packages and derivations:
     # their texts go into the memo in one pass. Relation and flow ids occur
     # once each, and are encoded where they are written.
     entity_ids, package_ids = sorted(graph.entities), sorted(graph.packages)
-    t.update(zip(entity_ids, map(encode, entity_ids)))
-    t.update(zip(package_ids, map(encode, package_ids)))
+    t.update(zip(entity_ids, map(quote, entity_ids)))
+    t.update(zip(package_ids, map(quote, package_ids)))
+    # An empty map or list is written without a call.
     entities = ",".join([
-        f'{{"id":{t[e.id]},"type":{types[e.entity_type]},"attributes":'
-        f'{"{}" if e.attributes == {} else _attributes_text(e.attributes, t)}}}'
+        f'{{"id":{t[e.id]},"type":{types[et] if type(et) is EntityType else t[type_code(et)]},'
+        f'"attributes":{"{}" if not a and type(a) is dict else _map_text("entity", e, t)}}}'
         for e in map(graph.entities.__getitem__, entity_ids)
+        for et, a in ((e.entity_type, e.attributes),)
     ])
     packages = ",".join([
-        f'{{"id":{t[p.id]},"description":{t[p.description]},'
-        f'"items":{"[]" if p.items == [] else _strings_text(p.items, t)},'
-        f'"derives_from":[{",".join([t[a] for a in p.derives_from])}]}}'
+        f'{{"id":{t[p.id]},"description":{t.write(p.description)},'
+        f'"items":{"[]" if not p.items and type(p.items) is list else _items_text(p, t)},'
+        f'"derives_from":[{",".join(map(text, p.derives_from))}]}}'
         for p in map(graph.packages.__getitem__, package_ids)
     ])
     relations = ",".join([
-        f'{{"id":{encode(r.id)},"relation":{t[r.relation]},"source":{t[r.source]},'
-        f'"target":{t[r.target]},"attributes":'
-        f'{"{}" if r.attributes == {} else _attributes_text(r.attributes, t)}}}'
+        f'{{"id":{quote(r.id)},"relation":{t[r.relation]},"source":{t[r.source]},'
+        f'"target":{t[r.target]},'
+        f'"attributes":{"{}" if not a and type(a) is dict else _map_text("relation", r, t)}}}'
         for r in map(graph.relations.__getitem__, sorted(graph.relations))
+        for a in (r.attributes,)
     ])
     flows = ",".join([
-        f'{{"id":{encode(f.id)},"edge_type":{t[f.edge_type]},"source":{t[f.source]},'
+        f'{{"id":{quote(f.id)},"edge_type":{t[f.edge_type]},"source":{t[f.source]},'
         f'"target":{t[f.target]},"package":{t[f.package]}}}'
         for f in map(graph.flows.__getitem__, sorted(graph.flows))
     ])
     return (
-        f'{{"scenario":{t[graph.name]},"entities":[{entities}],"packages":[{packages}],'
+        f'{{"scenario":{t.write(graph.name)},"entities":[{entities}],"packages":[{packages}],'
         f'"relations":[{relations}],"flows":[{flows}]}}'
     )
 
@@ -276,18 +237,11 @@ def _graph_text(graph: InstanceGraph, texts: "_Texts") -> str:
 def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
     """Render a scenario as a stable JSON document, all sections sorted by id."""
     check_references(graph)
-    if not pretty:
-        from json.encoder import encode_basestring
-
-        try:
-            return _graph_text(graph, _Texts(encode_basestring))
-        except (TypeError, KeyError):
-            pass  # a value outside the plain shapes: the document decides
-    document = _graph_document(graph)
-    try:
-        return _dump(document, pretty)
-    except (TypeError, ValueError) as error:  # a hand-set value json cannot encode
-        raise MalformedGraphError(f"scenario cannot be written as JSON: {error}") from None
+    texts = _Texts()
+    text = _graph_text(graph, texts)
+    if texts.error is not None:  # a hand-set value json cannot encode
+        raise MalformedGraphError(f"scenario cannot be written as JSON: {texts.error}")
+    return _indented(text, texts.encoded) if pretty else text
 
 
 def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = False) -> str:
@@ -328,20 +282,38 @@ def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = F
 
 
 class _Texts(dict):
-    """The JSON text of each value looked up, encoded once. Only text and
-    tuples of text are kept: 1 == True, but JSON writes them apart."""
+    """The compact JSON text of each value looked up, as json.dumps writes
+    it: text by encode_basestring, any other value by the encoder (encoded).
+    Only text and tuples of text are kept: 1 == True, but JSON writes them
+    apart. The first value json cannot encode is kept in error and written
+    as null, so that a writer meets every shape error first."""
 
-    __slots__ = ("encode",)
+    __slots__ = ("quote", "encode", "error", "encoded")
 
-    def __init__(self, encode):
-        super().__init__()
-        self.encode = encode
+    def __init__(self):
+        from json.encoder import JSONEncoder, encode_basestring
+
+        self.quote = encode_basestring
+        self.encode = JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+        self.error, self.encoded = None, False
 
     def __missing__(self, value) -> str:
-        text = self.encode(value)
-        if type(value) is str or type(value) is tuple and all(type(v) is str for v in value):
+        if type(value) is str:
+            self[value] = text = self.quote(value)
+            return text
+        self.encoded = True
+        try:
+            text = self.encode(value)
+        except (TypeError, ValueError) as error:
+            self.error = self.error or error
+            return "null"
+        if type(value) is tuple and all(type(v) is str for v in value):
             self[value] = text
         return text
+
+    def write(self, value) -> str:
+        """The text of any value, hashable or not."""
+        return self[value] if type(value) is str else self.__missing__(value)
 
 
 def _traces_text(traces: list, texts: _Texts) -> str:
@@ -368,31 +340,19 @@ def _traces_text(traces: list, texts: _Texts) -> str:
 
 def paths_to_json(results: list, pretty: bool = False) -> str:
     """Render path query results: arrays of flow ids for strict paths,
-    {flows, packages} objects for lineage traces.
-
-    The pretty form is one _dump of the documented list. In the compact
-    form, each run of results of one type is written on its own and the
-    runs are joined: strict paths by one encoder call, lineage traces by
-    _traces_text."""
-    import json
-
+    {flows, packages} objects for lineage traces. Each run of one result
+    type is written on its own, lineage traces by _traces_text."""
     runs = [(kind, list(run)) for kind, run in groupby(results, type)]
     for kind, _ in runs:
         if not issubclass(kind, (Path, LineageTrace)):
             raise TypeError(f"unsupported result type {kind.__name__}")
-    if pretty:
-        return _dump(
-            [
-                result.flow_ids if issubclass(kind, Path)
-                else {"flows": result.flow_ids, "packages": result.package_ids}
-                for kind, run in runs
-                for result in run
-            ],
-            True,
+    texts, written = _Texts(), []
+    for kind, run in runs:
+        written.append(
+            texts.encode([p.flow_ids for p in run])[1:-1] if issubclass(kind, Path)
+            else _traces_text(run, texts)
         )
-    texts = _Texts(json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode)
-    return "[" + ",".join(
-        texts.encode([p.flow_ids for p in run])[1:-1] if issubclass(kind, Path)
-        else _traces_text(run, texts)
-        for kind, run in runs
-    ) + "]"
+        if texts.error is not None:  # before a later run raises its own
+            raise texts.error
+    text = "[" + ",".join(written) + "]"
+    return _indented(text, True) if pretty else text

@@ -297,7 +297,7 @@ def _check_relations(relations: list, out: list) -> None:
         is_map = _is_map(relation, out)
         if relation.relation == "occupy":
             role = relation.attributes.get("role") if is_map else None
-            if role not in _OCCUPY_ROLES:
+            if not _names(_OCCUPY_ROLES, role):  # a hand-set list is no role
                 detail = "has no 'role'" if role is None else f"has invalid role {_shown(role)}"
                 out.append(
                     Violation(

@@ -1,12 +1,16 @@
 """Shared fixtures and graph generators for the test suite."""
 from __future__ import annotations
 
+import os
 import random
 import string
+import subprocess
+import sys
 
 import pytest
 from hypothesis import strategies as st
 
+import vdse
 from vdse import builtin_schema, new_scenario
 from vdse.analysis import LineageTrace
 from vdse.graph import DataPackage, FlowInstance, InstanceGraph
@@ -194,6 +198,25 @@ def hand_set_graphs(seed: int, count: int, change=hand_set):
         base = rng.choice(bases)
         graph = copy_graph(base)
         yield change(rng, graph), base, graph
+
+
+def under_hash_seeds(script: str) -> list:
+    """The stdout of script run in a fresh interpreter under PYTHONHASHSEED
+    1, 2 and 3, with vdse and the test modules importable."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(vdse.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env["PYTHONHASHSEED"] = seed
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    return outputs
 
 
 def sample_pairs(graph, seed: int, limit: int = 8):

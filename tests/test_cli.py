@@ -99,6 +99,21 @@ def test_validate_warnings_go_to_stderr_and_exit_0(tmp_path):
     assert "0 error(s), 1 warning(s)" in out
 
 
+def test_validate_reports_a_list_role_and_exits_1(tmp_path):
+    path = tmp_path / "listed.vdse"
+    path.write_text(
+        'scenario "listed"\n'
+        "entity d: P\n"
+        "entity c: V\n"
+        'relation r1: occupy d -> c {role = ["driver"]}\n',
+        encoding="utf-8",
+    )
+    ran = _python_m_vdse("validate", str(path))
+    assert ran.returncode == 1
+    assert b"has invalid role ['driver']" in ran.stdout
+    assert b"Traceback" not in ran.stdout + ran.stderr
+
+
 def test_validate_json_document(broken_file):
     code, out, err = invoke(["validate", broken_file, "--json"])
     assert code == 1

@@ -4,15 +4,13 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
+from collections import UserList
+from types import MappingProxyType
 
 import pytest
 
-import vdse
-from conftest import build_random_graph, hand_set, hand_set_graphs, rekey
+from conftest import build_random_graph, hand_set, hand_set_graphs, rekey, under_hash_seeds
 from vdse.analysis import LineageTrace, Path, enumerate_paths, exposure_report
 from vdse.errors import MalformedGraphError
 from vdse.export import (
@@ -295,12 +293,11 @@ def test_graph_writers_write_the_pinned_bytes():
     assert digest.hexdigest() == WRITTEN_SHA256
 
 
-def graph_document_json(graph) -> str:
-    """Compact graph JSON as one json.dumps of the documented document,
-    built here from the records: the text graph_to_json must write, byte
-    for byte, or the MalformedGraphError it must raise. The reference check
-    comes first, then the attribute maps and item lists in document order,
-    then the encoder."""
+def graph_document(graph) -> dict:
+    """The documented graph JSON shape as one dict, built here from the
+    records. Raises the MalformedGraphError graph_to_json must raise for a
+    shape error: the reference check comes first, then the attribute maps
+    and item lists in document order."""
     check_references(graph)
 
     def attributes(kind: str, item) -> dict:
@@ -327,7 +324,7 @@ def graph_document_json(graph) -> str:
     def rows(table: dict) -> list:
         return [table[key] for key in sorted(table)]
 
-    document = {
+    return {
         "scenario": graph.name,
         "entities": [
             {"id": e.id, "type": type_of(e), "attributes": attributes("entity", e)}
@@ -363,7 +360,16 @@ def graph_document_json(graph) -> str:
             for f in rows(graph.flows)
         ],
     }
+
+
+def graph_document_json(graph, pretty: bool = False) -> str:
+    """Graph JSON as one json.dumps of graph_document: the text
+    graph_to_json must write, byte for byte, or the MalformedGraphError it
+    must raise; shape errors come before the encoder's."""
+    document = graph_document(graph)
     try:
+        if pretty:
+            return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
         return json.dumps(document, separators=(",", ":"), ensure_ascii=False)
     except (TypeError, ValueError) as error:
         raise MalformedGraphError(f"scenario cannot be written as JSON: {error}") from None
@@ -378,6 +384,14 @@ def assert_json_is_the_document(graph, what="") -> None:
         assert str(exc.value) == str(error), what
     else:
         assert graph_to_json(graph).encode() == want.encode(), what
+    try:
+        want = graph_document_json(graph, pretty=True)
+    except MalformedGraphError as error:
+        with pytest.raises(MalformedGraphError) as exc:
+            graph_to_json(graph, pretty=True)
+        assert str(exc.value) == str(error), what
+    else:
+        assert graph_to_json(graph, pretty=True).encode() == want.encode(), what
 
 
 class Text(str):
@@ -408,6 +422,16 @@ JSON_SHAPES = {
     "attribute_value_list_of_ints": lambda g: g.entities["a"].attributes.update(t=[1, 2]),
     "attribute_value_map": lambda g: g.entities["a"].attributes.update(t={"k": "v"}),
     "attribute_value_set": lambda g: g.entities["a"].attributes.update(t={"x"}),
+    "attribute_value_a_map_with_keys_written_alike": lambda g: g.entities["a"].attributes.update(
+        t={1: "a", "1": "b"}
+    ),
+    "attribute_value_a_map_with_a_frozenset_key": lambda g: g.entities["a"].attributes.update(
+        t={frozenset("k"): "v"}
+    ),
+    "attributes_not_a_map_after_a_value_that_cannot_be_written": lambda g: (
+        g.entities["a"].attributes.update(t={"x"}),
+        setattr(g.relations["r"], "attributes", None),
+    ),
     "attribute_value_a_subclass": lambda g: g.entities["a"].attributes.update(t=Text("v")),
     "attribute_key_a_subclass": lambda g: g.entities["a"].attributes.update({Text("k"): "v"}),
     "attribute_key_int": lambda g: g.entities["a"].attributes.update({1: "v"}),
@@ -422,6 +446,9 @@ JSON_SHAPES = {
         g.entities["a"], "attributes", type("Map", (dict,), {})(k="v")
     ),
     "attributes_none": lambda g: setattr(g.relations["r"], "attributes", None),
+    "attributes_empty_but_not_a_dict": lambda g: setattr(
+        g.relations["r"], "attributes", MappingProxyType({})
+    ),
     "entity_type_as_text": lambda g: setattr(g.entities["a"], "entity_type", "P"),
     "entity_type_a_set": lambda g: setattr(g.entities["a"], "entity_type", {"P"}),
     "entity_type_int": lambda g: setattr(g.entities["a"], "entity_type", 7),
@@ -430,6 +457,7 @@ JSON_SHAPES = {
     "items_a_tuple": lambda g: setattr(g.packages["d"], "items", ("i1", "i2")),
     "items_of_ints": lambda g: setattr(g.packages["d"], "items", [1, 2]),
     "items_none": lambda g: setattr(g.packages["d"], "items", None),
+    "items_empty_but_not_a_list": lambda g: setattr(g.packages["d"], "items", UserList()),
     "derives_from_a_list": lambda g: (
         g.add_package(DataPackage("e")), setattr(g.packages["d"], "derives_from", ["e"])
     ),
@@ -502,6 +530,22 @@ def test_graph_json_memory_holds_the_text_not_a_document():
     assert peak < 2.1e6
 
 
+@pytest.fixture(scope="module")
+def hash_seed_outputs() -> dict:
+    """The stdout of each hash-seed script below under PYTHONHASHSEED 1, 2
+    and 3, by name. The scripts run one after another, each in a namespace
+    of its own, in one interpreter per seed; a form feed ends each output."""
+    scripts = {
+        "set_values": SET_VALUES_SCRIPT,
+        "frozenset_ids": FROZENSET_IDS_SCRIPT,
+        "hand_set_messages": HAND_SET_MESSAGES_SCRIPT,
+    }
+    runner = "".join(f"exec({script!r}, {{}})\nprint('\\f')\n" for script in scripts.values())
+    sections = [output.split("\f\n") for output in under_hash_seeds(runner)]
+    assert all(len(parts) == len(scripts) + 1 for parts in sections)
+    return {name: [parts[k] for parts in sections] for k, name in enumerate(scripts)}
+
+
 SET_VALUES_SCRIPT = """
 from vdse.analysis import enumerate_paths
 from vdse.dsl import serialize
@@ -540,27 +584,8 @@ except MalformedGraphError as error:
 """
 
 
-def under_hash_seeds(script: str) -> list:
-    """The stdout of script run in a fresh interpreter under PYTHONHASHSEED
-    1, 2 and 3, with vdse and the test modules importable."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(vdse.__file__))
-    tests = os.path.dirname(os.path.abspath(__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
-    outputs = []
-    for seed in ("1", "2", "3"):
-        env["PYTHONHASHSEED"] = seed
-        run = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert run.returncode == 0, run.stderr
-        outputs.append(run.stdout)
-    return outputs
-
-
-def test_set_values_are_written_alike_under_every_hash_seed():
-    outputs = under_hash_seeds(SET_VALUES_SCRIPT)
+def test_set_values_are_written_alike_under_every_hash_seed(hash_seed_outputs):
+    outputs = hash_seed_outputs["set_values"]
     assert outputs[0] == outputs[1] == outputs[2]
     assert '"driver" [label="driver : {\'DA\', \'P\', \'V\'}"];' in outputs[0]
     assert '"type":"{\'DA\', \'P\', \'V\'}"' in outputs[0]
@@ -606,8 +631,8 @@ report(derived)
 """
 
 
-def test_frozenset_ids_are_written_alike_under_every_hash_seed():
-    outputs = under_hash_seeds(FROZENSET_IDS_SCRIPT)
+def test_frozenset_ids_are_written_alike_under_every_hash_seed(hash_seed_outputs):
+    outputs = hash_seed_outputs["frozenset_ids"]
     assert outputs[0] == outputs[1] == outputs[2]
     key = "frozenset({'a', 'b', 'c'})"
     assert f"flow id {key} is not text, and not every flow id is an integer" in outputs[0]
@@ -681,8 +706,8 @@ for v in validate(builtin_schema(), keyed).violations:
 """
 
 
-def test_hand_set_values_in_messages_are_written_alike_under_every_hash_seed():
-    outputs = under_hash_seeds(HAND_SET_MESSAGES_SCRIPT)
+def test_hand_set_values_in_messages_are_written_alike_under_every_hash_seed(hash_seed_outputs):
+    outputs = hash_seed_outputs["hand_set_messages"]
     assert outputs[0] == outputs[1] == outputs[2]
     key = "frozenset({'p', 'q', 'r'})"
     assert f"flow 'x' references unknown entity {key}" in outputs[0]

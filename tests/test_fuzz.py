@@ -15,8 +15,7 @@ import hashlib
 
 import pytest
 
-from conftest import copy_graph, hand_set, hand_set_graph, hand_set_graphs, rekey
-from test_export import under_hash_seeds
+from conftest import copy_graph, hand_set, hand_set_graph, hand_set_graphs, rekey, under_hash_seeds
 from vdse import builtin_schema
 from vdse.analysis import brute_force_paths, enumerate_paths, exposure_report, reachable_from
 from vdse.dsl import serialize

@@ -175,6 +175,23 @@ def test_role_missing_and_invalid(schema):
     assert 'expected "driver" or "passenger"' in by_subject["r1"]
 
 
+def test_a_role_that_is_not_hashable_is_an_invalid_role(schema):
+    graph = (
+        new_scenario("t")
+        .add_entity("p", "P")
+        .add_entity("car", "V")
+        .add_semantic_relation("r1", "occupy", "p", "car", {"role": ["driver"]})
+    )
+    assert validate(schema, graph).violations == [
+        (
+            ViolationCode.ROLE_MISSING,
+            "r1",
+            "occupy relation 'r1' has invalid role ['driver']; "
+            'expected "driver" or "passenger"',
+        )
+    ]
+
+
 def test_part_of_cycle(schema):
     graph = (
         new_scenario("t")
