@@ -148,12 +148,12 @@ def _object(members: list) -> dict:
     return value
 
 
-def _indented(text: str, encoded: bool) -> str:
+def _indented(text: str) -> str:
     """Compact JSON text as json.dumps(..., indent=2) writes the value read
-    back, which holds no cycle; only an encoded value can repeat a name."""
+    back, which holds no cycle; _object keeps a name that repeats."""
     import json
 
-    value = json.loads(text, object_pairs_hook=_object if encoded else None)
+    value = json.loads(text, object_pairs_hook=_object)
     return json.dumps(value, indent=2, ensure_ascii=False, check_circular=False) + "\n"
 
 
@@ -166,10 +166,9 @@ def _strings_text(values, t: "_Texts") -> str:
 
 
 def _map_text(kind: str, item, t: "_Texts") -> str:
-    """item's attributes as a compact JSON object, keys sorted. Raises
-    MalformedGraphError if they are not a map, or on the least name that is
-    not text: key=str sorts text as plain sorting does, and the rest without
-    raising."""
+    """item's attributes as a compact JSON object, names sorted. Raises
+    MalformedGraphError if they are not a map, or on the least name that is not
+    text (key=str sorts text as plain sorting does, and the rest without raising)."""
     attributes = item.attributes
     if not isinstance(attributes, dict):
         raise not_a_map(f"{kind} {item.id!r}", attributes)
@@ -179,7 +178,8 @@ def _map_text(kind: str, item, t: "_Texts") -> str:
             name = _shown(key)
             raise MalformedGraphError(f"{kind} {item.id!r} attribute name {name} is not text")
         value = attributes[key]
-        text = _strings_text(value, t) if type(value) is list else t.write(value)
+        text = ("true" if value is True else "false" if value is False
+                else _strings_text(value, t) if type(value) is list else t.write(value))
         members.append(f"{t[key]}:{text}")
     return "{" + ",".join(members) + "}"
 
@@ -196,6 +196,7 @@ def _graph_text(graph: InstanceGraph, t: "_Texts") -> str:
     shape errors, MalformedGraphError, in document order; the first value
     json cannot encode is left in t.error."""
     quote, text = t.quote, t.__getitem__
+    name = t.write(graph.name)  # first in the document, so its error comes first
     types = {entity_type: t[entity_type.value] for entity_type in EntityType}
     # Entity and package ids recur as endpoints, packages and derivations:
     # their texts go into the memo in one pass. Relation and flow ids occur
@@ -229,7 +230,7 @@ def _graph_text(graph: InstanceGraph, t: "_Texts") -> str:
         for f in map(graph.flows.__getitem__, sorted(graph.flows))
     ])
     return (
-        f'{{"scenario":{t.write(graph.name)},"entities":[{entities}],"packages":[{packages}],'
+        f'{{"scenario":{name},"entities":[{entities}],"packages":[{packages}],'
         f'"relations":[{relations}],"flows":[{flows}]}}'
     )
 
@@ -241,7 +242,7 @@ def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
     text = _graph_text(graph, texts)
     if texts.error is not None:  # a hand-set value json cannot encode
         raise MalformedGraphError(f"scenario cannot be written as JSON: {texts.error}")
-    return _indented(text, texts.encoded) if pretty else text
+    return _indented(text) if pretty else text
 
 
 def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = False) -> str:
@@ -283,25 +284,24 @@ def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = F
 
 class _Texts(dict):
     """The compact JSON text of each value looked up, as json.dumps writes
-    it: text by encode_basestring, any other value by the encoder (encoded).
+    it: text by encode_basestring, any other value by the encoder.
     Only text and tuples of text are kept: 1 == True, but JSON writes them
     apart. The first value json cannot encode is kept in error and written
     as null, so that a writer meets every shape error first."""
 
-    __slots__ = ("quote", "encode", "error", "encoded")
+    __slots__ = ("quote", "encode", "error")
 
     def __init__(self):
         from json.encoder import JSONEncoder, encode_basestring
 
         self.quote = encode_basestring
         self.encode = JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-        self.error, self.encoded = None, False
+        self.error = None
 
     def __missing__(self, value) -> str:
         if type(value) is str:
             self[value] = text = self.quote(value)
             return text
-        self.encoded = True
         try:
             text = self.encode(value)
         except (TypeError, ValueError) as error:
@@ -355,4 +355,4 @@ def paths_to_json(results: list, pretty: bool = False) -> str:
         if texts.error is not None:  # before a later run raises its own
             raise texts.error
     text = "[" + ",".join(written) + "]"
-    return _indented(text, True) if pretty else text
+    return _indented(text) if pretty else text

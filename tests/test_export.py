@@ -413,6 +413,10 @@ JSON_SHAPES = {
     "name_none": lambda g: setattr(g, "name", None),
     "name_int": lambda g: setattr(g, "name", 5),
     "name_a_subclass": lambda g: setattr(g, "name", Text("x")),
+    "name_a_set_before_a_value_that_cannot_be_written": lambda g: (
+        setattr(g, "name", {"x"}),
+        g.entities["a"].attributes.update(t=frozenset("y")),
+    ),
     "attribute_value_int": lambda g: g.entities["a"].attributes.update(n=1),
     "attribute_value_float": lambda g: g.entities["a"].attributes.update(n=1.5),
     "attribute_value_nan": lambda g: g.entities["a"].attributes.update(n=float("nan")),
