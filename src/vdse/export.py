@@ -20,12 +20,23 @@ f-string of the JSON texts of its values (_Texts), written as json.dumps of
 the whole document would be, and refused alike: shape errors in document
 order, then the first value json cannot encode. The pretty form is that text
 read back and indented.
+
+Path results and exposure reports share one writer for runs of id
+sequences, _id_arrays. It checks a run once, over its distinct ids: every
+sequence a non-empty tuple or list, every id text that json writes as
+itself in quotes. Then each sequence is written by '","'.join and the run by
+one more join, with no per-result f-string. A run it refuses goes through
+the encoder; an exposure report that holds other records than its own, or
+a value json cannot encode, is built as the document and left to json.dumps,
+so both writers write, or refuse, what json.dumps of the documented shape
+would. Their pretty forms are indented from the compact text, as above.
 """
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import chain, groupby
+from operator import attrgetter
 
-from vdse.analysis import ExposureReport, LineageTrace, Path
+from vdse.analysis import AggregationPoint, ExposureReport, LineageTrace, Path, SinkExposure
 from vdse.errors import MalformedGraphError
 from vdse.graph import InstanceGraph
 from vdse.schema import EntityType, _Record, _gvquote, _shown, type_code
@@ -245,8 +256,37 @@ def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
     return _indented(text) if pretty else text
 
 
+def _exposure_text(report: ExposureReport, t: "_Texts") -> "str | None":
+    """Compact exposure report JSON: each sink's paths by _paths_text, every
+    other value through t; the first value json cannot encode is left in
+    t.error. None if the sinks, their paths or the aggregation points are
+    not tuples or lists of their own records."""
+    sinks, points = report.sinks, report.aggregation_points
+    if not (
+        {type(sinks), type(points)} <= _SEQUENCES
+        and set(map(type, sinks)) <= {SinkExposure}
+        and set(map(type, points)) <= {AggregationPoint}
+        and all(type(s.paths) in _SEQUENCES and set(map(type, s.paths)) <= {Path} for s in sinks)
+    ):
+        return None
+    write = t.write
+    person = write(report.person)
+    sinks_text = ",".join([
+        f'{{"id":{write(s.sink)},"type":{write(s.sink_type)},'
+        f'"paths":[{_paths_text(s.paths, t)}],"packages":{write(s.packages)}}}'
+        for s in sinks
+    ])
+    points_text = ",".join([
+        f'{{"id":{write(a.entity)},"path_count":{write(a.path_count)}}}' for a in points
+    ])
+    return f'{{"person":{person},"sinks":[{sinks_text}],"aggregation_points":[{points_text}]}}'
+
+
 def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = False) -> str:
-    """Render a validation or exposure report as its documented JSON shape."""
+    """Render a validation or exposure report as its documented JSON shape.
+    An exposure report is written by _exposure_text; one it refuses, or
+    with a value json cannot encode, is built as the document and written,
+    or refused, by json.dumps."""
     if isinstance(report, ValidationReport):
         document = {
             "scenario": report.scenario,
@@ -261,6 +301,10 @@ def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = F
             ],
         }
     elif isinstance(report, ExposureReport):
+        texts = _Texts()
+        text = _exposure_text(report, texts)
+        if text is not None and texts.error is None:
+            return _indented(text) if pretty else text
         document = {
             "person": report.person,
             "sinks": [
@@ -285,9 +329,9 @@ def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = F
 class _Texts(dict):
     """The compact JSON text of each value looked up, as json.dumps writes
     it: text by encode_basestring, any other value by the encoder.
-    Only text and tuples of text are kept: 1 == True, but JSON writes them
-    apart. The first value json cannot encode is kept in error and written
-    as null, so that a writer meets every shape error first."""
+    Only text is kept: 1 == True, but JSON writes them apart. The first
+    value json cannot encode is kept in error and written as null, so that
+    a writer meets every shape error first."""
 
     __slots__ = ("quote", "encode", "error")
 
@@ -303,45 +347,73 @@ class _Texts(dict):
             self[value] = text = self.quote(value)
             return text
         try:
-            text = self.encode(value)
+            return self.encode(value)
         except (TypeError, ValueError) as error:
             self.error = self.error or error
             return "null"
-        if type(value) is tuple and all(type(v) is str for v in value):
-            self[value] = text
-        return text
 
     def write(self, value) -> str:
         """The text of any value, hashable or not."""
         return self[value] if type(value) is str else self.__missing__(value)
 
 
-def _traces_text(traces: list, texts: _Texts) -> str:
-    """Lineage traces as comma-separated JSON objects, each one f-string of
-    memoized id and package-sequence texts. A run with a trace whose flow
-    ids are not a tuple, or hold a value that is not hashable, goes through
-    the encoder as the objects its traces stand for, so it is written, or
-    refused, as json.dumps of the documented shape would."""
+_SEQUENCES = {tuple, list}
+_FLOW_IDS, _PACKAGE_IDS = attrgetter("flow_ids"), attrgetter("package_ids")
+
+
+def _id_arrays(sequences: list):
+    """The inside of each id sequence's JSON array, '","'.join(sequence),
+    when json writes every id as itself in quotes: each sequence is a
+    non-empty tuple or list, and each distinct id is text with no '"', no
+    '\\' and nothing str.isprintable() rejects (every character json
+    escapes, and a few it writes raw, such as U+007F). None otherwise, and
+    for an empty run: the encoder writes that run."""
+    if not set(map(type, sequences)) <= _SEQUENCES or not all(sequences):
+        return None
     try:
-        written = [
-            f'{{"flows":[{",".join(map(texts.__getitem__, flows))}],'
-            f'"packages":{texts[packages]}}}'
-            for flows, packages in traces
-            if type(flows) is tuple
-        ]
-        if len(written) == len(traces):
-            return ",".join(written)
-    except (TypeError, ValueError):
-        pass
-    return texts.encode(
-        [{"flows": t.flow_ids, "packages": t.package_ids} for t in traces]
-    )[1:-1]
+        ids = set(chain.from_iterable(sequences))
+    except TypeError:  # an id that is not hashable
+        return None
+    if set(map(type, ids)) != {str}:
+        return None
+    probe = "".join(ids)
+    if '"' in probe or "\\" in probe or not probe.isprintable():
+        return None
+    return map('","'.join, sequences)
+
+
+def _paths_text(paths, t: _Texts) -> str:
+    """Strict paths as comma-separated JSON arrays of flow ids, by one join
+    over _id_arrays; a run it refuses is written by t as the arrays."""
+    flow_ids = list(map(_FLOW_IDS, paths))
+    arrays = _id_arrays(flow_ids)
+    if arrays is None:
+        return t.write(flow_ids)[1:-1]
+    return '["' + '"],["'.join(arrays) + '"]'
+
+
+def _traces_text(traces: list, t: _Texts) -> str:
+    """Lineage traces as comma-separated JSON objects, by joins alone: each
+    trace's flow and package arrays from _id_arrays, paired by zip. A run
+    either of them refuses is written by t as the objects its traces stand
+    for, so it is written, or refused, as json.dumps of the documented shape
+    would."""
+    flows = _id_arrays(list(map(_FLOW_IDS, traces)))
+    packages = _id_arrays(list(map(_PACKAGE_IDS, traces)))
+    if flows is None or packages is None:
+        return t.write(
+            [{"flows": trace.flow_ids, "packages": trace.package_ids} for trace in traces]
+        )[1:-1]
+    pairs = '"]},{"flows":["'.join(map('"],"packages":["'.join, zip(flows, packages)))
+    return '{"flows":["' + pairs + '"]}'
 
 
 def paths_to_json(results: list, pretty: bool = False) -> str:
     """Render path query results: arrays of flow ids for strict paths,
     {flows, packages} objects for lineage traces. Each run of one result
-    type is written on its own, lineage traces by _traces_text."""
+    type is written on its own, strict paths by _paths_text and lineage
+    traces by _traces_text: joins of the ids' texts where every id is plain
+    text, else the encoder's text of the run."""
     runs = [(kind, list(run)) for kind, run in groupby(results, type)]
     for kind, _ in runs:
         if not issubclass(kind, (Path, LineageTrace)):
@@ -349,8 +421,7 @@ def paths_to_json(results: list, pretty: bool = False) -> str:
     texts, written = _Texts(), []
     for kind, run in runs:
         written.append(
-            texts.encode([p.flow_ids for p in run])[1:-1] if issubclass(kind, Path)
-            else _traces_text(run, texts)
+            _paths_text(run, texts) if issubclass(kind, Path) else _traces_text(run, texts)
         )
         if texts.error is not None:  # before a later run raises its own
             raise texts.error

@@ -6,12 +6,20 @@ import hashlib
 import json
 import tracemalloc
 from collections import UserList
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 
 from conftest import build_random_graph, hand_set, hand_set_graphs, rekey, under_hash_seeds
-from vdse.analysis import LineageTrace, Path, enumerate_paths, exposure_report
+from vdse.analysis import (
+    AggregationPoint,
+    ExposureReport,
+    LineageTrace,
+    Path,
+    SinkExposure,
+    enumerate_paths,
+    exposure_report,
+)
 from vdse.errors import MalformedGraphError
 from vdse.export import (
     ExportOptions,
@@ -141,6 +149,10 @@ class SubPath(Path):
     pass
 
 
+class SubStr(str):
+    pass
+
+
 def bundled_results(mode: str) -> list:
     graph = load_scenario("uber")
     pairs = (("driver", "uber"), ("passenger1", "uber"), ("driver", "dashcam_cloud"))
@@ -181,6 +193,23 @@ PATHS_JSON_ROWS = {
     ],
     "extra_field": lambda: [tuple.__new__(LineageTrace, (("f",), ("p",), "extra"))],
     "unencodable_id": lambda: [LineageTrace(("f",), ("p",)), LineageTrace((object(),), ("p",))],
+    # Rows at the edge of the joined-text check: each must be written as
+    # the encoder writes it.
+    "empty_flow_tuple": lambda: [
+        LineageTrace(("f",), ("p",)), LineageTrace((), ()), Path((), ("a",)), Path(("g",), ("a",))
+    ],
+    # json writes U+007F and U+0085 raw, but str.isprintable() rejects them.
+    "delete_and_next_line": lambda: [
+        LineageTrace(("f\x7f",), ("p",)), LineageTrace(("g",), ("p\x85",)), Path(("\x85",), ("a",))
+    ],
+    "quote_without_backslash": lambda: [
+        LineageTrace(('say "hi"',), ("p",)), Path(('"',), ("a", "b")), LineageTrace(("f",), ('"',))
+    ],
+    "str_subclass_id": lambda: [
+        LineageTrace((SubStr("f"),), ("p",)),
+        LineageTrace(("g",), (SubStr('q"'),)),
+        Path((SubStr("h"), "i"), ("a", "b", "c")),
+    ],
     "non_record": lambda: [Path(("f",), ("a", "b")), "f"],
     "non_record_after_unencodable_id": lambda: [LineageTrace((object(),), ("p",)), 5],
 }
@@ -210,6 +239,129 @@ def test_pretty_paths_json_keeps_every_key():
     assert members == [
         [("flows", [[("1", "a"), ("1", "b")]]), ("packages", ["p"])]
     ]
+
+
+def report_document_json(report: ExposureReport, pretty: bool = False) -> str:
+    """An exposure report as one json.dumps of the documented shape: the
+    text report_to_json must write, byte for byte, or the error it must
+    raise."""
+    document = {
+        "person": report.person,
+        "sinks": [
+            {
+                "id": s.sink,
+                "type": s.sink_type,
+                "paths": [p.flow_ids for p in s.paths],
+                "packages": s.packages,
+            }
+            for s in report.sinks
+        ],
+        "aggregation_points": [
+            {"id": a.entity, "path_count": a.path_count} for a in report.aggregation_points
+        ],
+    }
+    if pretty:
+        return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    return json.dumps(document, separators=(",", ":"), ensure_ascii=False)
+
+
+def integer_flow_id_report() -> ExposureReport:
+    """The report of a graph whose flow ids are all integers."""
+    graph = tiny_graph().add_entity("c", "O")
+    graph.add_flow("g", "E1", "b", "c", "d")
+    graph.flows = {
+        number: FlowInstance(number, flow.edge_type, flow.source, flow.target, flow.package)
+        for number, flow in zip((2, 10), graph.flows.values())
+    }
+    return exposure_report(graph, "a")
+
+
+def sink(sink_id="s", paths=(("f",),), packages=("p",), sink_type="O") -> SinkExposure:
+    paths = tuple(Path(flow_ids, ("a",) * (len(flow_ids) + 1)) for flow_ids in paths)
+    return SinkExposure(sink_id, sink_type, paths, packages)
+
+
+SPECIAL_IDS = (
+    'q"uote', "back\\slash", "a\nb", "\x01\x1f", " ", "del\x7f", "\x85", "\u2028", "flöw", "流"
+)
+
+
+REPORT_JSON_ROWS = {
+    "bundled": lambda: exposure_report(load_scenario("uber"), "passenger2"),
+    "speeding": lambda: exposure_report(load_scenario("speeding"), "driver"),
+    "special_characters": lambda: ExposureReport(
+        "p \"",
+        tuple(sink(i, ((i, "f"), ("g", i)), (i, "p")) for i in SPECIAL_IDS)
+        + (sink("plain"), sink("typed", sink_type="t\\\x7f")),
+        tuple(AggregationPoint(i, 2) for i in SPECIAL_IDS),
+    ),
+    "integer_flow_ids": integer_flow_id_report,
+    "integer_flow_ids_hand_set": lambda: ExposureReport(
+        "p", (sink(paths=((1, 2), (3,))), sink("t", paths=(("f",),))), ()
+    ),
+    "empty_paths": lambda: ExposureReport("p", (sink(paths=(), packages=()), sink("t")), ()),
+    "empty_report": lambda: ExposureReport("p", (), ()),
+    "empty_flow_tuple": lambda: ExposureReport("p", (sink(paths=((), ("f",))),), ()),
+    "flow_ids_as_list": lambda: ExposureReport(
+        "p", (sink(paths=(["f", "g"], ("h",))), sink("t", paths=(["f"],), packages=["p"])), ()
+    ),
+    "flow_ids_as_str": lambda: ExposureReport(
+        "p", (sink(paths=("fg", ("h",)), packages="pq"),), ()
+    ),
+    "true_next_to_one": lambda: ExposureReport(
+        1,
+        (sink(True, ((True, 1), (1, True)), (1, True), sink_type=1), sink(1, ((1,),), (True,))),
+        (AggregationPoint(True, 1), AggregationPoint(1, True)),
+    ),
+    "str_subclass_ids": lambda: ExposureReport(
+        SubStr("p"), (sink(SubStr("s"), ((SubStr("f"), "g"),), (SubStr("p"),)),), ()
+    ),
+    "path_subclass": lambda: ExposureReport(
+        "p",
+        (SinkExposure("s", "O", (SubPath(("f",), ("a", "b")), Path(("g",), ("a", "b"))), ("p",)),),
+        (),
+    ),
+    "float_count": lambda: ExposureReport(
+        "p", (sink(),), (AggregationPoint("s", float("nan")), AggregationPoint("t", 2.5))
+    ),
+    "dict_id_with_keys_written_alike": lambda: ExposureReport(
+        "p", (sink(paths=(({1: "a", "1": "b"},),)),), ()
+    ),
+    "unencodable_flow_id": lambda: ExposureReport("p", (sink(paths=(("f", object()),)),), ()),
+    "unencodable_person": lambda: ExposureReport({"p"}, (sink(),), ()),
+    "unencodable_count": lambda: ExposureReport(
+        "p", (sink(),), (AggregationPoint("s", object()),)
+    ),
+    "unhashable_package": lambda: ExposureReport("p", (sink(packages=(["p"], "q")),), ()),
+    "duck_typed_sink": lambda: ExposureReport(
+        "p",
+        (SimpleNamespace(
+            sink="s", sink_type="O", paths=(Path(("f",), ("a", "b")),), packages=("p",)
+        ),),
+        (),
+    ),
+    "sink_not_a_record": lambda: ExposureReport("p", (sink(), ("s", "O", (), ())), ()),
+    "path_not_a_record": lambda: ExposureReport(
+        "p", (SinkExposure("s", "O", (("f",),), ("p",)),), ()
+    ),
+    "point_not_a_record": lambda: ExposureReport("p", (sink(),), (("s", 2),)),
+    "sinks_not_a_sequence": lambda: ExposureReport("p", None, ()),
+}
+
+
+@pytest.mark.parametrize("pretty", (False, True))
+@pytest.mark.parametrize("row", sorted(REPORT_JSON_ROWS))
+def test_report_to_json_writes_one_dumps_of_the_document(row, pretty):
+    report = REPORT_JSON_ROWS[row]()
+    try:
+        want = report_document_json(report, pretty)
+    except (AttributeError, TypeError, ValueError) as error:
+        with pytest.raises(type(error)) as exc:
+            report_to_json(report, pretty)
+        assert str(exc.value) == str(error)
+    else:
+        got = report_to_json(report, pretty)
+        assert got.encode("utf-8") == want.encode("utf-8")
 
 
 def test_dot_output_pinned_lines(uber_graph):
@@ -291,6 +443,34 @@ def test_graph_writers_write_the_pinned_bytes():
         ):
             digest.update(text.encode())
     assert digest.hexdigest() == WRITTEN_SHA256
+
+
+# A sha256 over the compact and pretty report_to_json of each Person's
+# exposure report, then, for each Person and each sink of its report, the
+# compact and pretty paths_to_json of the strict paths and of the lineage
+# traces at max_len 4, of the bundled scenarios and build_random_graph seeds
+# 0-99, in that order.
+RESULTS_WRITTEN_SHA256 = "14da824c298000124a3a7163c399d61a2efa4495276f60548c4f4d7de2ccab17"
+
+
+def test_result_writers_write_the_pinned_bytes():
+    graphs = [load_scenario("uber"), load_scenario("speeding")]
+    graphs += [build_random_graph(seed) for seed in range(100)]
+    digest = hashlib.sha256()
+    for graph in graphs:
+        people = sorted(
+            e.id for e in graph.entities.values() if e.entity_type is EntityType.PERSON
+        )
+        for person in people:
+            report = exposure_report(graph, person)
+            texts = [report_to_json(report), report_to_json(report, pretty=True)]
+            for s in report.sinks:
+                for mode in ("strict", "lineage"):
+                    results = enumerate_paths(graph, person, s.sink, max_len=4, mode=mode)
+                    texts += [paths_to_json(results), paths_to_json(results, pretty=True)]
+            for text in texts:
+                digest.update(text.encode())
+    assert digest.hexdigest() == RESULTS_WRITTEN_SHA256
 
 
 def graph_document(graph) -> dict:
