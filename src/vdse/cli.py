@@ -74,9 +74,21 @@ def _build_parser() -> _Parser:
 
 
 def _load(path: str) -> InstanceGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:  # read whole: exc.object holds the file's bytes
+        raise _not_utf8(exc) from None
     return parse(text)
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> ParseError:
+    """A ParseError at the first byte that is not UTF-8, at the line and
+    column text mode reads it at (a lone CR ends a line too)."""
+    head = exc.object[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    line, column = head.count("\n") + 1, len(head) - head.rfind("\n")
+    byte = exc.object[exc.start]
+    return ParseError(f"byte 0x{byte:02x} is not UTF-8 ({exc.reason})", line, column)
 
 
 def _cmd_validate(args, stdout, stderr) -> int:
@@ -147,6 +159,8 @@ def _cmd_export(args, stdout, stderr) -> int:
     graph = _load(args.file)
     highlight = ()
     if args.highlight:
+        if args.format != "dot":  # before the search, which may fail or find nothing
+            raise _UsageError("--highlight is only valid with --format dot")
         source, _, sink = args.highlight.partition(":")
         if not source or not sink:
             raise _UsageError("--highlight expects FROM:TO")

@@ -22,21 +22,22 @@ order, then the first value json cannot encode. The pretty form is that text
 read back and indented.
 
 Path results and exposure reports share one writer for runs of id
-sequences, _id_arrays. It checks a run once, over its distinct ids: every
-sequence a non-empty tuple or list, every id text that json writes as
-itself in quotes. Then each sequence is written by '","'.join and the run by
-one more join, with no per-result f-string. A run it refuses goes through
-the encoder; an exposure report that holds other records than its own, or
-a value json cannot encode, is built as the document and left to json.dumps,
-so both writers write, or refuse, what json.dumps of the documented shape
-would. Their pretty forms are indented from the compact text, as above.
+sequences, _id_arrays. It checks the text of every id of a run at once:
+every sequence a non-empty tuple or list, the run's ids joined as text, and
+that text free of what json escapes. Then each sequence is written by
+'","'.join and the run by one more join, with no per-result f-string. A run
+it refuses goes through the encoder. Each document has one writer, and the
+first value json cannot encode is raised as the writer recorded it, so
+both write, or refuse, what json.dumps of the documented shape would. The
+validation report is one json.dumps of its document. Every pretty form is
+the compact text indented by _indented, the one place that writes it.
 """
 from __future__ import annotations
 
 from itertools import chain, groupby
 from operator import attrgetter
 
-from vdse.analysis import AggregationPoint, ExposureReport, LineageTrace, Path, SinkExposure
+from vdse.analysis import ExposureReport, LineageTrace, Path
 from vdse.errors import MalformedGraphError
 from vdse.graph import InstanceGraph
 from vdse.schema import EntityType, _Record, _gvquote, _shown, type_code
@@ -133,14 +134,6 @@ def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> 
     lines.extend("  " + e for e in sorted(edges))
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _dump(document, pretty: bool) -> str:
-    import json  # only JSON output needs it; a command that writes none skips its import
-
-    if pretty:
-        return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
-    return json.dumps(document, separators=(",", ":"), ensure_ascii=False)
 
 
 class _Members(dict):
@@ -256,38 +249,33 @@ def graph_to_json(graph: InstanceGraph, pretty: bool = False) -> str:
     return _indented(text) if pretty else text
 
 
-def _exposure_text(report: ExposureReport, t: "_Texts") -> "str | None":
+def _exposure_text(report: ExposureReport, t: "_Texts") -> str:
     """Compact exposure report JSON: each sink's paths by _paths_text, every
     other value through t; the first value json cannot encode is left in
-    t.error. None if the sinks, their paths or the aggregation points are
-    not tuples or lists of their own records."""
-    sinks, points = report.sinks, report.aggregation_points
-    if not (
-        {type(sinks), type(points)} <= _SEQUENCES
-        and set(map(type, sinks)) <= {SinkExposure}
-        and set(map(type, points)) <= {AggregationPoint}
-        and all(type(s.paths) in _SEQUENCES and set(map(type, s.paths)) <= {Path} for s in sinks)
-    ):
-        return None
+    t.error. A field that cannot be read as the shape names it raises as
+    building the document would."""
     write = t.write
     person = write(report.person)
     sinks_text = ",".join([
         f'{{"id":{write(s.sink)},"type":{write(s.sink_type)},'
         f'"paths":[{_paths_text(s.paths, t)}],"packages":{write(s.packages)}}}'
-        for s in sinks
+        for s in report.sinks
     ])
     points_text = ",".join([
-        f'{{"id":{write(a.entity)},"path_count":{write(a.path_count)}}}' for a in points
+        f'{{"id":{write(a.entity)},"path_count":{write(a.path_count)}}}'
+        for a in report.aggregation_points
     ])
     return f'{{"person":{person},"sinks":[{sinks_text}],"aggregation_points":[{points_text}]}}'
 
 
 def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = False) -> str:
     """Render a validation or exposure report as its documented JSON shape.
-    An exposure report is written by _exposure_text; one it refuses, or
-    with a value json cannot encode, is built as the document and written,
-    or refused, by json.dumps."""
+    Each has one writer: a validation report is one json.dumps of its
+    document, an exposure report is written by _exposure_text, and the
+    first value json cannot encode is raised as the writer recorded it."""
     if isinstance(report, ValidationReport):
+        import json  # only JSON output needs it; a command that writes none skips its import
+
         document = {
             "scenario": report.scenario,
             "violations": [
@@ -300,30 +288,15 @@ def report_to_json(report: "ValidationReport | ExposureReport", pretty: bool = F
                 for v in report.violations
             ],
         }
+        text = json.dumps(document, separators=(",", ":"), ensure_ascii=False)
     elif isinstance(report, ExposureReport):
         texts = _Texts()
         text = _exposure_text(report, texts)
-        if text is not None and texts.error is None:
-            return _indented(text) if pretty else text
-        document = {
-            "person": report.person,
-            "sinks": [
-                {
-                    "id": s.sink,
-                    "type": s.sink_type,
-                    "paths": [p.flow_ids for p in s.paths],
-                    "packages": s.packages,
-                }
-                for s in report.sinks
-            ],
-            "aggregation_points": [
-                {"id": a.entity, "path_count": a.path_count}
-                for a in report.aggregation_points
-            ],
-        }
+        if texts.error is not None:
+            raise texts.error
     else:
         raise TypeError(f"unsupported report type {type(report).__name__}")
-    return _dump(document, pretty)
+    return _indented(text) if pretty else text
 
 
 class _Texts(dict):
@@ -364,19 +337,17 @@ _FLOW_IDS, _PACKAGE_IDS = attrgetter("flow_ids"), attrgetter("package_ids")
 def _id_arrays(sequences: list):
     """The inside of each id sequence's JSON array, '","'.join(sequence),
     when json writes every id as itself in quotes: each sequence is a
-    non-empty tuple or list, and each distinct id is text with no '"', no
-    '\\' and nothing str.isprintable() rejects (every character json
-    escapes, and a few it writes raw, such as U+007F). None otherwise, and
-    for an empty run: the encoder writes that run."""
-    if not set(map(type, sequences)) <= _SEQUENCES or not all(sequences):
+    non-empty tuple or list, and the text of all ids, joined, has no '"',
+    no '\\' and nothing str.isprintable() rejects (every character json
+    escapes, and a few it writes raw, such as U+007F). Every id is checked,
+    not each distinct one, so no id's __eq__ or __hash__ is trusted. None
+    otherwise, and for an empty run: the encoder writes that run."""
+    if not sequences or not set(map(type, sequences)) <= _SEQUENCES or not all(sequences):
         return None
     try:
-        ids = set(chain.from_iterable(sequences))
-    except TypeError:  # an id that is not hashable
+        probe = "".join(chain.from_iterable(sequences))
+    except TypeError:  # an id that is not text
         return None
-    if set(map(type, ids)) != {str}:
-        return None
-    probe = "".join(ids)
     if '"' in probe or "\\" in probe or not probe.isprintable():
         return None
     return map('","'.join, sequences)

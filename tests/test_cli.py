@@ -333,10 +333,12 @@ def test_export_highlight_requires_two_ids(uber_file):
 
 
 def test_export_highlight_rejected_for_json(uber_file):
-    code, out, err = invoke(
-        ["export", uber_file, "--format", "json", "--highlight", "driver:uber"]
-    )
-    assert code == 3
+    # Whether a route exists, none does, or an id is unknown, the flag is
+    # refused before any search.
+    for pair in ("driver:uber", "uber:driver", "ghost:uber"):
+        code, out, err = invoke(["export", uber_file, "--format", "json", "--highlight", pair])
+        assert (code, out) == (3, ""), pair
+        assert "--highlight is only valid with --format dot" in err
 
 
 # -- schema and fmt ---------------------------------------------------------------
@@ -378,6 +380,20 @@ def test_fmt_leaves_unparseable_file_alone(tmp_path):
     code, out, err = invoke(["fmt", str(path)])
     assert code == 2
     assert path.read_text(encoding="utf-8") == "not a scenario\n"
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin.vdse"
+    data = b'scenario "x"\n\xff\n'
+    path.write_bytes(data)
+    done = _python_m_vdse("validate", str(path))
+    assert done.returncode == 2
+    err = done.stderr.decode()
+    assert "Traceback" not in err
+    assert err.startswith("parse error: line 2, column 1: byte 0xff is not UTF-8")
+    code, out, err = invoke(["fmt", str(path)])
+    assert code == 2 and "line 2, column 1" in err
+    assert path.read_bytes() == data
 
 
 def test_fmt_leaves_unserializable_file_alone(tmp_path):

@@ -37,8 +37,14 @@ from vdse.graph import (
     new_scenario,
 )
 from vdse.scenarios import load_scenario
-from vdse.schema import EntityType
-from vdse.validate import check_references, validate
+from vdse.schema import EntityType, builtin_schema
+from vdse.validate import (
+    ValidationReport,
+    Violation,
+    ViolationCode,
+    check_references,
+    validate,
+)
 
 
 def tiny_graph():
@@ -153,6 +159,17 @@ class SubStr(str):
     pass
 
 
+class Liar(str):
+    """Text that hashes like "a" and equals every id: a check over distinct
+    ids would see it as "a"."""
+
+    def __hash__(self):
+        return hash("a")
+
+    def __eq__(self, other):
+        return True
+
+
 def bundled_results(mode: str) -> list:
     graph = load_scenario("uber")
     pairs = (("driver", "uber"), ("passenger1", "uber"), ("driver", "dashcam_cloud"))
@@ -209,6 +226,9 @@ PATHS_JSON_ROWS = {
         LineageTrace((SubStr("f"),), ("p",)),
         LineageTrace(("g",), (SubStr('q"'),)),
         Path((SubStr("h"), "i"), ("a", "b", "c")),
+    ],
+    "lying_str_subclass_id": lambda: [
+        Path(("a", Liar('q"')), ("x", "y", "z")), LineageTrace(("a", Liar('q"')), ("p", "q"))
     ],
     "non_record": lambda: [Path(("f",), ("a", "b")), "f"],
     "non_record_after_unencodable_id": lambda: [LineageTrace((object(),), ("p",)), 5],
@@ -316,6 +336,9 @@ REPORT_JSON_ROWS = {
     "str_subclass_ids": lambda: ExposureReport(
         SubStr("p"), (sink(SubStr("s"), ((SubStr("f"), "g"),), (SubStr("p"),)),), ()
     ),
+    "lying_str_subclass_id": lambda: ExposureReport(
+        "p", (sink(paths=(("a", Liar('q"')),)),), ()
+    ),
     "path_subclass": lambda: ExposureReport(
         "p",
         (SinkExposure("s", "O", (SubPath(("f",), ("a", "b")), Path(("g",), ("a", "b"))), ("p",)),),
@@ -362,6 +385,47 @@ def test_report_to_json_writes_one_dumps_of_the_document(row, pretty):
     else:
         got = report_to_json(report, pretty)
         assert got.encode("utf-8") == want.encode("utf-8")
+
+
+def self_looped_report() -> ValidationReport:
+    graph = load_scenario("uber")
+    graph.flows["loop"] = FlowInstance("loop", "E9", "uber", "uber", "DP4_1")
+    return validate(builtin_schema(), graph)
+
+
+VALIDATION_REPORTS = {
+    "uber": lambda: validate(builtin_schema(), load_scenario("uber")),
+    "speeding": lambda: validate(builtin_schema(), load_scenario("speeding")),
+    "self_looped_flow": self_looped_report,
+    # Two keys JSON writes alike: a re-indent must keep both.
+    "dict_subject_with_keys_written_alike": lambda: ValidationReport(
+        "x", [Violation(ViolationCode.DUPLICATE_ID, {1: "a", "1": "b"}, "twice")]
+    ),
+    "nan_subject": lambda: ValidationReport(
+        "x", [Violation(ViolationCode.SELF_LOOP, float("nan"), "flöw \u2028 \x7f")]
+    ),
+    "scenario_name_not_text": lambda: ValidationReport(
+        5, [Violation(ViolationCode.OWNERSHIP_LINT, "f", "m")]
+    ),
+}
+
+
+@pytest.mark.parametrize("pretty", (False, True))
+@pytest.mark.parametrize("row", sorted(VALIDATION_REPORTS))
+def test_validation_report_json_is_one_dumps_of_the_document(row, pretty):
+    report = VALIDATION_REPORTS[row]()
+    document = {
+        "scenario": report.scenario,
+        "violations": [
+            {"code": v.code.value, "severity": v.severity, "subject": v.subject, "message": v.message}
+            for v in report.violations
+        ],
+    }
+    if pretty:
+        want = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    else:
+        want = json.dumps(document, separators=(",", ":"), ensure_ascii=False)
+    assert report_to_json(report, pretty=pretty).encode("utf-8") == want.encode("utf-8")
 
 
 def test_dot_output_pinned_lines(uber_graph):
