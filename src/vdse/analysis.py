@@ -22,18 +22,22 @@ Lineage search measures it back over flows instead; that search ignores
 that a trace uses each flow once, so its distance is a lower bound. Each
 search stops once it runs out of graph, however large max_len is.
 
-Strict search goes one length at a time over an index of flows by
-source, each entity's flows sorted by id: the paths of n + 1 flows are
-those of n flows, in flow-id-sequence order, each extended by its
-endpoint's flows in id order, so they come out in order too. Each length
-is filed under its endpoints as it is made, shortest first, and no
-strict result is sorted afterwards. Besides its results, a query to a
-sink holds only the frontier: the partial paths of one length. Lineage
-search walks an index of admissible successors built once per query,
-from the lineages of the carried packages only; it files its traces by
-length and sorts each length's traces by flow ids. It recurses once per
-flow of a trace, and a search deeper than the interpreter's recursion
-limit raises AnalysisError.
+Strict search, for an exposure report and a query to a sink alike, is
+one level loop over an index of flows by source, each entity's flows
+sorted by id: the paths of n + 1 flows are those of n flows, in
+flow-id-sequence order, each extended by its endpoint's flows in id
+order, so they come out in order too. Each indexed flow carries its
+target's distance to the sink, from a table that passes every target
+when there is no sink, and the sink has no flows out. Each length is
+filed under its endpoints as it is made, shortest first, and no strict
+result is sorted afterwards. Besides its results, a strict query holds
+only the frontier: the partial paths of one length. Lineage search walks
+an index of admissible successors built once per query, from the
+lineages of the carried packages only; it files its traces by length and
+sorts each length's traces by flow ids. It recurses once per flow of a
+trace, and a search that would extend a trace of _MAX_TRACE_DEPTH (500)
+flows raises AnalysisError, so whether a query is too deep depends on
+the graph and max_len, not on the caller's stack.
 
 Queries are total on hand-set graphs that validate would reject: each
 first checks the flows in one pass (_flows), which raises AnalysisError on
@@ -42,6 +46,7 @@ a non-text package, and on ids not all text or all integers.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -65,6 +70,12 @@ __all__ = [
 
 # Covers the longest bundled-scenario path (six flows) with margin.
 DEFAULT_MAX_PATH_LEN = 10
+
+# The most flows a lineage trace may be extended to: the walk recurses once
+# per flow, and the cap leaves most of the interpreter's default recursion
+# limit (1000 frames) to the caller, so that whether a query is too deep
+# depends on the graph and max_len only.
+_MAX_TRACE_DEPTH = 500
 
 
 class Path(NamedTuple):
@@ -117,13 +128,19 @@ def _require_entity(graph: InstanceGraph, entity_id: str) -> None:
         raise AnalysisError(f"unknown entity {_shown(entity_id)}")
 
 
+def _check_max_len(max_len: int) -> None:
+    if not isinstance(max_len, int):
+        raise AnalysisError(f"max_len must be an integer, not {_shown(max_len)}")
+    if max_len < 1:
+        raise AnalysisError("max_len must be at least 1")
+
+
 def _check_query(graph: InstanceGraph, source: str, sink: str, max_len: int) -> None:
     _require_entity(graph, source)
     _require_entity(graph, sink)
     if source == sink:
         raise AnalysisError(f"source and sink are both {_shown(source)}; they must differ")
-    if max_len < 1:
-        raise AnalysisError("max_len must be at least 1")
+    _check_max_len(max_len)
 
 
 def _flows(graph: InstanceGraph) -> list:
@@ -182,57 +199,50 @@ def _strict_search(flows: list, source: str, max_len: int, sink: str | None = No
     no step goes to an entity that cannot reach the sink within max_len
     flows.
 
-    One comprehension per length extends each path of the level, the paths
-    of n flows in flow-id-sequence order, by its endpoint's successors in
-    flow-id order, so the paths of n + 1 flows come out in that order too.
-    Each level is filed as it is made, shortest first, and nothing is
-    sorted afterwards. Every path of an exposure query is a result; a sink
-    query also holds the partial paths of one length, its frontier. The
-    search ends at the first empty level, so no recursion limit caps
+    One level loop serves both queries. Each successor carries its target's
+    distance from a table: _hops back from the sink, or an empty table whose
+    default, -1, passes every target. A step is taken when the target is at
+    most spare flows from the sink and new to the path, and the sink has no
+    successors. One comprehension per length extends each path of the level,
+    the paths of n flows in flow-id-sequence order, by its endpoint's
+    successors in flow-id order, so the paths of n + 1 flows come out in
+    that order too. Each level is filed as it is made, shortest first: every
+    path without a sink, else the paths that end there; nothing is sorted
+    afterwards. Besides its results, the search holds the partial paths of
+    one length. It ends at the first empty level, so no recursion limit caps
     max_len and a max_len beyond the graph costs nothing."""
+    hops, far = {}, -1
+    if sink is not None:
+        sources_into: dict[str, list] = {}
+        for flow in flows:
+            sources_into.setdefault(flow.target, []).append(flow.source)
+        hops, far = _hops(sources_into, sink, max_len - 1), max_len
     adjacency: dict[str, list] = {}
     for flow in flows:
-        adjacency.setdefault(flow.source, []).append((flow.id, flow.target))
+        step = (flow.id, flow.target, hops.get(flow.target, far))
+        adjacency.setdefault(flow.source, []).append(step)
     for successors in adjacency.values():
         successors.sort()
     if source not in adjacency:
         return {}
+    if sink is not None:
+        adjacency[sink] = ()
+    found: dict[str, list] = defaultdict(list)
     level = [((), (source,))]
-    if sink is None:
-        found: dict[str, list] = {}
-        for _ in range(max_len):
-            level = [
-                _new(Path, (flow_ids + (flow_id,), nodes + (target,)))
-                for flow_ids, nodes in level
-                for flow_id, target in adjacency.get(nodes[-1], ())
-                if target not in nodes
-            ]
-            if not level:
-                break
-            for path in level:
-                found.setdefault(path[1][-1], []).append(path)
-        return found
-    # Every entity within reach of the sink, but the sink, leaves by a flow;
-    # a path that reaches the sink ends there.
-    sources_into: dict[str, list] = {}
-    for flow in flows:
-        sources_into.setdefault(flow.target, []).append(flow.source)
-    hops = _hops(sources_into, sink, max_len - 1)
-    adjacency[sink] = ()
-    ended: list[Path] = []
     # The level made with spare holds paths of max_len - spare flows, and
     # spare more may follow: each step must reach the sink within spare.
     for spare in range(max_len - 1, -1, -1):
         level = [
             (flow_ids + (flow_id,), nodes + (target,))
             for flow_ids, nodes in level
-            for flow_id, target in adjacency[nodes[-1]]
-            if target not in nodes and hops.get(target, max_len) <= spare
+            for flow_id, target, distance in adjacency.get(nodes[-1], ())
+            if distance <= spare and target not in nodes
         ]
         if not level:
             break
-        ended += [_new(Path, path) for path in level if path[1][-1] == sink]
-    return {sink: ended} if ended else {}
+        for path in level if sink is None else [p for p in level if p[1][-1] == sink]:
+            found[path[1][-1]].append(_new(Path, path))
+    return found
 
 
 def _lineages(packages: dict, flows: list) -> dict:
@@ -318,8 +328,12 @@ def _walk(
 ) -> None:
     """Extend a lineage trace by each successor entry that fits, filing
     every trace that ends at sink under its length. Recurses only when a
-    further flow fits."""
-    spare = max_len - len(flow_ids)
+    further flow fits, and raises AnalysisError rather than extend a trace
+    of _MAX_TRACE_DEPTH flows."""
+    depth = len(flow_ids)
+    if depth >= _MAX_TRACE_DEPTH:
+        raise AnalysisError(f"search too deep for --max-len {max_len}")
+    spare = max_len - depth
     for successors in following:
         for distance, flow_id, package, target, next_following in successors:
             if distance >= spare:
@@ -348,7 +362,8 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     list. An entry is (distance to sink, flow id, package, target, the
     entry's two successor lists), and each list is sorted by distance, so a
     step stops at the first entry that cannot reach the sink within max_len.
-    A trace deeper than the recursion limit raises AnalysisError."""
+    A search that would extend a trace of _MAX_TRACE_DEPTH flows raises
+    AnalysisError, wherever on the stack the query runs."""
     lineages = _lineages(packages, flows)
     distances = _lineage_distances(flows, lineages, sink, max_len)
     leaving: dict[str, list] = {}
@@ -376,8 +391,6 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     by_length: list[list] = [[] for _ in range(min(max_len, len(distances)) + 1)]
     try:
         _walk(by_length, set(), sink, max_len, (), (), (leaving.get(source, ()),))
-    except RecursionError:
-        raise AnalysisError(f"search too deep for --max-len {max_len}") from None
     finally:
         # Entries hold successor lists that hold entries: empty the lists,
         # so that the index is freed without the cyclic collector.
@@ -457,8 +470,7 @@ def exposure_report(
     _require_entity(graph, person)
     if graph.entities[person].entity_type is not EntityType.PERSON:
         raise AnalysisError(f"{_shown(person)} is not a Person entity")
-    if max_len < 1:
-        raise AnalysisError("max_len must be at least 1")
+    _check_max_len(max_len)
     found = _strict_search(flows, person, max_len)
     sinks: list[SinkExposure] = []
     aggregation: list[AggregationPoint] = []

@@ -254,6 +254,40 @@ def test_unhashable_query_arguments_are_unknown_entities(speeding_graph, case):
     assert str(exc.value) == message
 
 
+# Every query that takes a max_len, and max_len values that are not integers:
+# each raises the AnalysisError that names the value, as the oracle does.
+MAX_LEN_QUERIES = {
+    "strict": lambda g, max_len: enumerate_paths(g, "driver", "insurer", max_len),
+    "lineage": lambda g, max_len: enumerate_paths(g, "driver", "insurer", max_len, "lineage"),
+    "brute_force": lambda g, max_len: brute_force_paths(g, "driver", "insurer", max_len),
+    "exposure": lambda g, max_len: exposure_report(g, "driver", max_len),
+}
+NON_INTEGER_MAX_LENS = {
+    "float": (2.5, "max_len must be an integer, not 2.5"),
+    "whole_float": (3.0, "max_len must be an integer, not 3.0"),
+    "text": ("3", "max_len must be an integer, not '3'"),
+    "none": (None, "max_len must be an integer, not None"),
+}
+
+
+@pytest.mark.parametrize("value", NON_INTEGER_MAX_LENS)
+@pytest.mark.parametrize("query", MAX_LEN_QUERIES)
+def test_a_max_len_that_is_not_an_integer_is_rejected(speeding_graph, query, value):
+    max_len, message = NON_INTEGER_MAX_LENS[value]
+    with pytest.raises(AnalysisError) as exc:
+        MAX_LEN_QUERIES[query](speeding_graph, max_len)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("query", MAX_LEN_QUERIES)
+def test_a_bool_max_len_is_an_integer(speeding_graph, query):
+    assert MAX_LEN_QUERIES[query](speeding_graph, True) == MAX_LEN_QUERIES[query](
+        speeding_graph, 1
+    )
+    with pytest.raises(AnalysisError, match="^max_len must be at least 1$"):
+        MAX_LEN_QUERIES[query](speeding_graph, False)
+
+
 # -- lineage mode ------------------------------------------------------------
 
 
@@ -378,6 +412,39 @@ def test_too_deep_lineage_search_raises_analysis_error():
     with pytest.raises(AnalysisError, match="^search too deep for --max-len 5000$"):
         enumerate_paths(graph, "d0", "d1499", max_len=5000, mode="lineage")
     assert len(enumerate_paths(graph, "d0", "d1499", max_len=5000)) == 1
+
+
+def own_package_chain(n: int):
+    """Person p -> d0 -> ... -> d{n-1}, each flow carrying its own package:
+    the one lineage trace from p to d{n-1} has n flows."""
+    graph = new_scenario("chain").add_entity("p", "P")
+    for i in range(n):
+        graph.add_entity(f"d{i}", "DA").add_package(DataPackage(f"DP{i}"))
+        graph.add_flow(f"f{i}", "E5", f"d{i - 1}" if i else "p", f"d{i}", f"DP{i}")
+    return graph
+
+
+def outcome_at_depth(frames: int, query):
+    """The result of query(), or its AnalysisError message, called from
+    frames nested Python frames."""
+    if frames:
+        return outcome_at_depth(frames - 1, query)
+    try:
+        return len(query())
+    except AnalysisError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", (400, 800))
+def test_lineage_depth_does_not_depend_on_the_callers_stack(n):
+    graph = own_package_chain(n)
+
+    def query():
+        return enumerate_paths(graph, "p", f"d{n - 1}", 5000, mode="lineage")
+
+    outcome = outcome_at_depth(0, query)
+    assert outcome == (1 if n <= 500 else "search too deep for --max-len 5000")
+    assert outcome_at_depth(300, query) == outcome
 
 
 def test_lineage_traces_align_flows_and_packages(uber_graph):
@@ -698,12 +765,24 @@ def dense_mesh(n: int):
     return graph
 
 
-@pytest.mark.parametrize("n", range(5, 9))
-def test_strict_search_matches_oracle_on_dense_meshes(n):
+# Every max_len from 1, where the distance to the sink cuts most steps, to
+# n + 1, past the longest simple path of the mesh of n DAs (n flows); and
+# the default on the mesh of eight DAs.
+DENSE_MESH_QUERIES = [
+    *((n, max_len) for n in range(3, 8) for max_len in range(1, n + 2)),
+    (8, DEFAULT_MAX_PATH_LEN),
+]
+
+
+@pytest.mark.parametrize("n,max_len", DENSE_MESH_QUERIES)
+def test_strict_search_matches_oracle_on_dense_meshes(n, max_len):
     graph = dense_mesh(n)
     for i in range(n):
-        assert enumerate_paths(graph, "p", f"d{i}") == brute_force_paths(graph, "p", f"d{i}")
-    assert exposure_report(graph, "p") == oracle_exposure(graph, "p", DEFAULT_MAX_PATH_LEN)
+        for source, sink in (("p", f"d{i}"), (f"d{i}", "p")):
+            assert enumerate_paths(graph, source, sink, max_len) == brute_force_paths(
+                graph, source, sink, max_len
+            )
+    assert exposure_report(graph, "p", max_len) == oracle_exposure(graph, "p", max_len)
 
 
 def test_strict_order_holds_past_the_longest_possible_path(uber_graph, speeding_graph):
