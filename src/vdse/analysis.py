@@ -427,23 +427,22 @@ def brute_force_paths(
     sink: str,
     max_len: int = DEFAULT_MAX_PATH_LEN,
 ) -> list:
-    """Strict-mode oracle: exhaustive recursion over the raw flow list with
-    no adjacency index and no pruning. Same contract as strict mode."""
+    """Strict-mode oracle: exhaustive depth-first search over the raw flow
+    list with no adjacency index and no pruning. Same contract as strict mode."""
     all_flows = _flows(graph)
     _check_query(graph, source, sink, max_len)
     results: list[Path] = []
-
-    def search(node: str, flow_ids: tuple, nodes: tuple) -> None:
+    stack = [(source, (), (source,))]
+    while stack:
+        node, flow_ids, nodes = stack.pop()
         if node == sink:
             results.append(Path(flow_ids, nodes))
-            return
-        if len(flow_ids) >= max_len:
-            return
-        for flow in all_flows:
-            if flow.source == node and flow.target not in nodes:
-                search(flow.target, flow_ids + (flow.id,), nodes + (flow.target,))
-
-    search(source, (), (source,))
+        elif len(flow_ids) < max_len:
+            stack.extend(
+                (flow.target, flow_ids + (flow.id,), nodes + (flow.target,))
+                for flow in all_flows
+                if flow.source == node and flow.target not in nodes
+            )
     results.sort(key=lambda p: (len(p.flow_ids), p.flow_ids))
     return results
 

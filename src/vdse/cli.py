@@ -31,9 +31,28 @@ class _UsageError(ValueError):
     pass
 
 
+class _Formatter(argparse.HelpFormatter):
+    """Writes "-o FILE, --output FILE" as Python 3.11 does, not "-o, --output FILE"."""
+
+    def _format_action_invocation(self, action):
+        if not action.option_strings or action.nargs == 0:
+            return super()._format_action_invocation(action)
+        args = self._format_args(action, self._get_default_metavar_for_optional(action))
+        return ", ".join(f"{option} {args}" for option in action.option_strings)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
     def error(self, message):  # argparse defaults to exit code 2
         raise _UsageError(message)
+
+    def _check_value(self, action, value):  # 3.13 would list the choices unquoted
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
 
 
 def _build_parser() -> _Parser:

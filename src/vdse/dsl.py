@@ -309,8 +309,8 @@ def _parse_line(text: str, lineno: int, graph: InstanceGraph | None) -> Instance
 # instantiable, and that the items of an attribute map are well formed and
 # no key repeats. The insert checks duplicate ids and flow pairs, dangling
 # references, relation names, edge types, self-loops and reserved
-# attributes, and a GraphError from it leaves the graph as it was. A bare
-# `package id` line skips the unquoting of clauses it does not have. A
+# attributes, and a GraphError from it leaves the graph as it was. A clause
+# that a line does not have is an absent group, and its field is empty. A
 # line that does not match, fails a check or is rejected goes to
 # _parse_line, which executes it or diagnoses it.
 
@@ -367,8 +367,6 @@ def _fast_entity(graph: InstanceGraph, id_, code, attrs) -> InstanceGraph | bool
 
 
 def _fast_package(graph: InstanceGraph, id_, description, items, derives) -> InstanceGraph:
-    if description is items is derives is None:  # a bare `package id`
-        return graph._insert_package(id_, "", [], ())
     description = _unquote(description) if description else ""
     items = _strings(items) if items else []
     derives = derives.split(", ") if derives else ()

@@ -156,69 +156,52 @@ def _check_references(
                         f"{_shown(ancestor)}",
                     )
                 )
-    relations = []
-    relation_names = schema.semantic_relations
-    for relation in graph.relations.values():
-        try:
-            known = relation.relation in relation_names
-        except TypeError:
-            known = False
-        if not known:
-            out.append(
-                Violation(
-                    ViolationCode.UNKNOWN_TYPE,
-                    relation.id,
-                    f"relation {_shown(relation.id)} uses unknown relation "
-                    f"{_shown(relation.relation)}",
+    relations, flows = [], []
+    rules = (
+        ("relation", graph.relations, "relation", schema.semantic_relations, relations),
+        ("flow", graph.flows, "edge type", schema.flow_edge_types, flows),
+    )
+    for kind, table, noun, registry, resolved in rules:
+        field = noun.replace(" ", "_")  # the record attribute that holds the name
+        for record in table.values():
+            name = getattr(record, field)
+            try:
+                known = name in registry
+            except TypeError:
+                known = False
+            if not known:
+                out.append(
+                    Violation(
+                        ViolationCode.UNKNOWN_TYPE,
+                        record.id,
+                        f"{kind} {_shown(record.id)} uses unknown {noun} {_shown(name)}",
+                    )
                 )
-            )
-            continue
-        try:
-            known = relation.source in entities and relation.target in entities
-        except TypeError:
-            known = False
-        if known:
-            relations.append(relation)
-        else:
-            dangling = _unknown_endpoints(entities, "relation", relation)
-            out.extend(Violation(ViolationCode.DANGLING_REF, relation.id, m) for m in dangling)
-    flows = []
-    edge_types = schema.flow_edge_types
-    for flow in graph.flows.values():
-        try:
-            known = flow.edge_type in edge_types
-        except TypeError:
-            known = False
-        if not known:
-            out.append(
-                Violation(
-                    ViolationCode.UNKNOWN_TYPE,
-                    flow.id,
-                    f"flow {_shown(flow.id)} uses unknown edge type {_shown(flow.edge_type)}",
+                continue
+            try:
+                known = record.source in entities and record.target in entities
+            except TypeError:
+                known = False
+            if known:
+                resolved.append(record)
+            else:
+                dangling = _unknown_endpoints(entities, kind, record)
+                out.extend(Violation(ViolationCode.DANGLING_REF, record.id, m) for m in dangling)
+            if kind == "relation":
+                continue
+            try:
+                known = record.package in packages
+            except TypeError:
+                known = False
+            if not known:
+                out.append(
+                    Violation(
+                        ViolationCode.MISSING_PACKAGE,
+                        record.id,
+                        f"flow {_shown(record.id)} references unknown package "
+                        f"{_shown(record.package)}",
+                    )
                 )
-            )
-            continue
-        try:
-            known = flow.source in entities and flow.target in entities
-        except TypeError:
-            known = False
-        if known:
-            flows.append(flow)
-        else:
-            dangling = _unknown_endpoints(entities, "flow", flow)
-            out.extend(Violation(ViolationCode.DANGLING_REF, flow.id, m) for m in dangling)
-        try:
-            known = flow.package in packages
-        except TypeError:
-            known = False
-        if not known:
-            out.append(
-                Violation(
-                    ViolationCode.MISSING_PACKAGE,
-                    flow.id,
-                    f"flow {_shown(flow.id)} references unknown package {_shown(flow.package)}",
-                )
-            )
     return derivations, relations, flows
 
 

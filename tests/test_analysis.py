@@ -403,12 +403,18 @@ def test_queries_leave_no_cyclic_garbage(uber_graph, mode):
         gc.enable()
 
 
-def test_too_deep_lineage_search_raises_analysis_error():
+def one_package_chain(n: int):
+    """d0 -> d1 -> ... -> d{n-1}, every flow carrying the one package DP."""
     graph = new_scenario("chain").add_package(DataPackage("DP"))
-    for i in range(1500):
+    for i in range(n):
         graph.add_entity(f"d{i}", "DA")
-    for i in range(1499):
+    for i in range(n - 1):
         graph.add_flow(f"f{i}", "E5", f"d{i}", f"d{i + 1}", "DP")
+    return graph
+
+
+def test_too_deep_lineage_search_raises_analysis_error():
+    graph = one_package_chain(1500)
     with pytest.raises(AnalysisError, match="^search too deep for --max-len 5000$"):
         enumerate_paths(graph, "d0", "d1499", max_len=5000, mode="lineage")
     assert len(enumerate_paths(graph, "d0", "d1499", max_len=5000)) == 1
@@ -445,6 +451,16 @@ def test_lineage_depth_does_not_depend_on_the_callers_stack(n):
     outcome = outcome_at_depth(0, query)
     assert outcome == (1 if n <= 500 else "search too deep for --max-len 5000")
     assert outcome_at_depth(300, query) == outcome
+
+
+def test_oracle_walks_paths_longer_than_the_interpreter_stack():
+    graph = one_package_chain(1500)
+
+    def query():
+        return brute_force_paths(graph, "d0", "d1499", 5000)
+
+    assert len(query()) == 1
+    assert outcome_at_depth(300, query) == 1
 
 
 def test_lineage_traces_align_flows_and_packages(uber_graph):

@@ -59,11 +59,25 @@ def test_attribute_misuse_injected(schema):
     assert {v.subject for v in report.violations} == {"car", "p"}
 
 
-def test_unknown_edge_type_injected(schema):
-    graph = new_scenario("t").add_entity("a", "P").add_entity("b", "V")
-    graph.flows["f"] = FlowInstance("f", "E99", "a", "b", "DP")
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (FlowInstance("x", "E99", "a", "ghost", "DP"), "flow 'x' uses unknown edge type 'E99'"),
+        (
+            SemanticRelationInstance("x", "likes", "a", "ghost"),
+            "relation 'x' uses unknown relation 'likes'",
+        ),
+    ],
+    ids=["flow", "relation"],
+)
+def test_unknown_edge_type_or_relation_hides_the_other_checks(schema, record, message):
+    # Neither the dangling endpoint nor the undeclared package is reported.
+    graph = new_scenario("t").add_entity("a", "P")
+    table = graph.flows if isinstance(record, FlowInstance) else graph.relations
+    table["x"] = record
     report = validate(schema, graph)
     assert codes(report) == [ViolationCode.UNKNOWN_TYPE]
+    assert report.violations[0].message == message
 
 
 def test_direction_violation_for_reversed_uni_edge(schema):
