@@ -32,12 +32,12 @@ when there is no sink, and the sink has no flows out. Each length is
 filed under its endpoints as it is made, shortest first, and no strict
 result is sorted afterwards. Besides its results, a strict query holds
 only the frontier: the partial paths of one length. Lineage search walks
-an index of admissible successors built once per query, from the
-lineages of the carried packages only; it files its traces by length and
-sorts each length's traces by flow ids. It recurses once per flow of a
-trace, and a search that would extend a trace of _MAX_TRACE_DEPTH (500)
-flows raises AnalysisError, so whether a query is too deep depends on
-the graph and max_len, not on the caller's stack.
+an index of admissible successors built once per query, from lineages
+made on lookup for flows that can reach the sink; it files its traces by
+length and sorts each length's traces by flow ids. It recurses once per
+flow of a trace, and a search that would extend a trace of
+_MAX_TRACE_DEPTH (500) flows raises AnalysisError, so whether a query is
+too deep depends on the graph and max_len, not on the caller's stack.
 
 Queries are total on hand-set graphs that validate would reject: each
 first checks the flows in one pass (_flows), which raises AnalysisError on
@@ -245,24 +245,23 @@ def _strict_search(flows: list, source: str, max_len: int, sink: str | None = No
     return found
 
 
-def _lineages(packages: dict, flows: list) -> dict:
-    """For each package some flow carries, the frozenset of that package and
-    every package it derives from, transitively: one depth-first walk over
-    derives_from per package. An undeclared package derives from nothing,
-    and a derivation cycle ends at the walk's seen set. A walk takes the
-    lineage of a carried ancestor whole once it is known; packages go in
-    declaration order, which puts each after those it derives from in a
-    graph built by parse or add_package. As in validate, a derives_from
-    that is not a list, and an entry that is not hashable, name nothing."""
-    carried = {flow.package for flow in flows}
-    lineages: dict[str, frozenset] = {}
-    for package_id in (*packages, *carried):
-        if package_id not in carried or package_id in lineages:
-            continue
-        seen = {package_id}
-        stack = [package_id]
+class _Lineages(dict):
+    """Each package's lineage, made on first lookup by one depth-first walk
+    over derives_from: the frozenset of that package and every package it
+    derives from, transitively. An undeclared package derives from nothing,
+    and a derivation cycle ends at the walk's seen set; a walk takes an
+    ancestor's known lineage whole. As in validate, a derives_from that is
+    not a list, and an entry that is not hashable, name nothing."""
+
+    __slots__ = ("packages",)
+
+    def __init__(self, packages: dict):
+        self.packages = packages
+
+    def __missing__(self, package_id) -> frozenset:
+        seen, stack = {package_id}, [package_id]
         while stack:
-            package = packages.get(stack.pop())
+            package = self.packages.get(stack.pop())
             derives_from = () if package is None else package.derives_from
             if not isinstance(derives_from, (tuple, list)):
                 continue
@@ -272,13 +271,13 @@ def _lineages(packages: dict, flows: list) -> dict:
                         continue
                 except TypeError:  # not hashable: names nothing
                     continue
-                if ancestor in lineages:
-                    seen |= lineages[ancestor]
+                if ancestor in self:
+                    seen |= self[ancestor]
                 else:
                     seen.add(ancestor)
                     stack.append(ancestor)
-        lineages[package_id] = frozenset(seen)
-    return lineages
+        self[package_id] = lineage = frozenset(seen)
+        return lineage
 
 
 def _lineage_distances(flows: list, lineages: dict, sink: str, max_len: int) -> dict:
@@ -363,8 +362,9 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     entry's two successor lists), and each list is sorted by distance, so a
     step stops at the first entry that cannot reach the sink within max_len.
     A search that would extend a trace of _MAX_TRACE_DEPTH flows raises
-    AnalysisError, wherever on the stack the query runs."""
-    lineages = _lineages(packages, flows)
+    AnalysisError, wherever on the stack the query runs. Lineages come from
+    one _Lineages table, which makes only those that the query looks up."""
+    lineages = _Lineages(packages)
     distances = _lineage_distances(flows, lineages, sink, max_len)
     leaving: dict[str, list] = {}
     derived_from: dict[str, list] = {}
