@@ -33,11 +33,14 @@ filed under its endpoints as it is made, shortest first, and no strict
 result is sorted afterwards. Besides its results, a strict query holds
 only the frontier: the partial paths of one length. Lineage search walks
 an index of admissible successors built once per query, from lineages
-made on lookup for flows that can reach the sink; it files its traces by
-length and sorts each length's traces by flow ids. It recurses once per
-flow of a trace, and a search that would extend a trace of
-_MAX_TRACE_DEPTH (500) flows raises AnalysisError, so whether a query is
-too deep depends on the graph and max_len, not on the caller's stack.
+made on lookup for flows that can reach the sink, each list in flow-id
+order; it takes successors in that order and files each trace under its
+length as it is made, so each length's traces come out in flow-id-sequence
+order and none is sorted afterwards. It recurses once per flow of a trace
+but the last, which it takes from a list of the flows into the sink, and
+a search that would extend a trace of _MAX_TRACE_DEPTH (500) flows raises
+AnalysisError, so whether a query is too deep depends on the graph and
+max_len, not on the caller's stack.
 
 Queries are total on hand-set graphs that validate would reject: each
 first checks the flows in one pass (_flows), which raises AnalysisError on
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from vdse.errors import AnalysisError
@@ -71,10 +74,10 @@ __all__ = [
 # Covers the longest bundled-scenario path (six flows) with margin.
 DEFAULT_MAX_PATH_LEN = 10
 
-# The most flows a lineage trace may be extended to: the walk recurses once
-# per flow, and the cap leaves most of the interpreter's default recursion
-# limit (1000 frames) to the caller, so that whether a query is too deep
-# depends on the graph and max_len only.
+# The most flows a lineage trace may be extended to: the walk recurses at
+# most once per flow, and the cap leaves most of the interpreter's default
+# recursion limit (1000 frames) to the caller, so that whether a query is
+# too deep depends on the graph and max_len only.
 _MAX_TRACE_DEPTH = 500
 
 
@@ -323,84 +326,101 @@ def _lineage_distances(flows: list, lineages: dict, sink: str, max_len: int) -> 
 
 def _walk(
     by_length: list, used: set, sink: str, max_len: int,
-    flow_ids: tuple, package_ids: tuple, following: tuple,
+    flow_ids: tuple, package_ids: tuple, following: list,
 ) -> None:
-    """Extend a lineage trace by each successor entry that fits, filing
-    every trace that ends at sink under its length. Recurses only when a
-    further flow fits, and raises AnalysisError rather than extend a trace
-    of _MAX_TRACE_DEPTH flows."""
+    """Extend a lineage trace by each successor entry that fits, in flow-id
+    order, filing every trace that ends at sink under its length, so that
+    each length's traces are filed in flow-id-sequence order. An entry fits
+    when it is unused and its distance leaves room to reach the sink. With
+    more than two flows to spare, the walk recurses on each entry that fits;
+    with two, it ends the trace from the entry's last-flow list in a loop,
+    with no frame. Raises AnalysisError rather than extend a trace of
+    _MAX_TRACE_DEPTH flows, by a frame or by a last flow alike."""
     depth = len(flow_ids)
-    if depth >= _MAX_TRACE_DEPTH:
-        raise AnalysisError(f"search too deep for --max-len {max_len}")
     spare = max_len - depth
-    for successors in following:
-        for distance, flow_id, package, target, next_following in successors:
-            if distance >= spare:
-                break
-            if flow_id in used:
-                continue
-            trace_flows, trace_packages = flow_ids + (flow_id,), package_ids + (package,)
-            if target == sink:
-                trace = _new(LineageTrace, (trace_flows, trace_packages))
-                by_length[len(trace_flows)].append(trace)
-            if spare > 1:
-                used.add(flow_id)
-                _walk(by_length, used, sink, max_len, trace_flows, trace_packages, next_following)
-                used.discard(flow_id)
+    for flow_id, package, target, distance, successors, last_flows in following:
+        if distance >= spare or flow_id in used:
+            continue
+        trace_flows, trace_packages = flow_ids + (flow_id,), package_ids + (package,)
+        if target == sink:
+            by_length[depth + 1].append(_new(LineageTrace, (trace_flows, trace_packages)))
+        if spare == 1:
+            continue
+        if depth + 1 >= _MAX_TRACE_DEPTH:
+            raise AnalysisError(f"search too deep for --max-len {max_len}")
+        if spare > 2:
+            used.add(flow_id)
+            _walk(by_length, used, sink, max_len, trace_flows, trace_packages, successors)
+            used.discard(flow_id)
+            continue
+        for last_id, last_package in last_flows:
+            if last_id != flow_id and last_id not in used:
+                trace = (trace_flows + (last_id,), trace_packages + (last_package,))
+                by_length[depth + 2].append(_new(LineageTrace, trace))
 
 
 def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len: int) -> list:
     """Every lineage trace from source to sink, in (length, flow-id
-    sequence) order: the walk files each trace under its length, and each
-    length's traces are sorted by flow ids and joined shortest first.
+    sequence) order: the walk files each length's traces in order, and the
+    lengths are joined shortest first; nothing is sorted afterwards.
 
     Successors are indexed once per query, over the flows that can still
-    reach the sink. Per package p, one list holds the flows whose lineage
-    holds p; every flow carrying p shares it. A flow is followed by its
-    target's flows whose lineage does not hold its package, then by that
-    list. An entry is (distance to sink, flow id, package, target, the
-    entry's two successor lists), and each list is sorted by distance, so a
-    step stops at the first entry that cannot reach the sink within max_len.
-    A search that would extend a trace of _MAX_TRACE_DEPTH flows raises
-    AnalysisError, wherever on the stack the query runs. Lineages come from
-    one _Lineages table, which makes only those that the query looks up."""
+    reach the sink, taken in flow-id order, so every list below is in that
+    order. An entry is [flow id, package, target, distance to sink, its
+    successor list, that list's last-flow list]. Per package p, one list
+    holds the flows whose lineage holds p. A flow's successors are those
+    of its (target, package) key: the list of its package, shared, when
+    every flow leaving the target has the package in its lineage; else one
+    merge of that list and the target's other flows, which that list never
+    holds.
+    Each successor list's last-flow list, made once, holds the (flow id,
+    package) of its entries into the sink. A search that would extend a
+    trace of _MAX_TRACE_DEPTH flows raises AnalysisError, wherever on the
+    stack the query runs. Lineages come from one _Lineages table, which
+    makes only those that the query looks up."""
     lineages = _Lineages(packages)
     distances = _lineage_distances(flows, lineages, sink, max_len)
+    entries: list[list] = []
     leaving: dict[str, list] = {}
     derived_from: dict[str, list] = {}
-    hops_only: dict[tuple, list] = {}
-    for flow in flows:
-        if flow.id not in distances:
-            continue
-        following = (
-            hops_only.setdefault((flow.target, flow.package), []),
-            derived_from.setdefault(flow.package, []),
-        )
-        entry = (distances[flow.id], flow.id, flow.package, flow.target, following)
+    for flow in sorted((f for f in flows if f.id in distances), key=attrgetter("id")):
+        entry = [flow.id, flow.package, flow.target, distances[flow.id], None, None]
+        entries.append(entry)
         leaving.setdefault(flow.source, []).append(entry)
         for package in lineages[flow.package]:
             derived_from.setdefault(package, []).append(entry)
-    for (target, package), entries in hops_only.items():
-        entries.extend(
-            entry for entry in leaving.get(target, ()) if package not in lineages[entry[2]]
-        )
-    for entries in (*leaving.values(), *derived_from.values(), *hops_only.values()):
-        entries.sort(key=itemgetter(0))
+    following: dict[tuple, tuple] = {}
+    shared: dict[str, tuple] = {}
+    for entry in entries:
+        package, target = entry[1], entry[2]
+        key = (target, package)
+        if key not in following:
+            others = [e for e in leaving.get(target, ()) if package not in lineages[e[1]]]
+            if others:
+                successors = sorted(others + derived_from[package], key=itemgetter(0))
+                following[key] = (successors, _last_flows(successors))
+            else:
+                if package not in shared:
+                    successors = derived_from[package]
+                    shared[package] = (successors, _last_flows(successors))
+                following[key] = shared[package]
+        entry[4:] = following[key]
     # A trace uses each flow once, and only flows in distances, so none is
     # longer than len(distances); by_length[n] holds the traces of n flows.
     by_length: list[list] = [[] for _ in range(min(max_len, len(distances)) + 1)]
     try:
-        _walk(by_length, set(), sink, max_len, (), (), (leaving.get(source, ()),))
+        _walk(by_length, set(), sink, max_len, (), (), leaving.get(source, ()))
     finally:
-        # Entries hold successor lists that hold entries: empty the lists,
+        # Entries hold successor lists that hold entries: empty the entries,
         # so that the index is freed without the cyclic collector.
-        for entries in (*derived_from.values(), *hops_only.values()):
-            entries.clear()
-    found: list[LineageTrace] = []
-    for traces in by_length:
-        traces.sort(key=itemgetter(0))
-        found += traces
-    return found
+        for entry in entries:
+            entry.clear()
+    return list(chain.from_iterable(by_length))
+
+
+def _last_flows(successors: list) -> list:
+    """The (flow id, package) of each entry of successors into the sink."""
+    return [(entry[0], entry[1]) for entry in successors if not entry[3]]
 
 
 def enumerate_paths(
