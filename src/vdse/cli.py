@@ -7,7 +7,9 @@ diagnostics and warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
+import os
 import sys
 
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, LineageTrace, enumerate_paths, exposure_report
@@ -275,14 +277,30 @@ def run(argv, stdout=None, stderr=None) -> int:
 def main() -> None:
     """Run the command in sys.argv and end the process with its exit code.
 
-    The `vdse` script and `python -m vdse` end the process here, and this
-    freezes the heap before exit. Code that runs a command inside a
-    longer-lived process calls run(argv, stdout, stderr), which leaves the
-    collector alone.
+    The `vdse` script and `python -m vdse` end the process here, without
+    interpreter teardown: the heap is frozen, the atexit handlers run once
+    over it, stdout and then stderr are flushed, and os._exit ends the
+    process. A stdout whose reader is gone exits EXIT_IO. vdse starts no
+    threads, and every file a command opens is closed before run() returns,
+    so teardown would have nothing left to do. Code that runs a command
+    inside a longer-lived process calls run(argv, stdout, stderr), which
+    leaves the collector and the process alone.
     """
     code = run(sys.argv[1:])
-    # Interpreter shutdown runs full collections over every object the
-    # imports made, only to free them as the process ends; the collector
-    # never examines a frozen object.
+    # Teardown would free, module by module, what the OS frees at exit; a
+    # frozen heap also keeps the collector off the imports' objects while
+    # the exit handlers run.
     gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        code = EXIT_IO
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
+    os._exit(code)

@@ -21,7 +21,7 @@ from test_dsl import round_trip_mutants, token_mutants
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
 from vdse.cli import _build_parser, run
 from vdse.dsl import parse, serialize
-from vdse.export import report_to_json
+from vdse.export import graph_to_dot, report_to_json
 from vdse.graph import DataPackage, new_scenario
 from vdse.scenarios import load_scenario, scenario_text
 from vdse.schema import builtin_schema
@@ -410,11 +410,15 @@ def test_fmt_leaves_unserializable_file_alone(tmp_path):
     assert path.read_bytes() == text.encode("utf-8")
 
 
-def _python(*args):
+def _child_env():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(vdse.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+    return env
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, env=_child_env(), timeout=60)
 
 
 def _python_m_vdse(*args):
@@ -471,6 +475,106 @@ def test_the_process_entry_ends_as_run_returns(tmp_path, uber_file, broken_file,
         "schema",
     )
     assert (hooked.returncode, hooked.stdout) == (0, given[0][1] + b"True\n")
+
+
+HOOKED_MAIN = (
+    "import atexit, sys\n"
+    "def hook(name):\n"
+    "    print(name)\n"
+    "    print(name, file=sys.stderr)\n"
+    "atexit.register(hook, 'first')\n"
+    "atexit.register(hook, 'second')\n"
+    "from vdse.cli import main\n"
+    "main()\n"
+)
+
+
+def test_the_process_entry_runs_each_exit_handler_once_after_the_output(broken_file):
+    # main() ends the process with os._exit, so it runs the exit handlers
+    # itself: once each, last registered first, before the final flush.
+    for argv, code in ((["schema"], 0), (["validate", broken_file], 1)):
+        _, out, err = invoke(argv)
+        done = _python("-c", HOOKED_MAIN, *argv)
+        assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (
+            code, out + "second\nfirst\n", err + "second\nfirst\n"
+        ), argv
+
+
+def test_the_process_entry_writes_whole_files(tmp_path):
+    # Larger than a file's write buffer, so bytes left in it would show.
+    graph = dense_mesh(24)
+    canonical = serialize(graph)
+    messy = tmp_path / "mesh.vdse"
+    messy.write_text(canonical.replace(" <-> ", "  <->  "), encoding="utf-8")
+    dot = tmp_path / "mesh.dot"
+    done = _python_m_vdse("export", str(messy), "-o", str(dot))
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert dot.read_bytes() == graph_to_dot(graph).encode("utf-8")
+    done = _python_m_vdse("fmt", str(messy))
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    assert messy.read_bytes() == canonical.encode("utf-8")
+    assert min(len(canonical), len(graph_to_dot(graph))) > 8192
+
+
+def test_no_command_leaves_a_file_open(tmp_path, uber_file, broken_file):
+    # A handle still open when main() calls os._exit would lose the bytes
+    # in its buffer; under -X dev, collecting one warns.
+    not_utf8 = tmp_path / "latin1.vdse"
+    not_utf8.write_bytes('scenario "caf\xe9"\n'.encode("latin-1"))
+    fmt_file = tmp_path / "fmt.vdse"
+    fmt_file.write_text(scenario_text("speeding"), encoding="utf-8")
+    argvs = [
+        ["validate", uber_file],
+        ["validate", broken_file, "--json"],
+        ["validate", str(not_utf8)],
+        ["validate", str(tmp_path / "missing.vdse")],
+        ["paths", uber_file, "--from", "driver", "--to", "uber"],
+        ["paths", uber_file, "--from", "driver", "--to", "uber", "--mode", "lineage", "--json"],
+        ["exposure", uber_file, "--person", "passenger1"],
+        ["exposure", uber_file, "--person", "passenger1", "--json"],
+        ["export", uber_file, "--highlight", "driver:uber"],
+        ["export", uber_file, "--format", "json", "-o", str(tmp_path / "uber.json")],
+        ["schema"],
+        ["schema", "--format", "dot"],
+        ["fmt", str(fmt_file)],
+    ]
+    codes = set()
+    for argv in argvs:
+        done = _python(
+            "-X", "dev", "-c",
+            "import gc, sys; from vdse.cli import run; "
+            "c = run(sys.argv[1:]); gc.collect(); sys.exit(c)",
+            *argv,
+        )
+        assert "ResourceWarning" not in done.stderr.decode(), argv
+        codes.add(done.returncode)
+    assert codes == {0, 1, 2, 4}
+
+
+def test_an_unwritable_stdout_exits_4(tmp_path):
+    mesh = tmp_path / "mesh.vdse"
+    mesh.write_text(serialize(dense_mesh(7)), encoding="utf-8")
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as by default
+    # schema fits in the buffer and fails at the final flush; exposure fills
+    # a pipe and fails inside run().
+    for argv in (["schema"], ["exposure", str(mesh), "--person", "p"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "vdse", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (4, b"i/o error: [Errno 32] Broken pipe\n"), argv
+    # Started with fd 1 closed, the process has no sys.stdout to write to.
+    done = subprocess.run(
+        ["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "vdse", "schema"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
 
 
 # -- exit codes and streams --------------------------------------------------------
