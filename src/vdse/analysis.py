@@ -32,15 +32,14 @@ when there is no sink, and the sink has no flows out. Each length is
 filed under its endpoints as it is made, shortest first, and no strict
 result is sorted afterwards. Besides its results, a strict query holds
 only the frontier: the partial paths of one length. Lineage search walks
-an index of admissible successors built once per query, from lineages
-made on lookup for flows that can reach the sink, each list in flow-id
-order; it takes successors in that order and files each trace under its
-length as it is made, so each length's traces come out in flow-id-sequence
-order and none is sorted afterwards. It recurses once per flow of a trace
-but the last, which it takes from a list of the flows into the sink, and
-a search that would extend a trace of _MAX_TRACE_DEPTH (500) flows raises
-AnalysisError, so whether a query is too deep depends on the graph and
-max_len, not on the caller's stack.
+the flows that can reach the sink in flow-id order. It makes a flow's
+successors, and its last flows into the sink, the first time it needs
+them, by one closure (_closure) over each package's children or parents;
+it files each trace under its length as it is made, so each length's
+traces come out in flow-id-sequence order and none is sorted afterwards.
+It recurses once per flow of a trace but the last, and a search that would
+extend a trace of _MAX_TRACE_DEPTH (500) flows raises AnalysisError, so
+whether a query is too deep depends on the graph and max_len only.
 
 Queries are total on hand-set graphs that validate would reject: each
 first checks the flows in one pass (_flows), which raises AnalysisError on
@@ -248,48 +247,47 @@ def _strict_search(flows: list, source: str, max_len: int, sink: str | None = No
     return found
 
 
-class _Lineages(dict):
-    """Each package's lineage, made on first lookup by one depth-first walk
-    over derives_from: the frozenset of that package and every package it
-    derives from, transitively. An undeclared package derives from nothing,
-    and a derivation cycle ends at the walk's seen set; a walk takes an
-    ancestor's known lineage whole. As in validate, a derives_from that is
-    not a list, and an entry that is not hashable, name nothing."""
-
-    __slots__ = ("packages",)
-
-    def __init__(self, packages: dict):
-        self.packages = packages
-
-    def __missing__(self, package_id) -> frozenset:
-        seen, stack = {package_id}, [package_id]
-        while stack:
-            package = self.packages.get(stack.pop())
-            derives_from = () if package is None else package.derives_from
-            if not isinstance(derives_from, (tuple, list)):
-                continue
-            for ancestor in derives_from:
+def _derivations(packages: dict) -> tuple:
+    """Maps from each package id to its parents (its derives_from) and its
+    children; as in validate, a derives_from that is not a list, and an
+    entry that is not hashable, name nothing."""
+    parents: dict = {}
+    children: dict = {}
+    for key, package in packages.items():
+        if isinstance(package.derives_from, (tuple, list)):
+            parents[key] = package.derives_from
+            for parent in package.derives_from:
                 try:
-                    if ancestor in seen:
-                        continue
+                    children.setdefault(parent, []).append(key)
                 except TypeError:  # not hashable: names nothing
+                    pass
+    return parents, children
+
+
+def _closure(start, edges: dict, seen: set) -> list:
+    """start and each node it reaches over edges (a map from node to list)
+    that seen does not hold, which seen gains: an iterative walk that stops
+    at nodes in seen, so cycles end, and skips nodes that are not hashable."""
+    reached = [] if start in seen else [start]
+    seen.update(reached)
+    for node in reached:
+        for neighbour in edges.get(node, ()):
+            try:
+                if neighbour in seen:
                     continue
-                if ancestor in self:
-                    seen |= self[ancestor]
-                else:
-                    seen.add(ancestor)
-                    stack.append(ancestor)
-        self[package_id] = lineage = frozenset(seen)
-        return lineage
+            except TypeError:  # not hashable: names nothing
+                continue
+            seen.add(neighbour)
+            reached.append(neighbour)
+    return reached
 
 
-def _lineage_distances(flows: list, lineages: dict, sink: str, max_len: int) -> dict:
+def _lineage_distances(flows: list, parents: dict, sink: str, max_len: int) -> dict:
     """For each flow that can end a lineage trace at sink within max_len
     flows, the fewest flows a trace needs after it to get there: one reverse
     breadth-first search from the flows into the sink. Flow f precedes g when
-    f.target is g.source, or f.package is in g.package's lineage. Each
-    entity and each package is expanded once; a lineage holds the lineage of
-    each of its members, so once a package is expanded, so is its lineage.
+    f.target is g.source, or f.package is in g.package's lineage, its
+    closure over parents. Each entity and each package is expanded once.
     The count ignores that a trace uses a flow only once, so it is a lower
     bound."""
     into: dict[str, list] = {}
@@ -300,21 +298,16 @@ def _lineage_distances(flows: list, lineages: dict, sink: str, max_len: int) -> 
     frontier = into.get(sink, [])
     distances = {flow.id: 0 for flow in frontier}
     entities: set[str] = set()
-    packages: set[str] = set()
+    expanded: set = set()
     for distance in range(1, max_len):
         if not frontier:
             break
         reached = []
         for flow in frontier:
-            groups = []
+            groups = [carrying.get(p, ()) for p in _closure(flow.package, parents, expanded)]
             if flow.source not in entities:
                 entities.add(flow.source)
                 groups.append(into.get(flow.source, ()))
-            if flow.package not in packages:
-                for package in lineages[flow.package]:
-                    if package not in packages:
-                        packages.add(package)
-                        groups.append(carrying.get(package, ()))
             for group in groups:
                 for predecessor in group:
                     if predecessor.id not in distances:
@@ -324,24 +317,50 @@ def _lineage_distances(flows: list, lineages: dict, sink: str, max_len: int) -> 
     return distances
 
 
+class _Successors(dict):
+    """Per (target, package), made on first lookup: the entries that may
+    follow a flow to target carrying package, in flow-id order. That is the
+    list of the package's descendants (its closure over children), made once
+    and shared, merged with the target's other flows if it has any. into_sink
+    holds ((id, (id,), (package,)), source, lineage) per flow into the sink."""
+
+    def __init__(self, leaving: dict, carrying: dict, children: dict, into_sink: list):
+        self.leaving, self.carrying, self.children = leaving, carrying, children
+        self.into_sink, self.derived = into_sink, {}
+
+    def __missing__(self, key: tuple) -> list:
+        target, package = key
+        if package not in self.derived:
+            members: set = set()
+            groups = [self.carrying.get(p, ()) for p in _closure(package, self.children, members)]
+            self.derived[package] = frozenset(members), sorted(chain(*groups), key=itemgetter(0))
+        members, successors = self.derived[package]
+        others = [e for e in self.leaving.get(target, ()) if e[1] not in members]
+        if others:
+            successors = sorted(others + successors, key=itemgetter(0))
+        self[key] = successors
+        return successors
+
+
 def _walk(
     by_length: list, used: set, sink: str, max_len: int,
-    flow_ids: tuple, package_ids: tuple, following: list,
+    flow_ids: tuple, package_ids: tuple, following: list, index: _Successors,
 ) -> None:
     """Extend a lineage trace by each successor entry that fits, in flow-id
     order, filing every trace that ends at sink under its length, so that
     each length's traces are filed in flow-id-sequence order. An entry fits
     when it is unused and its distance leaves room to reach the sink. With
     more than two flows to spare, the walk recurses on each entry that fits;
-    with two, it ends the trace from the entry's last-flow list in a loop,
-    with no frame. Raises AnalysisError rather than extend a trace of
-    _MAX_TRACE_DEPTH flows, by a frame or by a last flow alike."""
+    with two, it ends the trace from the entry's last flows into the sink,
+    in a loop, with no frame. Raises AnalysisError rather than extend a
+    trace of _MAX_TRACE_DEPTH flows, by a frame or by a last flow alike."""
     depth = len(flow_ids)
     spare = max_len - depth
-    for flow_id, package, target, distance, successors, last_flows in following:
+    for entry in following:
+        flow_id, package, target, distance, successors, last_flows, one_flow, one_package = entry
         if distance >= spare or flow_id in used:
             continue
-        trace_flows, trace_packages = flow_ids + (flow_id,), package_ids + (package,)
+        trace_flows, trace_packages = flow_ids + one_flow, package_ids + one_package
         if target == sink:
             by_length[depth + 1].append(_new(LineageTrace, (trace_flows, trace_packages)))
         if spare == 1:
@@ -349,13 +368,20 @@ def _walk(
         if depth + 1 >= _MAX_TRACE_DEPTH:
             raise AnalysisError(f"search too deep for --max-len {max_len}")
         if spare > 2:
+            if successors is None:
+                successors = entry[4] = index[target, package]
             used.add(flow_id)
-            _walk(by_length, used, sink, max_len, trace_flows, trace_packages, successors)
+            _walk(by_length, used, sink, max_len, trace_flows, trace_packages, successors, index)
             used.discard(flow_id)
             continue
-        for last_id, last_package in last_flows:
+        if last_flows is None:
+            last_flows = entry[5] = [
+                last for last, source, lineage in index.into_sink
+                if source == target or package in lineage
+            ]
+        for last_id, last_flow, last_package in last_flows:
             if last_id != flow_id and last_id not in used:
-                trace = (trace_flows + (last_id,), trace_packages + (last_package,))
+                trace = (trace_flows + last_flow, trace_packages + last_package)
                 by_length[depth + 2].append(_new(LineageTrace, trace))
 
 
@@ -364,63 +390,36 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     sequence) order: the walk files each length's traces in order, and the
     lengths are joined shortest first; nothing is sorted afterwards.
 
-    Successors are indexed once per query, over the flows that can still
-    reach the sink, taken in flow-id order, so every list below is in that
-    order. An entry is [flow id, package, target, distance to sink, its
-    successor list, that list's last-flow list]. Per package p, one list
-    holds the flows whose lineage holds p. A flow's successors are those
-    of its (target, package) key: the list of its package, shared, when
-    every flow leaving the target has the package in its lineage; else one
-    merge of that list and the target's other flows, which that list never
-    holds.
-    Each successor list's last-flow list, made once, holds the (flow id,
-    package) of its entries into the sink. A search that would extend a
-    trace of _MAX_TRACE_DEPTH flows raises AnalysisError, wherever on the
-    stack the query runs. Lineages come from one _Lineages table, which
-    makes only those that the query looks up."""
-    lineages = _Lineages(packages)
-    distances = _lineage_distances(flows, lineages, sink, max_len)
-    entries: list[list] = []
+    An entry is [flow id, package, target, distance to sink, successor list,
+    last-flow list, (flow id,), (package,)], one per flow that can still
+    reach the sink; both lists are in flow-id order, and None until the walk
+    first needs them. A search that would extend a trace of _MAX_TRACE_DEPTH
+    flows raises AnalysisError, wherever on the stack the query runs."""
+    parents, children = _derivations(packages)
+    distances = _lineage_distances(flows, parents, sink, max_len)
     leaving: dict[str, list] = {}
-    derived_from: dict[str, list] = {}
+    carrying: dict[str, list] = {}
+    into_sink: list[tuple] = []
     for flow in sorted((f for f in flows if f.id in distances), key=attrgetter("id")):
-        entry = [flow.id, flow.package, flow.target, distances[flow.id], None, None]
-        entries.append(entry)
+        ones = (flow.id,), (flow.package,)
+        entry = [flow.id, flow.package, flow.target, distances[flow.id], None, None, *ones]
         leaving.setdefault(flow.source, []).append(entry)
-        for package in lineages[flow.package]:
-            derived_from.setdefault(package, []).append(entry)
-    following: dict[tuple, tuple] = {}
-    shared: dict[str, tuple] = {}
-    for entry in entries:
-        package, target = entry[1], entry[2]
-        key = (target, package)
-        if key not in following:
-            others = [e for e in leaving.get(target, ()) if package not in lineages[e[1]]]
-            if others:
-                successors = sorted(others + derived_from[package], key=itemgetter(0))
-                following[key] = (successors, _last_flows(successors))
-            else:
-                if package not in shared:
-                    successors = derived_from[package]
-                    shared[package] = (successors, _last_flows(successors))
-                following[key] = shared[package]
-        entry[4:] = following[key]
+        carrying.setdefault(flow.package, []).append(entry)
+        if not entry[3]:
+            lineage = frozenset(_closure(flow.package, parents, set()))
+            into_sink.append(((flow.id, *ones), flow.source, lineage))
+    index = _Successors(leaving, carrying, children, into_sink)
     # A trace uses each flow once, and only flows in distances, so none is
     # longer than len(distances); by_length[n] holds the traces of n flows.
     by_length: list[list] = [[] for _ in range(min(max_len, len(distances)) + 1)]
     try:
-        _walk(by_length, set(), sink, max_len, (), (), leaving.get(source, ()))
+        _walk(by_length, set(), sink, max_len, (), (), leaving.get(source, ()), index)
     finally:
         # Entries hold successor lists that hold entries: empty the entries,
         # so that the index is freed without the cyclic collector.
-        for entry in entries:
+        for entry in chain.from_iterable(leaving.values()):
             entry.clear()
     return list(chain.from_iterable(by_length))
-
-
-def _last_flows(successors: list) -> list:
-    """The (flow id, package) of each entry of successors into the sink."""
-    return [(entry[0], entry[1]) for entry in successors if not entry[3]]
 
 
 def enumerate_paths(

@@ -21,8 +21,9 @@ from vdse.analysis import (
     LineageTrace,
     Path,
     SinkExposure,
+    _closure,
+    _derivations,
     _flows,
-    _Lineages,
     _strict_search,
     brute_force_paths,
     enumerate_paths,
@@ -41,9 +42,11 @@ def flow_sets(paths):
 
 
 def lineages(graph):
-    """The lineage of each flow's package, read from one query's table."""
-    table = _Lineages(graph.packages)
-    return {flow.package: table[flow.package] for flow in _flows(graph)}
+    """The lineage of each flow's package: its closure over the parents map
+    that a query builds."""
+    parents = _derivations(graph.packages)[0]
+    packages = {flow.package for flow in _flows(graph)}
+    return {p: frozenset(_closure(p, parents, set())) for p in packages}
 
 
 # -- strict enumeration -----------------------------------------------------
@@ -375,7 +378,8 @@ LONG_DERIVATION = 4000
 def test_lineage_memory_stays_small_on_a_long_uncarried_derivation_chain():
     # p0 derives from p1, p1 from p2, ...; one flow carries p0. The query
     # holds one lineage, not a closure per declared package. The peak
-    # measured 0.65 MB after a full collection; the bound leaves 2x headroom.
+    # measured 0.76 MB after a full collection, with the query's maps of
+    # parents and children (0.65 MB without them).
     graph = new_scenario("t").add_entity("p", "P").add_entity("a", "DA")
     for i in reversed(range(LONG_DERIVATION)):
         ancestors = (f"p{i + 1}",) if i + 1 < LONG_DERIVATION else ()
@@ -392,10 +396,14 @@ def test_lineage_memory_stays_small_on_a_long_uncarried_derivation_chain():
     assert peak < 1.3e6
 
 
-def all_carried_chain(n: int, descendants_first: bool = False):
-    """p -> d0 -> d1 -> ... -> d{n-1}, flow f<i> into d<i> carrying P<i>,
+def all_carried_chain(
+    n: int, descendants_first: bool = False, ids_descending: bool = False, side_flows: bool = False
+):
+    """p -> d0 -> d1 -> ... -> d{n-1}, the flow into d<i> carrying P<i>,
     and P<i> deriving from P<i-1>. The packages are added ancestors-first,
-    or set by hand descendants-first."""
+    or set by hand descendants-first. The flow into d<i> is f<i>, or with
+    ids_descending f<n-1-i>, so that the ids run descendants-first. With
+    side_flows, a flow g<i> carries P0 from d<i> to an entity s<i>."""
     graph = new_scenario("chain").add_entity("p", "P")
     for i in reversed(range(n)) if descendants_first else range(n):
         package = DataPackage(f"P{i}", derives_from=(f"P{i - 1}",) if i else ())
@@ -406,7 +414,10 @@ def all_carried_chain(n: int, descendants_first: bool = False):
     for i in range(n):
         graph.add_entity(f"d{i}", "DA")
         source = f"d{i - 1}" if i else "p"
-        graph.add_flow(f"f{i}", "E5" if i else "E2", source, f"d{i}", f"P{i}")
+        flow_id = f"f{n - 1 - i}" if ids_descending else f"f{i}"
+        graph.add_flow(flow_id, "E5" if i else "E2", source, f"d{i}", f"P{i}")
+    for i in range(n) if side_flows else ():
+        graph.add_entity(f"s{i}", "DA").add_flow(f"g{i}", "E5", f"d{i}", f"s{i}", "P0")
     return graph
 
 
@@ -417,8 +428,9 @@ ALL_CARRIED = 2000
 def test_lineage_memory_stays_small_on_a_long_all_carried_derivation_chain(max_len):
     # Every flow carries its own package. The query to d1 makes the lineages
     # of P1 and P0 only, not one per carried package: the peak measured
-    # 0.47 MB after a full collection, where a closure of every carried
-    # package took 87.4 MB.
+    # 0.75 MB after a full collection, 0.28 MB of it the query's maps of
+    # parents and children, where a closure of every carried package took
+    # 87.4 MB.
     graph = all_carried_chain(ALL_CARRIED)
     gc.collect()
     tracemalloc.start()
@@ -431,23 +443,57 @@ def test_lineage_memory_stays_small_on_a_long_all_carried_derivation_chain(max_l
     assert peak < 2e6
 
 
-def test_lineage_memory_on_a_far_sink_keeps_successor_lists_shared():
-    # Every flow of the chain can reach d499 within two flows, and each
-    # package's lineage holds all its ancestors, so the lists of flows by
-    # package grow with the square of the chain. Each flow's successor list
-    # is its package's list, shared: the peak measured 6.94 MB on Python
-    # 3.11, 3.12 and 3.13 after a full collection, where a copy of that list
-    # per (target, package) key took 7.97 MB.
-    graph = all_carried_chain(500)
+def far_sink_traces(graph, n: int, max_len: int) -> list:
+    """The traces from p to d{n-1} of an all_carried_chain, at max_len 2
+    or 3. The first flow carries P0, which every package derives from, and
+    the last carries P{n-1}, which derives from every package; so every
+    other flow can come between them."""
+    first = next(flow for flow in graph.flows.values() if flow.source == "p")
+    last = next(flow for flow in graph.flows.values() if flow.target == f"d{n - 1}")
+    between = sorted(f for f in graph.flows if f not in (first.id, last.id)) if max_len > 2 else ()
+    traces = [LineageTrace((first.id, last.id), (first.package, last.package))]
+    for flow_id in between:
+        package = graph.flows[flow_id].package
+        traces.append(
+            LineageTrace((first.id, flow_id, last.id), (first.package, package, last.package))
+        )
+    return traces
+
+
+# n, builder options, max_len, bound on the peak in bytes.
+FAR_SINKS = {
+    "500": (500, {}, 2, 7.4e6),
+    **{
+        f"2000 {name} max_len {max_len}": (ALL_CARRIED, options, max_len, 6e6)
+        for name, options in (
+            ("ancestors-first", {}),
+            ("ids descendants-first", {"ids_descending": True}),
+            ("side flows", {"side_flows": True}),
+        )
+        for max_len in (2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("case", FAR_SINKS)
+def test_lineage_memory_on_a_far_sink_grows_linearly(case):
+    # Every flow of the chain can reach the far sink d{n-1} within two
+    # flows, and P0's descendants are every package, so a successor index
+    # of every flow, or the lineage of every package, grows with the square
+    # of the chain: 6.9 MB at 500 packages, and over 100 MiB at 2,000. The
+    # walk makes only the lists it reaches: after a full collection the
+    # peak measured 0.36 MB at 500 packages and 1.5-3.3 MB at 2,000.
+    n, options, max_len, bound = FAR_SINKS[case]
+    graph = all_carried_chain(n, **options)
     gc.collect()
     tracemalloc.start()
     try:
-        traces = enumerate_paths(graph, "p", "d499", 2, mode="lineage")
+        traces = enumerate_paths(graph, "p", f"d{n - 1}", max_len, mode="lineage")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert traces == [LineageTrace(("f0", "f499"), ("P0", "P499"))]
-    assert peak < 7.4e6
+    assert traces == far_sink_traces(graph, n, max_len)
+    assert peak < bound
 
 
 @pytest.mark.parametrize("mode", ["strict", "lineage"])
@@ -723,30 +769,44 @@ def test_derivation_closure_matches_oracle(mutate):
         closure = derivation_closure(graph)
         carried = {flow.package for flow in graph.flows.values()}
         assert lineages(graph) == {p: closure.get(p, set()) | {p} for p in carried}
+        # A package's descendants, the closure over children, are the
+        # packages whose lineage holds it.
+        children = _derivations(graph.packages)[1]
+        named = carried.union(graph.packages, *closure.values())
+        assert {p: set(_closure(p, children, set())) for p in named} == {
+            p: {q for q, ancestors in closure.items() if p in ancestors} | {p} for p in named
+        }
 
 
-# Whether an all-carried chain's packages are set descendants-first.
-CHAIN_ORDERS = {"chain ancestors-first": False, "chain descendants-first": True}
+# All-carried chains checked against the oracle on every pair: packages,
+# all_carried_chain options and max_lens.
+CHAIN_ORDERS = {
+    "chain ancestors-first": (10, {}, LINEAGE_MAX_LENS),
+    "chain descendants-first": (10, {"descendants_first": True}, LINEAGE_MAX_LENS),
+    "chain ids descendants-first": (7, {"ids_descending": True}, (1, 2, 3, 4, 5)),
+    "chain with side flows": (7, {"side_flows": True}, (1, 2, 3, 4, 5)),
+}
 
 
 @pytest.mark.parametrize("key", ("uber", "speeding", *CHAIN_ORDERS, *range(20)))
 def test_lineage_ignores_flow_insertion_order(key):
-    # On a chain, the flow order decides which package's lineage a query
+    # On a chain, the flow order decides which successor lists a query
     # makes first, so the oracle checks each order of packages and flows.
     if key in CHAIN_ORDERS:
-        graph = all_carried_chain(10, CHAIN_ORDERS[key])
+        n, options, max_lens = CHAIN_ORDERS[key]
+        graph = all_carried_chain(n, **options)
     else:
         graph = load_scenario(key) if isinstance(key, str) else build_random_graph(key)
     pairs = all_pairs(graph) if isinstance(key, str) else sample_pairs(graph, key)
     want = [enumerate_paths(graph, a, b, 4, mode="lineage") for a, b in pairs]
     if key in CHAIN_ORDERS:
-        assert_lineage_matches_oracle(graph, pairs)
+        assert_lineage_matches_oracle(graph, pairs, max_lens)
     flows = list(graph.flows.items())
     graph.flows.clear()
     graph.flows.update(reversed(flows))
     assert [enumerate_paths(graph, a, b, 4, mode="lineage") for a, b in pairs] == want
     if key in CHAIN_ORDERS:
-        assert_lineage_matches_oracle(graph, pairs)
+        assert_lineage_matches_oracle(graph, pairs, max_lens)
 
 
 # -- reachability and exposure -------------------------------------------------
