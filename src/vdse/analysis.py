@@ -46,8 +46,6 @@ first checks the flows in one pass (_flows), which raises AnalysisError on
 a flow not filed under its own id, naming an undeclared entity or carrying
 a non-text package, and on ids not all text or all integers.
 """
-from __future__ import annotations
-
 from collections import defaultdict
 from itertools import chain
 from operator import attrgetter, itemgetter

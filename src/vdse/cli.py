@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 validation errors, 2 parse error, 3 usage error,
 4 I/O error. Results go to stdout and are byte-identical across runs;
-diagnostics and warnings go to stderr.
+diagnostics and warnings go to stderr. `run` builds the parser of the
+subcommand that its first argument names exactly, and no other; anything
+else (no argument, `-h`, an unknown or abbreviated command) gets the parser
+with all six, whose help and invalid-choice message list them.
 """
 from __future__ import annotations
 
@@ -57,40 +60,48 @@ class _Parser(argparse.ArgumentParser):
             raise argparse.ArgumentError(action, message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser for `vdse`, with every subcommand, or with only the one
+    named: a subcommand's parser does not depend on its siblings."""
     parser = _Parser(prog="vdse", description="Vehicle data-sharing scenario analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a scenario against the type graph")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+    if command in (None, "validate"):
+        p = sub.add_parser("validate", help="check a scenario against the type graph")
+        p.add_argument("file")
+        p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("paths", help="enumerate data-flow paths between two entities")
-    p.add_argument("file")
-    p.add_argument("--from", dest="source", required=True, metavar="ID")
-    p.add_argument("--to", dest="sink", required=True, metavar="ID")
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
-    p.add_argument("--mode", choices=("strict", "lineage"), default="strict")
-    p.add_argument("--json", action="store_true")
+    if command in (None, "paths"):
+        p = sub.add_parser("paths", help="enumerate data-flow paths between two entities")
+        p.add_argument("file")
+        p.add_argument("--from", dest="source", required=True, metavar="ID")
+        p.add_argument("--to", dest="sink", required=True, metavar="ID")
+        p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
+        p.add_argument("--mode", choices=("strict", "lineage"), default="strict")
+        p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("exposure", help="report where a person's data can end up")
-    p.add_argument("file")
-    p.add_argument("--person", required=True, metavar="ID")
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
-    p.add_argument("--json", action="store_true")
+    if command in (None, "exposure"):
+        p = sub.add_parser("exposure", help="report where a person's data can end up")
+        p.add_argument("file")
+        p.add_argument("--person", required=True, metavar="ID")
+        p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
+        p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("export", help="render a scenario as DOT or JSON")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("dot", "json"), default="dot")
-    p.add_argument("--show-packages", action="store_true")
-    p.add_argument("--highlight", metavar="FROM:TO")
-    p.add_argument("-o", "--output", metavar="FILE")
+    if command in (None, "export"):
+        p = sub.add_parser("export", help="render a scenario as DOT or JSON")
+        p.add_argument("file")
+        p.add_argument("--format", choices=("dot", "json"), default="dot")
+        p.add_argument("--show-packages", action="store_true")
+        p.add_argument("--highlight", metavar="FROM:TO")
+        p.add_argument("-o", "--output", metavar="FILE")
 
-    p = sub.add_parser("schema", help="print the built-in type graph")
-    p.add_argument("--format", choices=("text", "dot"), default="text")
+    if command in (None, "schema"):
+        p = sub.add_parser("schema", help="print the built-in type graph")
+        p.add_argument("--format", choices=("text", "dot"), default="text")
 
-    p = sub.add_parser("fmt", help="rewrite a scenario file in canonical form")
-    p.add_argument("file")
+    if command in (None, "fmt"):
+        p = sub.add_parser("fmt", help="rewrite a scenario file in canonical form")
+        p.add_argument("file")
     return parser
 
 
@@ -251,15 +262,18 @@ _COMMANDS = {
     "schema": _cmd_schema,
     "fmt": _cmd_fmt,
 }
+_NAMES = tuple(_COMMANDS)
 
 
 def run(argv, stdout=None, stderr=None) -> int:
     """Execute one CLI invocation and return its exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A tuple, not the _COMMANDS dict: an unhashable argv[0] must not raise.
+    command = argv[0] if argv and argv[0] in _NAMES else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         return _COMMANDS[args.command](args, stdout, stderr)
     except ParseError as exc:
         print(f"parse error: {exc}", file=stderr)

@@ -36,8 +36,6 @@ when every check passed. Every graph that parse returns, or that is built
 only through the InstanceGraph methods, passes those checks, and parsing
 its canonical form gives back an equal graph: parse(serialize(g)) == g.
 """
-from __future__ import annotations
-
 import re
 from typing import NamedTuple
 

@@ -4,8 +4,6 @@ The registry is fixed: fourteen entity types, four subclass edges, seven
 semantic relation types, and twenty-one data-flow edge types. Scenario
 graphs are validated against it but never extend it.
 """
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 

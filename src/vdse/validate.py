@@ -6,8 +6,6 @@ built through the mutation API cannot trigger the reference-level codes
 build time); those codes exist for graphs assembled by hand or loaded from
 untrusted sources.
 """
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 

@@ -19,7 +19,7 @@ import vdse
 from test_analysis import dense_mesh
 from test_dsl import round_trip_mutants, token_mutants
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
-from vdse.cli import _build_parser, run
+from vdse.cli import _UsageError, _build_parser, run
 from vdse.dsl import parse, serialize
 from vdse.export import graph_to_dot, report_to_json
 from vdse.graph import DataPackage, new_scenario
@@ -604,11 +604,12 @@ def test_usage_error_exit_3(uber_file):
 # Every help text and one usage error per command, with `vdse --help`,
 # `vdse` alone and an unknown command. Help goes to sys.stdout, the rest to
 # run's streams.
+SUBCOMMANDS = ("validate", "paths", "exposure", "export", "schema", "fmt")
 USAGE_ARGVS = [
     [],
     ["--help"],
     ["nonsense"],
-    *([name, "--help"] for name in ("validate", "paths", "exposure", "export", "schema", "fmt")),
+    *([name, "--help"] for name in SUBCOMMANDS),
     ["validate"],
     ["paths", "s.vdse", "--from", "a"],
     ["exposure", "s.vdse", "--max-len", "x", "--person", "a"],
@@ -630,6 +631,54 @@ def test_help_and_usage_errors_are_pinned(monkeypatch, capsys):
             f"--- stdout\n{printed.out}{out}--- stderr\n{printed.err}{err}"
         )
     assert "".join(transcript) == USAGE_TRANSCRIPT.read_text(encoding="utf-8")
+
+
+PASSING_ARGVS = [
+    ["validate", "s.vdse", "--json"],
+    ["paths", "s.vdse", "--to", "b", "--from", "a", "--max-len", "3", "--mode", "lineage"],
+    ["exposure", "s.vdse", "--person", "a", "--max-len", "2", "--json"],
+    ["export", "s.vdse", "--format", "dot", "--show-packages", "--highlight", "a:b", "-o", "x"],
+    ["schema", "--format", "dot"],
+    ["fmt", "a.vdse"],
+]
+ACTION_FIELDS = ("option_strings", "dest", "default", "type", "choices", "required", "metavar", "nargs")
+
+
+def subparsers(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def action_fields(parser) -> list:
+    return [[getattr(action, field) for field in ACTION_FIELDS] for action in parser._actions]
+
+
+def test_a_subcommand_alone_parses_as_in_the_full_parser(monkeypatch, capsys):
+    # run builds only the named subcommand's parser; it must read every argv
+    # as the parser with all six does, help and usage errors included.
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _build_parser()
+    assert tuple(subparsers(full)) == SUBCOMMANDS
+
+    def outcome(parser, argv):
+        try:
+            return parser.parse_args(argv)
+        except _UsageError as exc:
+            return "usage error", str(exc)
+        except SystemExit as exc:  # --help
+            return exc.code, capsys.readouterr()
+
+    for name in SUBCOMMANDS:
+        alone = _build_parser(name)
+        assert list(subparsers(alone)) == [name]
+        mine, theirs = subparsers(alone)[name], subparsers(full)[name]
+        assert mine.format_help() == theirs.format_help()
+        assert action_fields(mine) == action_fields(theirs)
+        argvs = [argv for argv in USAGE_ARGVS + PASSING_ARGVS if argv[:1] == [name]]
+        assert len(argvs) == 3  # its help, its usage error and one that parses
+        for argv in argvs:
+            assert outcome(alone, argv) == outcome(full, argv), argv
+        assert isinstance(outcome(alone, argvs[-1]), argparse.Namespace)
 
 
 def test_io_error_exit_4(tmp_path):
@@ -733,12 +782,9 @@ def test_readme_cli_block_matches_parser():
         words = line.split()
         assert words[0] == "vdse", line
         documented[words[1]] = set(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", line))
-    (subcommands,) = [
-        action for action in _build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
-    assert set(documented) == set(subcommands.choices)
-    for name, parser in subcommands.choices.items():
+    choices = subparsers(_build_parser())
+    assert set(documented) == set(choices)
+    for name, parser in choices.items():
         options = [
             set(action.option_strings)
             for action in parser._actions

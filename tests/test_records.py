@@ -3,6 +3,7 @@ defaults and copying of every public record class."""
 from __future__ import annotations
 
 import copy
+import typing
 
 import pytest
 
@@ -26,6 +27,7 @@ from vdse import (
     Violation,
     ViolationCode,
 )
+from vdse.dsl import _Token
 
 P, V = EntityType.PERSON, EntityType.VEHICLE
 
@@ -242,3 +244,14 @@ def test_result_records_are_named_tuples():
     assert POINT == ("c", 2)
     assert tuple(EXPOSURE) == ("a", (SINK,), (POINT,))
     assert VIOLATION == (ViolationCode.SELF_LOOP, "f", "loops")
+    # Annotations that are classes, not strings: typing.NamedTuple compiles
+    # a string annotation into a ForwardRef when the class is made, which
+    # every import of vdse would pay for.
+    for record in (
+        Path, LineageTrace, SinkExposure, AggregationPoint, ExposureReport,
+        FlowEdgeType, SemanticRelationType, Violation, _Token,
+    ):
+        assert issubclass(record, tuple) and record._fields
+        for annotation in record.__annotations__.values():
+            assert isinstance(typing.get_origin(annotation) or annotation, type), record
+        assert record.__annotations__ == typing.get_type_hints(record), record
