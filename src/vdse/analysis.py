@@ -38,8 +38,9 @@ them, by one closure (_closure) over each package's children or parents;
 it files each trace under its length as it is made, so each length's
 traces come out in flow-id-sequence order and none is sorted afterwards.
 It recurses once per flow of a trace but the last, and a search that would
-extend a trace of _MAX_TRACE_DEPTH (500) flows raises AnalysisError, so
-whether a query is too deep depends on the graph and max_len only.
+extend a trace of _MAX_TRACE_DEPTH (500) flows, or that runs out of stack,
+raises AnalysisError: for a caller up to about 450 frames deep, whether a
+query is too deep depends on the graph and max_len only.
 
 Queries are total on hand-set graphs that validate would reject: each
 first checks the flows in one pass (_flows), which raises AnalysisError on
@@ -72,9 +73,8 @@ __all__ = [
 DEFAULT_MAX_PATH_LEN = 10
 
 # The most flows a lineage trace may be extended to: the walk recurses at
-# most once per flow, and the cap leaves most of the interpreter's default
-# recursion limit (1000 frames) to the caller, so that whether a query is
-# too deep depends on the graph and max_len only.
+# most once per flow, and the cap leaves about 450 frames of the
+# interpreter's default recursion limit (1000) to the caller.
 _MAX_TRACE_DEPTH = 500
 
 
@@ -223,8 +223,6 @@ def _strict_search(flows: list, source: str, max_len: int, sink: str | None = No
         adjacency.setdefault(flow.source, []).append(step)
     for successors in adjacency.values():
         successors.sort()
-    if source not in adjacency:
-        return {}
     if sink is not None:
         adjacency[sink] = ()
     found: dict[str, list] = defaultdict(list)
@@ -247,36 +245,33 @@ def _strict_search(flows: list, source: str, max_len: int, sink: str | None = No
 
 def _derivations(packages: dict) -> tuple:
     """Maps from each package id to its parents (its derives_from) and its
-    children; as in validate, a derives_from that is not a list, and an
-    entry that is not hashable, name nothing."""
+    children, both of names only; as in validate, a derives_from that is not
+    a list, and an entry that is not hashable, name nothing."""
     parents: dict = {}
     children: dict = {}
     for key, package in packages.items():
         if isinstance(package.derives_from, (tuple, list)):
-            parents[key] = package.derives_from
+            named = parents[key] = []
             for parent in package.derives_from:
                 try:
                     children.setdefault(parent, []).append(key)
                 except TypeError:  # not hashable: names nothing
-                    pass
+                    continue
+                named.append(parent)
     return parents, children
 
 
 def _closure(start, edges: dict, seen: set) -> list:
-    """start and each node it reaches over edges (a map from node to list)
-    that seen does not hold, which seen gains: an iterative walk that stops
-    at nodes in seen, so cycles end, and skips nodes that are not hashable."""
+    """start and each node it reaches over edges (a map from node to a list
+    of names, as _derivations makes) that seen does not hold, which seen
+    gains: an iterative walk that stops at nodes in seen, so cycles end."""
     reached = [] if start in seen else [start]
     seen.update(reached)
     for node in reached:
         for neighbour in edges.get(node, ()):
-            try:
-                if neighbour in seen:
-                    continue
-            except TypeError:  # not hashable: names nothing
-                continue
-            seen.add(neighbour)
-            reached.append(neighbour)
+            if neighbour not in seen:
+                seen.add(neighbour)
+                reached.append(neighbour)
     return reached
 
 
@@ -392,7 +387,7 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     last-flow list, (flow id,), (package,)], one per flow that can still
     reach the sink; both lists are in flow-id order, and None until the walk
     first needs them. A search that would extend a trace of _MAX_TRACE_DEPTH
-    flows raises AnalysisError, wherever on the stack the query runs."""
+    flows, or that runs out of stack, raises AnalysisError."""
     parents, children = _derivations(packages)
     distances = _lineage_distances(flows, parents, sink, max_len)
     leaving: dict[str, list] = {}
@@ -412,6 +407,8 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     by_length: list[list] = [[] for _ in range(min(max_len, len(distances)) + 1)]
     try:
         _walk(by_length, set(), sink, max_len, (), (), leaving.get(source, ()), index)
+    except RecursionError:  # a caller deep in the stack leaves less room
+        raise AnalysisError(f"search too deep for --max-len {max_len}") from None
     finally:
         # Entries hold successor lists that hold entries: empty the entries,
         # so that the index is freed without the cyclic collector.

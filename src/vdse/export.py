@@ -40,7 +40,7 @@ from operator import attrgetter
 from vdse.analysis import ExposureReport, LineageTrace, Path
 from vdse.errors import MalformedGraphError
 from vdse.graph import InstanceGraph
-from vdse.schema import EntityType, _Record, _gvquote, _shown, type_code
+from vdse.schema import EntityType, _Record, _digraph, _gvquote, _shown, type_code
 from vdse.validate import (
     ValidationReport,
     check_references,
@@ -129,11 +129,7 @@ def graph_to_dot(graph: InstanceGraph, options: ExportOptions | None = None) -> 
             f"{quoted[flow.source]} -> {quoted[flow.target]} "
             f"[label={_gvquote(label)}, style=dashed{style}];"
         )
-    lines = [f"digraph {_gvquote(graph.name)} {{"]
-    lines.extend("  " + n for n in sorted(nodes))
-    lines.extend("  " + e for e in sorted(edges))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _digraph(graph.name, nodes, edges)
 
 
 class _Members(dict):

@@ -288,6 +288,16 @@ def _gvquote(text: str) -> str:
     return '"' + quoted.replace("\r", "").replace("\n", "\\n") + '"'
 
 
+def _digraph(name: str, nodes: list, edges: list) -> str:
+    """Graphviz source of a digraph called name: the node statements, then the
+    edge statements, each sorted and indented two spaces."""
+    lines = [f"digraph {_gvquote(name)} {{"]
+    lines.extend("  " + n for n in sorted(nodes))
+    lines.extend("  " + e for e in sorted(edges))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def type_graph_to_dot(schema: TypeGraph | None = None) -> str:
     """Render the type graph as deterministic Graphviz source.
 
@@ -296,8 +306,8 @@ def type_graph_to_dot(schema: TypeGraph | None = None) -> str:
     flow edge types are dashed (double-headed when bidirectional).
     """
     schema = schema or builtin_schema()
-    nodes = sorted(_gvquote(t.display_name) + " [shape=box, style=rounded];"
-                   for t in schema.entity_types)
+    nodes = [_gvquote(t.display_name) + " [shape=box, style=rounded];"
+             for t in schema.entity_types]
     edges: list[str] = []
     for child in sorted(schema.subclass_parent, key=lambda t: t.display_name):
         parent = schema.subclass_parent[child]
@@ -319,8 +329,4 @@ def type_graph_to_dot(schema: TypeGraph | None = None) -> str:
             f"{_gvquote(edge.source.display_name)} -> {_gvquote(edge.target.display_name)} "
             f"[label={_gvquote(edge.id)}{style}];"
         )
-    lines = ['digraph "entity_types" {']
-    lines.extend("  " + n for n in nodes)
-    lines.extend("  " + e for e in sorted(edges))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _digraph("entity_types", nodes, edges)

@@ -80,6 +80,16 @@ def build_random_graph(seed: int):
     return graph
 
 
+def one_package_chain(n: int):
+    """d0 -> d1 -> ... -> d{n-1}, every flow carrying the one package DP."""
+    graph = new_scenario("chain").add_package(DataPackage("DP"))
+    for i in range(n):
+        graph.add_entity(f"d{i}", "DA")
+    for i in range(n - 1):
+        graph.add_flow(f"f{i}", "E5", f"d{i}", f"d{i + 1}", "DP")
+    return graph
+
+
 def hand_set_graph():
     """p -f1-> a -f2-> b, with package Q derived from P, and c -f3-> d."""
     graph = new_scenario("hand_set")
@@ -217,6 +227,10 @@ def under_hash_seeds(script: str) -> list:
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout)
     return outputs
+
+
+def flow_sets(paths):
+    return [p.flow_ids for p in paths]
 
 
 def sample_pairs(graph, seed: int, limit: int = 8):

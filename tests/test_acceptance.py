@@ -8,7 +8,7 @@ from __future__ import annotations
 import copy
 import io
 
-from conftest import build_random_graph, sample_pairs
+from conftest import build_random_graph, flow_sets, sample_pairs
 from test_schema import FLOW_TABLE
 from vdse.analysis import LineageTrace, brute_force_paths, enumerate_paths
 from vdse.cli import run
@@ -25,10 +25,6 @@ def _criterion(number: int, check) -> None:
         print(f"[acceptance] criterion {number}: FAIL")
         raise
     print(f"[acceptance] criterion {number}: PASS")
-
-
-def flow_sets(paths):
-    return [p.flow_ids for p in paths]
 
 
 def test_criterion_1_speeding_paths(speeding_graph):

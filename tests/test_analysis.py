@@ -13,7 +13,9 @@ from conftest import (
     build_random_graph,
     copy_graph,
     derivation_closure,
+    flow_sets,
     hand_set_graph,
+    one_package_chain,
     sample_pairs,
 )
 from vdse.analysis import (
@@ -43,10 +45,6 @@ from vdse.graph import (
 )
 from vdse.scenarios import load_scenario
 from vdse.schema import EntityType
-
-
-def flow_sets(paths):
-    return [p.flow_ids for p in paths]
 
 
 def lineages(graph):
@@ -625,16 +623,6 @@ def test_queries_leave_no_cyclic_garbage(uber_graph, mode):
         gc.enable()
 
 
-def one_package_chain(n: int):
-    """d0 -> d1 -> ... -> d{n-1}, every flow carrying the one package DP."""
-    graph = new_scenario("chain").add_package(DataPackage("DP"))
-    for i in range(n):
-        graph.add_entity(f"d{i}", "DA")
-    for i in range(n - 1):
-        graph.add_flow(f"f{i}", "E5", f"d{i}", f"d{i + 1}", "DP")
-    return graph
-
-
 def test_too_deep_lineage_search_raises_analysis_error():
     graph = one_package_chain(1500)
     with pytest.raises(AnalysisError, match="^search too deep for --max-len 5000$"):
@@ -673,6 +661,18 @@ def test_lineage_depth_does_not_depend_on_the_callers_stack(n):
     outcome = outcome_at_depth(0, query)
     assert outcome == (1 if n <= 500 else "search too deep for --max-len 5000")
     assert outcome_at_depth(300, query) == outcome
+
+
+def test_a_deep_caller_gets_analysis_error_not_recursion_error():
+    # From 600 frames the walk runs out of stack before the cap: the query
+    # says so as at the cap, with AnalysisError, never RecursionError.
+    graph = own_package_chain(499)
+
+    def query():
+        return enumerate_paths(graph, "p", "d498", 5000, mode="lineage")
+
+    assert outcome_at_depth(0, query) == 1
+    assert outcome_at_depth(600, query) == "search too deep for --max-len 5000"
 
 
 # (n, max_len, outcome) of the query p -> d{n-1} on own_package_chain(n),
@@ -980,6 +980,20 @@ def test_exposure_report_speeding(speeding_graph):
         "DP9_1",
     )
     assert len(insurer.paths) == 4
+
+
+def test_exposure_sinks_at_full_length_are_the_reachable_entities():
+    # A simple path visits no entity twice, so at max_len equal to the
+    # entity count every entity the person reaches ends one of its paths.
+    graphs = [load_scenario("uber"), load_scenario("speeding")]
+    graphs += [build_random_graph(seed) for seed in range(200)]
+    graphs += [dense_mesh(n) for n in range(3, 7)]
+    for graph in graphs:
+        for person in persons(graph):
+            report = exposure_report(graph, person, len(graph.entities))
+            assert {s.sink for s in report.sinks} == reachable_from(graph, person), (
+                graph.name, person
+            )
 
 
 def test_exposure_report_uber(uber_graph):

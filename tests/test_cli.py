@@ -16,13 +16,13 @@ from pathlib import Path
 import pytest
 
 import vdse
+from conftest import one_package_chain
 from test_analysis import dense_mesh
 from test_dsl import round_trip_mutants, token_mutants
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
 from vdse.cli import _UsageError, _build_parser, run
 from vdse.dsl import parse, serialize
 from vdse.export import graph_to_dot, report_to_json
-from vdse.graph import DataPackage, new_scenario
 from vdse.scenarios import load_scenario, scenario_text
 from vdse.schema import builtin_schema
 from vdse.validate import validate
@@ -241,13 +241,8 @@ CHAIN = 1500
 @pytest.fixture(scope="module")
 def chain_file(tmp_path_factory):
     """A serialized chain d0 -> d1 -> ... of CHAIN data aggregators."""
-    graph = new_scenario("chain").add_package(DataPackage("DP"))
-    for i in range(CHAIN):
-        graph.add_entity(f"d{i}", "DA")
-    for i in range(CHAIN - 1):
-        graph.add_flow(f"f{i}", "E5", f"d{i}", f"d{i + 1}", "DP")
     path = tmp_path_factory.mktemp("chain") / "chain.vdse"
-    path.write_text(serialize(graph), encoding="utf-8")
+    path.write_text(serialize(one_package_chain(CHAIN)), encoding="utf-8")
     return str(path)
 
 

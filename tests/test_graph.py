@@ -65,6 +65,14 @@ def test_add_entity_rejects_data_package_type():
     assert not graph.entities
 
 
+def test_add_entity_rejects_a_type_that_is_not_text():
+    graph = new_scenario("t")
+    before = snapshot(graph)
+    with pytest.raises(UnknownTypeError, match="^unknown entity type 5$"):
+        graph.add_entity("x", 5)
+    assert snapshot(graph) == before
+
+
 @pytest.mark.parametrize("bad_id", ["1x", "a-b", "a b", "", "e3.fwd"])
 def test_add_entity_rejects_bad_identifier(bad_id):
     graph = new_scenario("t")
