@@ -2,18 +2,30 @@
 
 Exit codes: 0 success, 1 validation errors, 2 parse error, 3 usage error,
 4 I/O error. Results go to stdout and are byte-identical across runs;
-diagnostics and warnings go to stderr. `run` builds the parser of the
-subcommand that its first argument names exactly, and no other; anything
-else (no argument, `-h`, an unknown or abbreviated command) gets the parser
-with all six, whose help and invalid-choice message list them.
+diagnostics and warnings go to stderr.
+
+Every subcommand's arguments are declared once, in _SUBCOMMANDS, and two
+readers are built from it. `run` first tries `_read`, which takes an argv
+only when its first token is exactly one of the six names and each later
+token is exactly one of that subcommand's option strings, a value after a
+value option, or the one FILE; a value does not start with "-", an int
+value converts with int(), a choice is one of its choices, and every
+required option is given. That covers each documented command form without
+importing argparse. Every other argv (help, `--opt=value`, abbreviations,
+`--`, `-`, negative numbers, repeated positionals, every usage error) goes
+to argparse, the only writer of help and error text: `_build_parser`
+builds the parser of the subcommand that the first argument names exactly,
+and no other; anything else (no argument, `-h`, an unknown or abbreviated
+command) gets the parser with all six, whose help and invalid-choice
+message list them.
 """
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, LineageTrace, enumerate_paths, exposure_report
 from vdse.dsl import parse, serialize
@@ -36,72 +48,131 @@ class _UsageError(ValueError):
     pass
 
 
-class _Formatter(argparse.HelpFormatter):
-    """Writes "-o FILE, --output FILE" as Python 3.11 does, not "-o, --output FILE"."""
+# Each subcommand, in `vdse --help` order: its help, whether it takes FILE,
+# and its options in `--help` order as (flags, dest, kind, default,
+# required, metavar). kind is "flag" (store_true), int, a tuple of choices,
+# or None for text.
+_SUBCOMMANDS = {
+    "validate": ("check a scenario against the type graph", True, (
+        (("--json",), "json", "flag", False, False, None),
+    )),
+    "paths": ("enumerate data-flow paths between two entities", True, (
+        (("--from",), "source", None, None, True, "ID"),
+        (("--to",), "sink", None, None, True, "ID"),
+        (("--max-len",), "max_len", int, DEFAULT_MAX_PATH_LEN, False, None),
+        (("--mode",), "mode", ("strict", "lineage"), "strict", False, None),
+        (("--json",), "json", "flag", False, False, None),
+    )),
+    "exposure": ("report where a person's data can end up", True, (
+        (("--person",), "person", None, None, True, "ID"),
+        (("--max-len",), "max_len", int, DEFAULT_MAX_PATH_LEN, False, None),
+        (("--json",), "json", "flag", False, False, None),
+    )),
+    "export": ("render a scenario as DOT or JSON", True, (
+        (("--format",), "format", ("dot", "json"), "dot", False, None),
+        (("--show-packages",), "show_packages", "flag", False, False, None),
+        (("--highlight",), "highlight", None, None, False, "FROM:TO"),
+        (("-o", "--output"), "output", None, None, False, "FILE"),
+    )),
+    "schema": ("print the built-in type graph", False, (
+        (("--format",), "format", ("text", "dot"), "text", False, None),
+    )),
+    "fmt": ("rewrite a scenario file in canonical form", True, ()),
+}
+_NAMES = tuple(_SUBCOMMANDS)
 
-    def _format_action_invocation(self, action):
-        if not action.option_strings or action.nargs == 0:
-            return super()._format_action_invocation(action)
-        args = self._format_args(action, self._get_default_metavar_for_optional(action))
-        return ", ".join(f"{option} {args}" for option in action.option_strings)
+
+def _read(argv: list) -> SimpleNamespace | None:
+    """The namespace argparse makes of argv, when argv has the plain form
+    the module docstring gives; None otherwise, for argparse to read."""
+    # A tuple, not the dict: an unhashable argv[0] must not raise.
+    if not argv or argv[0] not in _NAMES:
+        return None
+    _, takes_file, options = _SUBCOMMANDS[argv[0]]
+    by_flag = {flag: option for option in options for flag in option[0]}
+    values = {"command": argv[0]}
+    values.update((dest, default) for _, dest, _, default, _, _ in options)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not isinstance(token, str):
+            return None
+        option = by_flag.get(token)
+        if option is None:  # the one FILE
+            if token.startswith("-") or not takes_file or "file" in values:
+                return None
+            values["file"] = token
+            continue
+        _, dest, kind, _, _, _ = option
+        value = True
+        if kind != "flag":
+            value = next(tokens, None)
+            if not isinstance(value, str) or value.startswith("-"):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            elif kind is not None and value not in kind:
+                return None
+        values[dest] = value
+        given.add(dest)
+    if takes_file and "file" not in values:
+        return None
+    if any(required and dest not in given for _, dest, _, _, required, _ in options):
+        return None
+    return SimpleNamespace(**values)
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        super().__init__(formatter_class=_Formatter, **kwargs)
+def _build_parser(command: str | None = None):
+    """The argparse parser for `vdse`, with every subcommand, or with only
+    the one named: a subcommand's parser does not depend on its siblings."""
+    import argparse
 
-    def error(self, message):  # argparse defaults to exit code 2
-        raise _UsageError(message)
+    class _Formatter(argparse.HelpFormatter):
+        """Writes "-o FILE, --output FILE" as Python 3.11 does, not "-o, --output FILE"."""
 
-    def _check_value(self, action, value):  # 3.13 would list the choices unquoted
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            message = f"invalid choice: {value!r} (choose from {choices})"
-            raise argparse.ArgumentError(action, message)
+        def _format_action_invocation(self, action):
+            if not action.option_strings or action.nargs == 0:
+                return super()._format_action_invocation(action)
+            args = self._format_args(action, self._get_default_metavar_for_optional(action))
+            return ", ".join(f"{option} {args}" for option in action.option_strings)
 
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs):
+            super().__init__(formatter_class=_Formatter, **kwargs)
 
-def _build_parser(command: str | None = None) -> _Parser:
-    """The parser for `vdse`, with every subcommand, or with only the one
-    named: a subcommand's parser does not depend on its siblings."""
+        def error(self, message):  # argparse defaults to exit code 2
+            raise _UsageError(message)
+
+        def _check_value(self, action, value):  # 3.13 would list the choices unquoted
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                message = f"invalid choice: {value!r} (choose from {choices})"
+                raise argparse.ArgumentError(action, message)
+
     parser = _Parser(prog="vdse", description="Vehicle data-sharing scenario analysis")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    if command in (None, "validate"):
-        p = sub.add_parser("validate", help="check a scenario against the type graph")
-        p.add_argument("file")
-        p.add_argument("--json", action="store_true")
-
-    if command in (None, "paths"):
-        p = sub.add_parser("paths", help="enumerate data-flow paths between two entities")
-        p.add_argument("file")
-        p.add_argument("--from", dest="source", required=True, metavar="ID")
-        p.add_argument("--to", dest="sink", required=True, metavar="ID")
-        p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
-        p.add_argument("--mode", choices=("strict", "lineage"), default="strict")
-        p.add_argument("--json", action="store_true")
-
-    if command in (None, "exposure"):
-        p = sub.add_parser("exposure", help="report where a person's data can end up")
-        p.add_argument("file")
-        p.add_argument("--person", required=True, metavar="ID")
-        p.add_argument("--max-len", type=int, default=DEFAULT_MAX_PATH_LEN)
-        p.add_argument("--json", action="store_true")
-
-    if command in (None, "export"):
-        p = sub.add_parser("export", help="render a scenario as DOT or JSON")
-        p.add_argument("file")
-        p.add_argument("--format", choices=("dot", "json"), default="dot")
-        p.add_argument("--show-packages", action="store_true")
-        p.add_argument("--highlight", metavar="FROM:TO")
-        p.add_argument("-o", "--output", metavar="FILE")
-
-    if command in (None, "schema"):
-        p = sub.add_parser("schema", help="print the built-in type graph")
-        p.add_argument("--format", choices=("text", "dot"), default="text")
-
-    if command in (None, "fmt"):
-        p = sub.add_parser("fmt", help="rewrite a scenario file in canonical form")
-        p.add_argument("file")
+    for name, (summary, takes_file, options) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=summary)
+        if takes_file:
+            p.add_argument("file")
+        for flags, dest, kind, default, required, metavar in options:
+            if kind == "flag":
+                p.add_argument(*flags, dest=dest, action="store_true")
+            else:
+                p.add_argument(
+                    *flags,
+                    dest=dest,
+                    type=int if kind is int else None,
+                    choices=kind if isinstance(kind, tuple) else None,
+                    default=default,
+                    required=required,
+                    metavar=metavar,
+                )
     return parser
 
 
@@ -262,7 +333,6 @@ _COMMANDS = {
     "schema": _cmd_schema,
     "fmt": _cmd_fmt,
 }
-_NAMES = tuple(_COMMANDS)
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -270,10 +340,11 @@ def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A tuple, not the _COMMANDS dict: an unhashable argv[0] must not raise.
-    command = argv[0] if argv and argv[0] in _NAMES else None
     try:
-        args = _build_parser(command).parse_args(argv)
+        args = _read(argv)
+        if args is None:
+            command = argv[0] if argv and argv[0] in _NAMES else None
+            args = _build_parser(command).parse_args(argv)
         return _COMMANDS[args.command](args, stdout, stderr)
     except ParseError as exc:
         print(f"parse error: {exc}", file=stderr)
@@ -296,10 +367,14 @@ def main() -> None:
     over it, stdout and then stderr are flushed, and os._exit ends the
     process. A stdout whose reader is gone exits EXIT_IO. vdse starts no
     threads, and every file a command opens is closed before run() returns,
-    so teardown would have nothing left to do. Code that runs a command
-    inside a longer-lived process calls run(argv, stdout, stderr), which
-    leaves the collector and the process alone.
+    so teardown would have nothing left to do. The command runs with the
+    cyclic collector off: queries make no reference cycles, and a collector
+    pass over a large result list (hundreds of thousands of lineage traces)
+    is pure cost. Code that runs a command inside a longer-lived process
+    calls run(argv, stdout, stderr), which leaves the collector and the
+    process alone.
     """
+    gc.disable()
     code = run(sys.argv[1:])
     # Teardown would free, module by module, what the OS frees at exit; a
     # frozen heap also keeps the collector off the imports' objects while

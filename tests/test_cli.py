@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import gc
 import io
+import itertools
 import json
 import os
 import random
@@ -20,7 +21,7 @@ from conftest import one_package_chain
 from test_analysis import dense_mesh
 from test_dsl import round_trip_mutants, token_mutants
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
-from vdse.cli import _UsageError, _build_parser, run
+from vdse.cli import _UsageError, _build_parser, _read, run
 from vdse.dsl import parse, serialize
 from vdse.export import graph_to_dot, report_to_json
 from vdse.scenarios import load_scenario, scenario_text
@@ -465,11 +466,25 @@ def test_the_process_entry_ends_as_run_returns(tmp_path, uber_file, broken_file,
     assert len(given[1][1]) > 65536  # more than a Linux pipe buffer
     hooked = _python(
         "-c",
-        "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+        "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled())); "
         "from vdse.cli import main; main()",
         "schema",
     )
-    assert (hooked.returncode, hooked.stdout) == (0, given[0][1] + b"True\n")
+    assert (hooked.returncode, hooked.stdout) == (0, given[0][1] + b"True False\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(enabled, uber_file):
+    # main() turns the cyclic collector off for the life of the process;
+    # run(), which a longer-lived process calls, must not touch it.
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv in (["paths", uber_file, "--from", "driver", "--to", "uber"], ["nonsense"], ["fmt", "-h"]):
+            invoke(argv)
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 HOOKED_MAIN = (
@@ -676,6 +691,142 @@ def test_a_subcommand_alone_parses_as_in_the_full_parser(monkeypatch, capsys):
         assert isinstance(outcome(alone, argvs[-1]), argparse.Namespace)
 
 
+def readme_synopsis() -> list:
+    with open(README, encoding="utf-8") as handle:
+        return re.search(r"## CLI\n\n```\n(.*?)```", handle.read(), re.S)[1].splitlines()
+
+
+def documented_argvs(file: str) -> list:
+    """Each README synopsis form, with every subset of its optional groups
+    and each choice of a choice value. The placeholders are filled so that
+    each command runs on the uber scenario in FILE; the two IDs of `paths`
+    are taken in turn."""
+    argvs = []
+    for line in readme_synopsis():
+        ids = iter(["driver", "uber"])
+        filled = {"FILE": [file], "N": ["3"], "FROM:TO": ["driver:uber"], "OUT": ["out.dot"]}
+
+        def values(word):
+            return [next(ids)] if word == "ID" else filled.get(word) or word.split("|")
+
+        slots = []
+        for word in re.findall(r"\[[^]]*\]|\S+", line):
+            if word[0] == "[":
+                flag, *rest = word[1:-1].split()
+                slots.append([[]] + [[flag, *v] for v in itertools.product(*map(values, rest))])
+            else:
+                slots.append([[value] for value in values(word)])
+        argvs += [list(itertools.chain(*choice))[1:] for choice in itertools.product(*slots)]
+    return argvs
+
+
+# The argv shapes of the benchmark's `cli` workload.
+WORKLOAD_ARGVS = [
+    ["validate", "u.vdse"],
+    ["validate", "u.vdse", "--json"],
+    ["paths", "u.vdse", "--from", "driver", "--to", "uber"],
+    ["paths", "u.vdse", "--from", "driver", "--to", "uber", "--mode", "lineage"],
+    ["exposure", "u.vdse", "--person", "driver"],
+    ["exposure", "u.vdse", "--person", "driver", "--json"],
+    ["exposure", "u.vdse", "--person", "driver", "--max-len", "4"],
+    ["export", "u.vdse", "--highlight", "driver:uber"],
+    ["export", "u.vdse", "--format", "json", "--show-packages"],
+    ["fmt", "u.vdse"],
+]
+# Tokens at the edges of the reader's rules: help, `--`, `-`, an attached
+# value, an abbreviation, a negative number, values int() reads loosely,
+# an empty token and one that is not a str.
+ODD_TOKENS = ["-h", "--", "-", "--max-len=3", "--max", "-oX", "-3", " 4", "\u0663", "", 7]
+VALUES = ["s.vdse", "a", "b", "a:b", "3", "0", "strict", "lineage", "dot", "json", "text"]
+
+
+def random_argvs(rng, count):
+    """argvs of a command and up to a dozen tokens. Half start from what the
+    command requires (its FILE and required options, each with a value);
+    random tokens are put among these, and an option that takes a value is
+    mostly followed by a plain one, so many argvs are near the forms the
+    reader takes."""
+    units, required = {}, {}
+    for name, parser in subparsers(_build_parser()).items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        units[name] = [(a.option_strings, a.nargs != 0) for a in actions if a.option_strings]
+        required[name] = [a.option_strings or [None] for a in actions if a.required]
+    every = sorted({flag for flags in units.values() for f, _ in flags for flag in f}) + ODD_TOKENS + VALUES
+    for _ in range(count):
+        name = rng.choice(SUBCOMMANDS + SUBCOMMANDS + ("nonsense", "pat", "-h", 5))
+        argv = []
+        if name in required and rng.random() < 0.5:
+            argv = [[rng.choice(VALUES)] if flags == [None] else [rng.choice(flags), rng.choice(VALUES)]
+                    for flags in required[name]]
+        while len(argv) < 8 and rng.random() < 0.8:
+            draw = rng.random()
+            if draw < 0.5 and units.get(name):
+                flags, takes_value = rng.choice(units[name])
+                unit = [rng.choice(flags)]
+                if takes_value and rng.random() < 0.85:
+                    unit.append(rng.choice(VALUES))
+            else:
+                unit = [rng.choice(VALUES if draw < 0.7 else every)]
+            argv.insert(rng.randint(0, len(argv)), unit)
+        yield [name, *itertools.chain.from_iterable(argv)]
+
+
+def test_the_reader_agrees_with_argparse():
+    # Every argv the reader takes, argparse takes too, with the same
+    # attributes of the same types; the rest go to argparse in run().
+    parsers = {name: _build_parser(name) for name in SUBCOMMANDS}
+    corpus = documented_argvs("s.vdse") + WORKLOAD_ARGVS + USAGE_ARGVS + PASSING_ARGVS
+    taken = Counter()
+    for argv in [*corpus, *random_argvs(random.Random(33), 100_000)]:
+        ours = _read(argv)
+        if ours is None:
+            continue
+        taken[argv[0]] += 1
+        try:
+            theirs = vars(parsers[argv[0]].parse_args(argv))
+        except (_UsageError, SystemExit) as exc:
+            pytest.fail(f"argparse refuses {argv!r} ({exc!r}), which the reader took")
+        assert vars(ours) == theirs, argv
+        assert {k: type(v) for k, v in vars(ours).items()} == {k: type(v) for k, v in theirs.items()}
+    assert min(taken[name] for name in SUBCOMMANDS) > 1000, taken
+
+
+def test_the_documented_forms_run_without_argparse(tmp_path, monkeypatch):
+    uber = tmp_path / "uber.vdse"
+    uber.write_text(scenario_text("uber"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # -o OUT writes here
+    argvs = documented_argvs(str(uber))
+    assert len(argvs) == 2 + 3 * 2 * 2 + 2 * 2 + 3 * 2 * 2 * 2 + 3 + 1
+    for argv in argvs + WORKLOAD_ARGVS:
+        assert _read(argv) is not None, argv
+    script = (
+        "import json, sys; from vdse.cli import run\n"
+        "codes = [run(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'argparse' in sys.modules, 'gettext' in sys.modules, file=sys.stderr)\n"
+    )
+    done = _python("-c", script, json.dumps(argvs))
+    # export refuses --highlight with --format json itself, as a usage error.
+    codes = [3 if {"json", "--highlight"} <= set(argv) else 0 for argv in argvs]
+    assert codes.count(3) == 4
+    assert done.stderr.decode().splitlines()[-1] == f"{codes} False False"
+    hooked = _python(
+        "-c",
+        "import atexit, gc, sys; "
+        "atexit.register(lambda: print('argparse' in sys.modules, 'gettext' in sys.modules, gc.isenabled())); "
+        "from vdse.cli import main; main()",
+        "paths", str(uber), "--from", "driver", "--to", "uber",
+    )
+    assert hooked.returncode == 0, hooked.stderr
+    assert hooked.stdout.decode().splitlines()[-1] == "False False False"
+    # An abbreviation and an attached value are argparse's to read.
+    plain = invoke(["paths", str(uber), "--from", "driver", "--to", "uber", "--max-len", "3"])
+    for spelled in (["--max", "3"], ["--max-len=3"]):
+        argv = ["paths", str(uber), "--from", "driver", "--to", "uber", *spelled]
+        assert _read(argv) is None
+        assert invoke(argv) == plain
+    assert plain[0] == 0 and plain[1]
+
+
 def test_io_error_exit_4(tmp_path):
     code, out, err = invoke(["validate", str(tmp_path / "missing.vdse")])
     assert code == 4
@@ -770,10 +921,8 @@ def test_readme_scenario_file_example_parses_and_validates():
 
 
 def test_readme_cli_block_matches_parser():
-    with open(README, encoding="utf-8") as handle:
-        block = re.search(r"## CLI\n\n```\n(.*?)```", handle.read(), re.S)[1]
     documented = {}
-    for line in block.splitlines():
+    for line in readme_synopsis():
         words = line.split()
         assert words[0] == "vdse", line
         documented[words[1]] = set(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", line))
