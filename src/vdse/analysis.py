@@ -37,10 +37,10 @@ successors, and its last flows into the sink, the first time it needs
 them, by one closure (_closure) over each package's children or parents;
 it files each trace under its length as it is made, so each length's
 traces come out in flow-id-sequence order and none is sorted afterwards.
-It recurses once per flow of a trace but the last, and a search that would
-extend a trace of _MAX_TRACE_DEPTH (500) flows, or that runs out of stack,
-raises AnalysisError: for a caller up to about 450 frames deep, whether a
-query is too deep depends on the graph and max_len only.
+It is one loop over a stack kept in a list, and a search that would
+extend a trace of _MAX_TRACE_DEPTH (500) flows raises AnalysisError:
+whether a query is too deep depends on the graph and max_len only, however
+deep in the interpreter's stack its caller is.
 
 Queries are total on hand-set graphs that validate would reject: each
 first checks the flows in one pass (_flows), which raises AnalysisError on
@@ -72,9 +72,8 @@ __all__ = [
 # Covers the longest bundled-scenario path (six flows) with margin.
 DEFAULT_MAX_PATH_LEN = 10
 
-# The most flows a lineage trace may be extended to: the walk recurses at
-# most once per flow, and the cap leaves about 450 frames of the
-# interpreter's default recursion limit (1000) to the caller.
+# The most flows a lineage trace may be extended to: a bound on the walk's
+# work, as its stack is a list and not the interpreter's.
 _MAX_TRACE_DEPTH = 500
 
 
@@ -335,47 +334,50 @@ class _Successors(dict):
         return successors
 
 
-def _walk(
-    by_length: list, used: set, sink: str, max_len: int,
-    flow_ids: tuple, package_ids: tuple, following: list, index: _Successors,
-) -> None:
-    """Extend a lineage trace by each successor entry that fits, in flow-id
-    order, filing every trace that ends at sink under its length, so that
-    each length's traces are filed in flow-id-sequence order. An entry fits
-    when it is unused and its distance leaves room to reach the sink. With
-    more than two flows to spare, the walk recurses on each entry that fits;
-    with two, it ends the trace from the entry's last flows into the sink,
-    in a loop, with no frame. Raises AnalysisError rather than extend a
-    trace of _MAX_TRACE_DEPTH flows, by a frame or by a last flow alike."""
-    depth = len(flow_ids)
-    spare = max_len - depth
-    for entry in following:
-        flow_id, package, target, distance, successors, last_flows, one_flow, one_package = entry
-        if distance >= spare or flow_id in used:
-            continue
-        trace_flows, trace_packages = flow_ids + one_flow, package_ids + one_package
-        if target == sink:
-            by_length[depth + 1].append(_new(LineageTrace, (trace_flows, trace_packages)))
-        if spare == 1:
-            continue
-        if depth + 1 >= _MAX_TRACE_DEPTH:
-            raise AnalysisError(f"search too deep for --max-len {max_len}")
-        if spare > 2:
-            if successors is None:
-                successors = entry[4] = index[target, package]
-            used.add(flow_id)
-            _walk(by_length, used, sink, max_len, trace_flows, trace_packages, successors, index)
-            used.discard(flow_id)
-            continue
-        if last_flows is None:
-            last_flows = entry[5] = [
-                last for last, source, lineage in index.into_sink
-                if source == target or package in lineage
-            ]
-        for last_id, last_flow, last_package in last_flows:
-            if last_id != flow_id and last_id not in used:
-                trace = (trace_flows + last_flow, trace_packages + last_package)
-                by_length[depth + 2].append(_new(LineageTrace, trace))
+def _walk(by_length: list, sink: str, max_len: int, following: list, index: _Successors) -> None:
+    """Extend a lineage trace by each successor entry that fits, depth first
+    in flow-id order, filing every trace that ends at sink under its length,
+    so that each length's traces are filed in flow-id-sequence order. An
+    entry fits when it is unused and its distance leaves room to reach the
+    sink. With more than two flows to spare, an entry that fits pushes
+    (its successors, trace flows, trace packages) on the stack; with two, it
+    ends the trace from its last flows into the sink, with no stack item.
+    Raises AnalysisError rather than extend a trace of _MAX_TRACE_DEPTH
+    flows, by a stack item or by a last flow alike."""
+    used, stack = set(), [(iter(following), (), ())]
+    while stack:
+        entries, flow_ids, package_ids = stack[-1]
+        depth = len(flow_ids)
+        spare = max_len - depth
+        for entry in entries:
+            flow_id, package, target, distance, successors, last_flows, one_flow, one_package = entry
+            if distance >= spare or flow_id in used:
+                continue
+            trace_flows, trace_packages = flow_ids + one_flow, package_ids + one_package
+            if target == sink:
+                by_length[depth + 1].append(_new(LineageTrace, (trace_flows, trace_packages)))
+            if spare == 1:
+                continue
+            if depth + 1 >= _MAX_TRACE_DEPTH:
+                raise AnalysisError(f"search too deep for --max-len {max_len}")
+            if spare > 2:
+                if successors is None:
+                    successors = entry[4] = index[target, package]
+                used.add(flow_id)
+                stack.append((iter(successors), trace_flows, trace_packages))
+                break
+            if last_flows is None:
+                last_flows = entry[5] = [
+                    last for last, source, lineage in index.into_sink
+                    if source == target or package in lineage
+                ]
+            for last_id, last_flow, last_package in last_flows:
+                if last_id != flow_id and last_id not in used:
+                    trace = (trace_flows + last_flow, trace_packages + last_package)
+                    by_length[depth + 2].append(_new(LineageTrace, trace))
+        else:  # free the flow that pushed this item; the first item has none
+            stack.pop()
+            used.difference_update(flow_ids[-1:])
 
 
 def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len: int) -> list:
@@ -387,7 +389,7 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     last-flow list, (flow id,), (package,)], one per flow that can still
     reach the sink; both lists are in flow-id order, and None until the walk
     first needs them. A search that would extend a trace of _MAX_TRACE_DEPTH
-    flows, or that runs out of stack, raises AnalysisError."""
+    flows raises AnalysisError."""
     parents, children = _derivations(packages)
     distances = _lineage_distances(flows, parents, sink, max_len)
     leaving: dict[str, list] = {}
@@ -406,9 +408,7 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     # longer than len(distances); by_length[n] holds the traces of n flows.
     by_length: list[list] = [[] for _ in range(min(max_len, len(distances)) + 1)]
     try:
-        _walk(by_length, set(), sink, max_len, (), (), leaving.get(source, ()), index)
-    except RecursionError:  # a caller deep in the stack leaves less room
-        raise AnalysisError(f"search too deep for --max-len {max_len}") from None
+        _walk(by_length, sink, max_len, leaving.get(source, ()), index)
     finally:
         # Entries hold successor lists that hold entries: empty the entries,
         # so that the index is freed without the cyclic collector.

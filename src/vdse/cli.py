@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 validation errors, 2 parse error, 3 usage error,
 diagnostics and warnings go to stderr.
 
 Every subcommand's arguments are declared once, in _SUBCOMMANDS, and two
-readers are built from it. `run` first tries `_read`, which takes an argv
+readers are built from it. `run` refuses a token that is not a str, as a
+usage error; then it tries `_read`, which takes an argv
 only when its first token is exactly one of the six names and each later
 token is exactly one of that subcommand's option strings, a value after a
 value option, or the one FILE; a value does not start with "-", an int
@@ -32,7 +33,7 @@ from vdse.dsl import parse, serialize
 from vdse.errors import AnalysisError, GraphError, MalformedGraphError, ParseError
 from vdse.export import ExportOptions, graph_to_dot, graph_to_json, paths_to_json, report_to_json
 from vdse.graph import InstanceGraph
-from vdse.schema import builtin_schema, type_graph_to_dot
+from vdse.schema import _shown, builtin_schema, type_graph_to_dot
 from vdse.validate import validate
 
 __all__ = ["run", "main"]
@@ -85,8 +86,9 @@ _NAMES = tuple(_SUBCOMMANDS)
 def _read(argv: list) -> SimpleNamespace | None:
     """The namespace argparse makes of argv, when argv has the plain form
     the module docstring gives; None otherwise, for argparse to read."""
-    # A tuple, not the dict: an unhashable argv[0] must not raise.
-    if not argv or argv[0] not in _NAMES:
+    # A tuple, not the dict: an unhashable argv[0] must not raise. run()
+    # refuses a token that is not a str; a direct caller gets None for one.
+    if not argv or argv[0] not in _NAMES or not all(isinstance(t, str) for t in argv):
         return None
     _, takes_file, options = _SUBCOMMANDS[argv[0]]
     by_flag = {flag: option for option in options for flag in option[0]}
@@ -95,8 +97,6 @@ def _read(argv: list) -> SimpleNamespace | None:
     given = set()
     tokens = iter(argv[1:])
     for token in tokens:
-        if not isinstance(token, str):
-            return None
         option = by_flag.get(token)
         if option is None:  # the one FILE
             if token.startswith("-") or not takes_file or "file" in values:
@@ -107,7 +107,7 @@ def _read(argv: list) -> SimpleNamespace | None:
         value = True
         if kind != "flag":
             value = next(tokens, None)
-            if not isinstance(value, str) or value.startswith("-"):
+            if value is None or value.startswith("-"):
                 return None
             if kind is int:
                 try:
@@ -341,6 +341,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        for token in argv:  # before either reader: argparse and open() assume str
+            if not isinstance(token, str):
+                raise _UsageError(f"argument {_shown(token)} is not a string")
         args = _read(argv)
         if args is None:
             command = argv[0] if argv and argv[0] in _NAMES else None

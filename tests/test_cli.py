@@ -611,6 +611,15 @@ def test_usage_error_exit_3(uber_file):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [["paths", "F", 5], [5], ["fmt", None]])
+def test_a_token_that_is_not_a_str_is_a_usage_error(argv):
+    # run(argv) is the in-process entry; it keeps the exit contract for any
+    # list, not only for the str tokens a shell passes.
+    code, out, err = invoke(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
 # Every help text and one usage error per command, with `vdse --help`,
 # `vdse` alone and an unknown command. Help goes to sys.stdout, the rest to
 # run's streams.
@@ -699,21 +708,26 @@ def readme_synopsis() -> list:
 def documented_argvs(file: str) -> list:
     """Each README synopsis form, with every subset of its optional groups
     and each choice of a choice value. The placeholders are filled so that
-    each command runs on the uber scenario in FILE; the two IDs of `paths`
-    are taken in turn."""
+    each command runs on the uber scenario in FILE, and `-o FILE` writes
+    out.dot; the two IDs of `paths` are taken in turn."""
     argvs = []
     for line in readme_synopsis():
         ids = iter(["driver", "uber"])
-        filled = {"FILE": [file], "N": ["3"], "FROM:TO": ["driver:uber"], "OUT": ["out.dot"]}
+        filled = {
+            "FILE": [file], "MAX_LEN": ["3"], "FROM:TO": ["driver:uber"], ("-o", "FILE"): ["out.dot"]
+        }
 
-        def values(word):
-            return [next(ids)] if word == "ID" else filled.get(word) or word.split("|")
+        def values(word, flag=None):
+            if word == "ID":
+                return [next(ids)]
+            return filled.get((flag, word)) or filled.get(word) or word.split("|")
 
         slots = []
         for word in re.findall(r"\[[^]]*\]|\S+", line):
             if word[0] == "[":
                 flag, *rest = word[1:-1].split()
-                slots.append([[]] + [[flag, *v] for v in itertools.product(*map(values, rest))])
+                rest = [values(value, flag) for value in rest]
+                slots.append([[]] + [[flag, *v] for v in itertools.product(*rest)])
             else:
                 slots.append([[value] for value in values(word)])
         argvs += [list(itertools.chain(*choice))[1:] for choice in itertools.product(*slots)]
@@ -794,7 +808,7 @@ def test_the_reader_agrees_with_argparse():
 def test_the_documented_forms_run_without_argparse(tmp_path, monkeypatch):
     uber = tmp_path / "uber.vdse"
     uber.write_text(scenario_text("uber"), encoding="utf-8")
-    monkeypatch.chdir(tmp_path)  # -o OUT writes here
+    monkeypatch.chdir(tmp_path)  # -o FILE writes out.dot here
     argvs = documented_argvs(str(uber))
     assert len(argvs) == 2 + 3 * 2 * 2 + 2 * 2 + 3 * 2 * 2 * 2 + 3 + 1
     for argv in argvs + WORKLOAD_ARGVS:
@@ -921,11 +935,16 @@ def test_readme_scenario_file_example_parses_and_validates():
 
 
 def test_readme_cli_block_matches_parser():
-    documented = {}
+    documented, placeholders = {}, {}
     for line in readme_synopsis():
         words = line.split()
         assert words[0] == "vdse", line
         documented[words[1]] = set(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", line))
+        # Each option's value placeholder, or None for a flag.
+        plain = line.replace("[", " ").replace("]", " ").split()
+        for flag, following in zip(plain, plain[1:] + ["-"]):
+            if flag.startswith("-"):
+                placeholders[words[1], flag] = None if following.startswith("-") else following
     choices = subparsers(_build_parser())
     assert set(documented) == set(choices)
     for name, parser in choices.items():
@@ -936,3 +955,12 @@ def test_readme_cli_block_matches_parser():
         ]
         assert documented[name] <= set().union(*options), name
         assert all(documented[name] & flags for flags in options), name
+        # What --help writes after the option: its choices or its metavar.
+        for action in parser._actions:
+            for flag in set(action.option_strings) & documented[name]:
+                want = None
+                if action.nargs != 0:
+                    want = action.metavar or action.dest.upper()
+                    if action.choices:
+                        want = "|".join(action.choices)
+                assert placeholders[name, flag] == want, (name, flag)
