@@ -314,7 +314,8 @@ class _Successors(dict):
     follow a flow to target carrying package, in flow-id order. That is the
     list of the package's descendants (its closure over children), made once
     and shared, merged with the target's other flows if it has any. into_sink
-    holds ((id, (id,), (package,)), source, lineage) per flow into the sink."""
+    holds ((id, (id,), (package,)), source, lineage) per flow into the sink.
+    It is the only holder of successor lists: an entry does not keep one."""
 
     def __init__(self, leaving: dict, carrying: dict, children: dict, into_sink: list):
         self.leaving, self.carrying, self.children = leaving, carrying, children
@@ -350,7 +351,7 @@ def _walk(by_length: list, sink: str, max_len: int, following: list, index: _Suc
         depth = len(flow_ids)
         spare = max_len - depth
         for entry in entries:
-            flow_id, package, target, distance, successors, last_flows, one_flow, one_package = entry
+            flow_id, package, target, distance, last_flows, one_flow, one_package = entry
             if distance >= spare or flow_id in used:
                 continue
             trace_flows, trace_packages = flow_ids + one_flow, package_ids + one_package
@@ -361,13 +362,11 @@ def _walk(by_length: list, sink: str, max_len: int, following: list, index: _Suc
             if depth + 1 >= _MAX_TRACE_DEPTH:
                 raise AnalysisError(f"search too deep for --max-len {max_len}")
             if spare > 2:
-                if successors is None:
-                    successors = entry[4] = index[target, package]
                 used.add(flow_id)
-                stack.append((iter(successors), trace_flows, trace_packages))
+                stack.append((iter(index[target, package]), trace_flows, trace_packages))
                 break
             if last_flows is None:
-                last_flows = entry[5] = [
+                last_flows = entry[4] = [
                     last for last, source, lineage in index.into_sink
                     if source == target or package in lineage
                 ]
@@ -385,11 +384,13 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     sequence) order: the walk files each length's traces in order, and the
     lengths are joined shortest first; nothing is sorted afterwards.
 
-    An entry is [flow id, package, target, distance to sink, successor list,
-    last-flow list, (flow id,), (package,)], one per flow that can still
-    reach the sink; both lists are in flow-id order, and None until the walk
-    first needs them. A search that would extend a trace of _MAX_TRACE_DEPTH
-    flows raises AnalysisError."""
+    An entry is [flow id, package, target, distance to sink, last-flow
+    list, (flow id,), (package,)], one per flow that can still reach the
+    sink; its last-flow list is in flow-id order, and None until the walk
+    first needs it. Successor lists are kept by the index alone, so no
+    entry refers to another and a query makes no reference cycle. A search
+    that would extend a trace of _MAX_TRACE_DEPTH flows raises
+    AnalysisError."""
     parents, children = _derivations(packages)
     distances = _lineage_distances(flows, parents, sink, max_len)
     leaving: dict[str, list] = {}
@@ -397,7 +398,7 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     into_sink: list[tuple] = []
     for flow in sorted((f for f in flows if f.id in distances), key=attrgetter("id")):
         ones = (flow.id,), (flow.package,)
-        entry = [flow.id, flow.package, flow.target, distances[flow.id], None, None, *ones]
+        entry = [flow.id, flow.package, flow.target, distances[flow.id], None, *ones]
         leaving.setdefault(flow.source, []).append(entry)
         carrying.setdefault(flow.package, []).append(entry)
         if not entry[3]:
@@ -407,13 +408,7 @@ def _lineage_traces(packages: dict, flows: list, source: str, sink: str, max_len
     # A trace uses each flow once, and only flows in distances, so none is
     # longer than len(distances); by_length[n] holds the traces of n flows.
     by_length: list[list] = [[] for _ in range(min(max_len, len(distances)) + 1)]
-    try:
-        _walk(by_length, sink, max_len, leaving.get(source, ()), index)
-    finally:
-        # Entries hold successor lists that hold entries: empty the entries,
-        # so that the index is freed without the cyclic collector.
-        for entry in chain.from_iterable(leaving.values()):
-            entry.clear()
+    _walk(by_length, sink, max_len, leaving.get(source, ()), index)
     return list(chain.from_iterable(by_length))
 
 

@@ -5,20 +5,17 @@ Exit codes: 0 success, 1 validation errors, 2 parse error, 3 usage error,
 diagnostics and warnings go to stderr.
 
 Every subcommand's arguments are declared once, in _SUBCOMMANDS, and two
-readers are built from it. `run` refuses a token that is not a str, as a
-usage error; then it tries `_read`, which takes an argv
+readers are built from it. `run` refuses an argv that is not a list of
+str, as a usage error; then it tries `_read`, which takes an argv
 only when its first token is exactly one of the six names and each later
 token is exactly one of that subcommand's option strings, a value after a
 value option, or the one FILE; a value does not start with "-", an int
 value converts with int(), a choice is one of its choices, and every
 required option is given. That covers each documented command form without
-importing argparse. Every other argv (help, `--opt=value`, abbreviations,
-`--`, `-`, negative numbers, repeated positionals, every usage error) goes
-to argparse, the only writer of help and error text: `_build_parser`
-builds the parser of the subcommand that the first argument names exactly,
-and no other; anything else (no argument, `-h`, an unknown or abbreviated
-command) gets the parser with all six, whose help and invalid-choice
-message list them.
+importing argparse. Only the other argvs (help, `--opt=value`,
+abbreviations, `--`, `-`, negative numbers, repeated positionals, every
+usage error) reach argparse, the only writer of help and error text:
+`_build_parser` builds its one parser, with all six subcommands.
 """
 from __future__ import annotations
 
@@ -125,9 +122,9 @@ def _read(argv: list) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _build_parser(command: str | None = None):
-    """The argparse parser for `vdse`, with every subcommand, or with only
-    the one named: a subcommand's parser does not depend on its siblings."""
+def _build_parser():
+    """The argparse parser for `vdse`, with all six subcommands. Only help,
+    usage errors and the forms _read leaves to it reach it."""
     import argparse
 
     class _Formatter(argparse.HelpFormatter):
@@ -155,8 +152,6 @@ def _build_parser(command: str | None = None):
     parser = _Parser(prog="vdse", description="Vehicle data-sharing scenario analysis")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, takes_file, options) in _SUBCOMMANDS.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=summary)
         if takes_file:
             p.add_argument("file")
@@ -339,15 +334,18 @@ def run(argv, stdout=None, stderr=None) -> int:
     """Execute one CLI invocation and return its exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if argv is None:
+            argv = sys.argv[1:]
+        elif isinstance(argv, (str, bytes)) or not hasattr(argv, "__iter__"):
+            raise _UsageError(f"argv must be a list of strings, not {_shown(argv)}")
+        argv = list(argv)
         for token in argv:  # before either reader: argparse and open() assume str
             if not isinstance(token, str):
                 raise _UsageError(f"argument {_shown(token)} is not a string")
         args = _read(argv)
         if args is None:
-            command = argv[0] if argv and argv[0] in _NAMES else None
-            args = _build_parser(command).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, stdout, stderr)
     except ParseError as exc:
         print(f"parse error: {exc}", file=stderr)

@@ -612,13 +612,19 @@ def test_lineage_memory_on_a_far_sink_grows_linearly(case):
 
 @pytest.mark.parametrize("mode", ["strict", "lineage"])
 def test_queries_leave_no_cyclic_garbage(uber_graph, mode):
-    # A lineage query's successor index is cyclic while the walk runs; the
-    # query breaks the cycles, so that nothing waits for the collector.
+    # A query makes no reference cycle, not even one that fails: lineage
+    # entries keep no successor list, the index alone does, so nothing is
+    # broken by hand and nothing waits for the collector.
+    too_deep = own_package_chain(800)
     gc.collect()
     gc.disable()
     try:
         assert len(enumerate_paths(uber_graph, "driver", "uber", 10, mode=mode)) > 1
         assert gc.collect() == 0
+        if mode == "lineage":
+            with pytest.raises(AnalysisError, match="^search too deep for --max-len 5000$"):
+                enumerate_paths(too_deep, "p", "d799", 5000, mode=mode)
+            assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import vdse
-from conftest import one_package_chain
+from conftest import one_package_chain, under_hash_seeds
 from test_analysis import dense_mesh
 from test_dsl import round_trip_mutants, token_mutants
 from vdse.analysis import DEFAULT_MAX_PATH_LEN, exposure_report
@@ -611,13 +611,18 @@ def test_usage_error_exit_3(uber_file):
     assert code == 3
 
 
-@pytest.mark.parametrize("argv", [["paths", "F", 5], [5], ["fmt", None]])
-def test_a_token_that_is_not_a_str_is_a_usage_error(argv):
+@pytest.mark.parametrize("argv,named", [
+    (["paths", "F", 5], 5), ([5], 5), (["fmt", None], None), (5, 5), (3.5, 3.5), ("paths", "paths"),
+    (b"paths", b"paths"),
+])
+def test_a_token_that_is_not_a_str_is_a_usage_error(argv, named):
     # run(argv) is the in-process entry; it keeps the exit contract for any
-    # list, not only for the str tokens a shell passes.
+    # argv, not only for the list of str a shell passes, and names what it
+    # refuses: the token, or the argv that is not a list.
     code, out, err = invoke(argv)
     assert (code, out) == (3, "")
     assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert repr(named) in err, err
 
 
 # Every help text and one usage error per command, with `vdse --help`,
@@ -660,44 +665,11 @@ PASSING_ARGVS = [
     ["schema", "--format", "dot"],
     ["fmt", "a.vdse"],
 ]
-ACTION_FIELDS = ("option_strings", "dest", "default", "type", "choices", "required", "metavar", "nargs")
 
 
 def subparsers(parser) -> dict:
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return action.choices
-
-
-def action_fields(parser) -> list:
-    return [[getattr(action, field) for field in ACTION_FIELDS] for action in parser._actions]
-
-
-def test_a_subcommand_alone_parses_as_in_the_full_parser(monkeypatch, capsys):
-    # run builds only the named subcommand's parser; it must read every argv
-    # as the parser with all six does, help and usage errors included.
-    monkeypatch.setenv("COLUMNS", "80")
-    full = _build_parser()
-    assert tuple(subparsers(full)) == SUBCOMMANDS
-
-    def outcome(parser, argv):
-        try:
-            return parser.parse_args(argv)
-        except _UsageError as exc:
-            return "usage error", str(exc)
-        except SystemExit as exc:  # --help
-            return exc.code, capsys.readouterr()
-
-    for name in SUBCOMMANDS:
-        alone = _build_parser(name)
-        assert list(subparsers(alone)) == [name]
-        mine, theirs = subparsers(alone)[name], subparsers(full)[name]
-        assert mine.format_help() == theirs.format_help()
-        assert action_fields(mine) == action_fields(theirs)
-        argvs = [argv for argv in USAGE_ARGVS + PASSING_ARGVS if argv[:1] == [name]]
-        assert len(argvs) == 3  # its help, its usage error and one that parses
-        for argv in argvs:
-            assert outcome(alone, argv) == outcome(full, argv), argv
-        assert isinstance(outcome(alone, argvs[-1]), argparse.Namespace)
 
 
 def readme_synopsis() -> list:
@@ -788,7 +760,7 @@ def random_argvs(rng, count):
 def test_the_reader_agrees_with_argparse():
     # Every argv the reader takes, argparse takes too, with the same
     # attributes of the same types; the rest go to argparse in run().
-    parsers = {name: _build_parser(name) for name in SUBCOMMANDS}
+    parser = _build_parser()
     corpus = documented_argvs("s.vdse") + WORKLOAD_ARGVS + USAGE_ARGVS + PASSING_ARGVS
     taken = Counter()
     for argv in [*corpus, *random_argvs(random.Random(33), 100_000)]:
@@ -797,7 +769,7 @@ def test_the_reader_agrees_with_argparse():
             continue
         taken[argv[0]] += 1
         try:
-            theirs = vars(parsers[argv[0]].parse_args(argv))
+            theirs = vars(parser.parse_args(argv))
         except (_UsageError, SystemExit) as exc:
             pytest.fail(f"argparse refuses {argv!r} ({exc!r}), which the reader took")
         assert vars(ours) == theirs, argv
@@ -887,43 +859,104 @@ README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
 
 
 MAX_LENS = ("1", "3", "0", "-1", "abc")
+FILE = "s.vdse"  # each case's one file, in an otherwise empty directory
+# Two cases whose bytes a subprocess gives alike under three hash seeds.
+HASH_SEED_ARGVS = [
+    ["exposure", FILE, "--person", "driver", "--json"],
+    ["paths", FILE, "--from", "driver", "--to", "uber", "--mode", "lineage"],
+]
 
 
-def test_every_subcommand_keeps_the_exit_contract_on_mutated_scenarios(tmp_path):
-    # A fixed sample of mutants of both bundled scenarios through every
-    # subcommand: each run exits 0-4 and prints no traceback. An exception
-    # that run does not handle fails the test where it is raised.
-    rng = random.Random(16)
-    codes = Counter()
+def every_subcommand(rng, graph, n: int) -> list:
+    """One argv of each shape per subcommand on FILE, with IDs drawn from
+    graph and the n-th of MAX_LENS."""
+    ids = sorted(graph.entities)
+    persons = [i for i in ids if graph.entities[i].entity_type.code == "P"]
+    max_len = MAX_LENS[n % len(MAX_LENS)]
+    source, sink = rng.sample(ids, 2)
+    person = rng.choice(persons)
+    return [
+        ["validate", FILE],
+        ["validate", FILE, "--json"],
+        ["paths", FILE, "--from", source, "--to", sink, "--max-len", max_len],
+        ["paths", FILE, "--from", source, "--to", sink, "--max-len", max_len, "--mode", "lineage", "--json"],
+        ["exposure", FILE, "--person", person, "--max-len", max_len],
+        ["exposure", FILE, "--person", person, "--max-len", max_len, "--json"],
+        ["export", FILE, "--highlight", f"{source}:{sink}"],
+        ["export", FILE, "--format", "json", "--show-packages"],
+        ["schema", "--format", ("text", "dot")[n % 2]],
+        ["fmt", FILE],
+    ]
+
+
+def run_cases(seed: int):
+    """(argv, bytes of FILE) cases for run(), from one seeded generator:
+    argvs that are not lists of str, odd FILE, -o and --max-len values,
+    files that do not parse or validate, the random argvs the reader is
+    checked on, and every subcommand on round-trip and token mutants of
+    both bundled scenarios."""
+    rng = random.Random(seed)
+    uber = scenario_text("uber").encode()
+    edges = [
+        5, 3.5, "paths", b"paths", [5], ("schema", "--format", "dot"), *HASH_SEED_ARGVS,
+        ["validate", "-"], ["validate", "."],
+        ["export", FILE, "-o", "."], ["export", FILE, "-o", "missing/out.dot"],
+        *(["paths", FILE, "--from", "driver", "--to", "uber", "--max-len", max_len, "--mode", mode]
+          for max_len in ("0", "-1", str(10**9), "abc") for mode in ("strict", "lineage")),
+    ]
+    yield from ((argv, uber) for argv in edges)
+    middle = uber.index(b"\n", len(uber) // 2)
+    for data in (b"", uber.replace(b"uber", b"\xffber", 1), uber[: middle - 3], BROKEN.encode()):
+        yield from ((argv, data) for argv in every_subcommand(rng, load_scenario("uber"), 0))
+    yield from ((argv, uber) for argv in random_argvs(rng, 100))
     for name in ("uber", "speeding"):
-        document = scenario_text(name)
-        graph = load_scenario(name)
-        ids = sorted(graph.entities)
-        persons = [i for i in ids if graph.entities[i].entity_type.code == "P"]
+        document, graph = scenario_text(name), load_scenario(name)
         mutants = [*round_trip_mutants(rng, document, 40), *token_mutants(rng, document, 40)]
         for n, text in enumerate(mutants):
-            path = tmp_path / f"{name}_{n}.vdse"
-            path.write_text(text, encoding="utf-8")
-            file, max_len = str(path), MAX_LENS[n % len(MAX_LENS)]
-            source, sink = rng.sample(ids, 2)
-            person = rng.choice(persons)
-            for argv in (
-                ["validate", file],
-                ["validate", file, "--json"],
-                ["paths", file, "--from", source, "--to", sink, "--max-len", max_len],
-                ["paths", file, "--from", source, "--to", sink, "--max-len", max_len,
-                 "--mode", "lineage", "--json"],
-                ["exposure", file, "--person", person, "--max-len", max_len],
-                ["exposure", file, "--person", person, "--max-len", max_len, "--json"],
-                ["export", file, "--highlight", f"{source}:{sink}"],
-                ["export", file, "--format", "json", "--show-packages"],
-                ["schema", "--format", ("text", "dot")[n % 2]],
-                ["fmt", file],  # last: it rewrites the file
-            ):
-                code, _, stderr = invoke(argv)
-                assert 0 <= code <= 4 and "Traceback" not in stderr, (argv, stderr)
-                codes[code] += 1
-    assert {0, 1, 2, 3} <= set(codes), codes
+            yield from ((argv, text.encode()) for argv in every_subcommand(rng, graph, n))
+
+
+def run_case(argv, data: bytes, capsys) -> tuple:
+    """run(argv) in the working directory, emptied and given FILE holding
+    data: its exit code, what it wrote to its streams (help goes to
+    sys.stdout), and the files the directory holds afterwards."""
+    for path in Path().iterdir():
+        path.unlink()
+    Path(FILE).write_bytes(data)
+    code, out, err = invoke(argv)
+    printed = capsys.readouterr()
+    files = sorted((path.name, path.read_bytes()) for path in Path().iterdir())
+    return code, printed.out + out, printed.err + err, files
+
+
+def test_run_keeps_the_exit_contract_on_generated_cases(tmp_path, monkeypatch, capsys):
+    # Each case exits 0-4 with no exception escaping; every exit but 0 and 1
+    # (whose errors go to stdout) says why on stderr, with no traceback; and
+    # a second run writes the same bytes.
+    monkeypatch.setenv("COLUMNS", "80")  # help's width
+    monkeypatch.chdir(tmp_path)
+    codes, hashed = Counter(), []
+    for argv, data in run_cases(16):
+        first = run_case(argv, data, capsys)
+        code, _, err, _ = first
+        assert 0 <= code <= 4 and "Traceback" not in err, (argv, err)
+        assert code < 2 or err.endswith("\n"), (argv, err)
+        assert run_case(argv, data, capsys) == first, argv
+        codes[code] += 1
+        if argv in HASH_SEED_ARGVS:
+            hashed.append(first[:3])
+    assert set(codes) == {0, 1, 2, 3, 4}, codes
+    # Those cases' bytes do not depend on the hash seed: the subprocesses
+    # run in the working directory, with uber as FILE.
+    Path(FILE).write_text(scenario_text("uber"), encoding="utf-8")
+    script = (
+        "import io; from vdse.cli import run\n"
+        f"for argv in {HASH_SEED_ARGVS!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    print(repr((run(argv, out, err), out.getvalue(), err.getvalue())))\n"
+    )
+    want = "".join(f"{outcome!r}\n" for outcome in hashed)
+    assert under_hash_seeds(script) == [want] * 3
 
 
 def test_readme_scenario_file_example_parses_and_validates():
